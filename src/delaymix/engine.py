@@ -26,8 +26,9 @@ from .errors import (
     DataError,
     DelayMixError,
     EngineStageError,
+    ParseError,
 )
-from .filtering import NoiseSpec, forecast, select_regime, window_error
+from .filtering import NoiseSpec, forecast, kalman_forward, select_regime, window_error
 from .moments import (
     DEFAULT_MODE_CAP,
     MomentConfig,
@@ -315,7 +316,9 @@ def engine_update(
 
     window_outputs must hold l_c output vectors; window_and_future_inputs
     holds l_c + l_s input vectors, the trailing l_s of which drive the
-    forecast.
+    forecast. The window is filtered once per model scored: the forecast
+    reuses the gate's pass on the active model, or the winner's pass from
+    selection when the update adapts.
     """
     started = time.perf_counter()
     cfg = state.config
@@ -357,7 +360,8 @@ def engine_update(
     if had_models:
         with _stage("fit_scoring"):
             active = database.active()
-            gate_fit = window_error(active.model, window, cfg.noise)
+            trace = kalman_forward(active.model, window, cfg.noise)
+            gate_fit = window_error(active.model, window, cfg.noise, trace=trace)
             active.last_fit = gate_fit
     else:
         gate_fit = float("inf")
@@ -390,7 +394,7 @@ def engine_update(
                         b_scale=scale,
                     )
                 )
-            index, best_fit = select_regime(
+            index, best_fit, trace = select_regime(
                 [record.model for record in records], window, cfg.noise
             )
             records[index].selections += 1
@@ -403,7 +407,9 @@ def engine_update(
 
     active = state.database.active()
     with _stage("forecasting"):
-        predicted = forecast(active.model, window, u_all[cfg.l_c :], cfg.noise)
+        predicted = forecast(
+            active.model, window, u_all[cfg.l_c :], cfg.noise, trace=trace
+        )
     state.updates += 1
     elapsed = time.perf_counter() - started
     return UpdateReport(
@@ -528,6 +534,8 @@ def _read_models(blob: bytes, horizon: int) -> RegimeDatabase:
                 component_index=-1,
             )
         )
+    if offset != len(blob):
+        raise ParseError(f"model section holds {len(blob) - offset} unread bytes")
     active_index = -1 if active == 0xFFFFFFFF else int(active)
     return RegimeDatabase(records=records, active_index=active_index)
 
@@ -580,20 +588,39 @@ def save_checkpoint(state: EngineState, path) -> None:
 def load_checkpoint(path) -> EngineState:
     """Rebuild streaming state from a checkpoint file.
 
-    Warm-start factors are not part of the format, so the first adaptation
-    after a restore is a cold start.
+    A file that is not one whole checkpoint of this version (truncated,
+    padded, or with a damaged section) raises ParseError. Warm-start factors
+    are not part of the format, so the first adaptation after a restore is
+    a cold start.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
+    try:
+        return _parse_checkpoint(raw)
+    except (struct.error, ValueError, KeyError, TypeError) as err:
+        cause = err if isinstance(err, ParseError) else f"{type(err).__name__}: {err}"
+        raise ParseError(f"damaged checkpoint {path}: {cause}") from err
+
+
+def _parse_checkpoint(raw: bytes) -> EngineState:
     if not raw or raw[0] != CHECKPOINT_VERSION:
-        raise ValueError("unsupported checkpoint version")
+        raise ParseError(
+            f"unsupported checkpoint version (expected {CHECKPOINT_VERSION})"
+        )
     offset = 1
     sections = []
-    for _ in range(3):
+    for index in range(3):
         (size,) = struct.unpack_from("<Q", raw, offset)
         offset += 8
+        if offset + size > len(raw):
+            raise ParseError(
+                f"section {index} declares {size} bytes, "
+                f"{len(raw) - offset} remain in the file"
+            )
         sections.append(raw[offset : offset + size])
         offset += size
+    if offset != len(raw):
+        raise ParseError(f"{len(raw) - offset} trailing bytes after the last section")
     tensor = tensor_from_bytes(sections[0])
     echo = json.loads(sections[2].decode("utf-8"))
     moment = MomentConfig(**echo["moment"])

@@ -1,4 +1,10 @@
-"""Kalman filtering, RTS smoothing, window scoring and forecasting."""
+"""Kalman filtering, RTS smoothing, window scoring and forecasting.
+
+One forward pass per model and window carries all the scoring and
+forecasting: `window_error` and `forecast` accept the `BeliefTrace` of a pass
+already run, and `select_regime` returns the winner's trace so the caller can
+forecast from it without filtering again.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, EmptyDatabaseError, NumericalError
 from .syslin import DelayFreeModel, Trajectory, _input_array
@@ -69,19 +75,27 @@ class SmoothedTrace:
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
-    """Solve matrix @ x = rhs for symmetric positive definite matrix."""
+    """Solve matrix @ x = rhs for symmetric positive definite matrix.
+
+    Calls LAPACK's Cholesky factorization and solve (potrf/potrs) directly,
+    the same routines scipy's cho_factor/cho_solve dispatch to, without
+    their per-call wrapper checks. A matrix that fails to factor is retried
+    once with JITTER added to its diagonal.
+    """
     sym = 0.5 * (matrix + matrix.T)
-    try:
-        return cho_solve(cho_factor(sym, lower=True), rhs)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        jittered = sym + JITTER * np.eye(sym.shape[0])
-        return cho_solve(cho_factor(jittered, lower=True), rhs)
-    except np.linalg.LinAlgError as err:
-        raise ConditioningError(
-            f"{what} not positive definite after jitter at step {step}"
-        ) from err
+    if not (np.isfinite(sym).all() and np.isfinite(rhs).all()):
+        raise NumericalError(f"non-finite {what} at step {step}", step=step)
+    factor, info = dpotrf(sym, lower=1, clean=0)
+    if info != 0:
+        factor, info = dpotrf(sym + JITTER * np.eye(sym.shape[0]), lower=1, clean=0)
+        if info != 0:
+            raise ConditioningError(
+                f"{what} not positive definite after jitter at step {step}"
+            )
+    solution, info = dpotrs(factor, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+    return solution
 
 
 def kalman_forward(
@@ -162,26 +176,43 @@ def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> SmoothedTrace:
     return SmoothedTrace(smoothed, gains)
 
 
-def window_error(model: DelayFreeModel, window: Trajectory, noise: NoiseSpec) -> float:
+def window_error(
+    model: DelayFreeModel,
+    window: Trajectory,
+    noise: NoiseSpec,
+    trace: BeliefTrace | None = None,
+) -> float:
     """Mean Euclidean one-step prediction error over the window.
 
     The mean (rather than a raw sum) keeps the value comparable across
-    window lengths, so a fit threshold on it is length independent.
+    window lengths, so a fit threshold on it is length independent. Pass
+    the `kalman_forward` trace of this model on this window as `trace` to
+    score it without filtering again.
     """
-    trace = kalman_forward(model, window, noise)
+    if trace is None:
+        trace = kalman_forward(model, window, noise)
     errors = np.linalg.norm(window.outputs - trace.one_step_predictions, axis=1)
     return float(errors.mean())
 
 
 def select_regime(
     database: Sequence[DelayFreeModel], window: Trajectory, noise: NoiseSpec
-) -> tuple[int, float]:
-    """Index of the model with the lowest window error; ties keep the lowest index."""
+) -> tuple[int, float, BeliefTrace]:
+    """Index, window error and filter trace of the model with the lowest
+    window error; ties keep the lowest index.
+
+    Each model is filtered once; the returned trace lets the caller
+    forecast from the winner without another pass.
+    """
     if len(database) == 0:
         raise EmptyDatabaseError("cannot select a regime from an empty model database")
-    errors = [window_error(model, window, noise) for model in database]
+    traces = [kalman_forward(model, window, noise) for model in database]
+    errors = [
+        window_error(model, window, noise, trace=trace)
+        for model, trace in zip(database, traces)
+    ]
     best = int(np.argmin(errors))
-    return best, float(errors[best])
+    return best, float(errors[best]), traces[best]
 
 
 def forecast(
@@ -189,23 +220,32 @@ def forecast(
     window: Trajectory,
     future_inputs,
     noise: NoiseSpec,
+    trace: BeliefTrace | None = None,
 ) -> np.ndarray:
-    """Multi-step prediction anchored by smoothing over the window.
+    """Multi-step prediction anchored at the filter's final state.
 
-    The filter and smoother estimate the state at the final window index;
-    advancing it once with the final window input gives the state at the
-    first forecast step. From there the deterministic recursion consumes
-    the future inputs, emitting one output per step.
+    The filtered mean at the final window index is the state estimate
+    there; an RTS backward pass would return that same vector as its last
+    smoothed mean, so none is run. Advancing it once with the final window
+    input gives the state at the first forecast step. From there the
+    deterministic recursion consumes the future inputs, emitting one output
+    per step. Pass the `kalman_forward` trace of this model on this window
+    as `trace` to skip the filter pass.
     """
     future = _input_array(future_inputs, model.input_dim, "future_inputs")
     horizon = future.shape[0]
     if horizon < 1:
         raise ValueError("future_inputs must contain at least one step")
-    trace = kalman_forward(model, window, noise)
-    smoothed = rts_smoother(model, trace)
-    a, b, c = model.transition, model.input_map, model.output_map
     steps = window.outputs.shape[0]
-    state = a @ smoothed.smoothed_means[-1] + b @ window.inputs[steps - 1]
+    if trace is None:
+        trace = kalman_forward(model, window, noise)
+    elif trace.filtered_means.shape != (steps, model.state_dim):
+        raise ValueError(
+            f"trace holds filtered means of shape {trace.filtered_means.shape}, "
+            f"expected {(steps, model.state_dim)} for this model and window"
+        )
+    a, b, c = model.transition, model.input_map, model.output_map
+    state = a @ trace.filtered_means[-1] + b @ window.inputs[steps - 1]
     outputs = np.empty((horizon, model.output_dim))
     for i in range(horizon):
         outputs[i] = c @ state

@@ -1,4 +1,5 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from delaymix import (
     generate,
     run_stream,
 )
+from delaymix import filtering
 from delaymix.datagen import ScenarioSpec
 from delaymix.engine import (
     EngineConfig,
@@ -26,6 +28,7 @@ from delaymix.errors import (
     ConfigError,
     DataError,
     EngineStageError,
+    ParseError,
 )
 from delaymix.filtering import NoiseSpec
 from delaymix.syslin import Trajectory
@@ -190,6 +193,50 @@ class TestEngineUpdate:
         assert len(state.database.records) <= config.rank
 
 
+class TestFilterPasses:
+    def test_one_filter_pass_per_scored_model(self, monkeypatch):
+        # every delaymix global bound to a filtering function counts its calls
+        calls = {"kalman_forward": 0, "rts_smoother": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            original = getattr(filtering, name)
+            wrapper = counting(name, original)
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "delaymix" or module_name.startswith("delaymix."):
+                    for key, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, key, wrapper)
+
+        traj = two_regime_traj(length=6000, seed=3)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=1)
+        state = engine_init(config)
+        kinds = set()
+        for w in range(59):
+            o = w * 100
+            had_models = bool(state.database.records)
+            before = calls["kalman_forward"]
+            report = engine_update(
+                state, traj.outputs[o : o + 100], traj.inputs[o : o + 101]
+            )
+            passes = calls["kalman_forward"] - before
+            if report.adapted:
+                # the gate on the old active model, then one per new model
+                expected = len(state.database.records) + int(had_models)
+            else:
+                expected = 1
+            assert passes == expected, (w, report.adapted)
+            kinds.add((report.adapted, had_models))
+        assert calls["rts_smoother"] == 0
+        assert kinds == {(True, False), (True, True), (False, True)}
+
+
 class TestGateMonotonicity:
     def test_infinite_threshold_never_readapts(self):
         traj = two_regime_traj(length=4000, seed=9)
@@ -340,3 +387,28 @@ class TestCheckpoint:
         restored = load_checkpoint(path)
         assert restored.config.noise.process_var == pytest.approx(3e-4)
         assert restored.config.noise.obs_var == pytest.approx(2e-2)
+
+    def test_damaged_file_raises_parse_error(self, tmp_path):
+        traj = single_regime_traj(length=300, seed=14)
+        config = default_config(d=1, dc=1, s=3, rank=1, rho=0.5, l_c=100, l_s=2)
+        state = engine_init(config)
+        engine_update(state, traj.outputs[:100], traj.inputs[:102])
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        raw = path.read_bytes()
+        damaged = tmp_path / "damaged.bin"
+        # cuts inside the version byte, a length prefix, the tensor, the
+        # model section and the JSON echo, then a bad version and padding
+        models_start = 1 + 8 + int.from_bytes(raw[1:9], "little") + 8
+        cuts = [0, 1, 5, 9, 100, models_start - 4, models_start + 20, len(raw) - 10]
+        variants = [raw[:cut] for cut in cuts]
+        variants += [bytes([raw[0] + 1]) + raw[1:], raw + b"\x00"]
+        # a model count of 0 leaves the stored model unread
+        count_at = models_start + 8
+        variants.append(raw[:count_at] + bytes(4) + raw[count_at + 4 :])
+        for blob in variants:
+            damaged.write_bytes(blob)
+            with pytest.raises(ParseError, match="damaged checkpoint"):
+                load_checkpoint(damaged)
+        # the intact file still loads
+        assert load_checkpoint(path).updates == 1

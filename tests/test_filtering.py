@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from delaymix import (
     DelayFreeModel,
@@ -15,7 +16,8 @@ from delaymix import (
     window_error,
 )
 from delaymix.datagen import random_stable_model, random_stable_system
-from delaymix.errors import EmptyDatabaseError, NumericalError
+from delaymix.errors import ConditioningError, EmptyDatabaseError, NumericalError
+from delaymix.filtering import JITTER, _spd_solve
 from delaymix.realization import RealizationOptions, ho_kalman
 
 
@@ -93,6 +95,14 @@ class TestKalmanForward:
             kalman_forward(model, window, NoiseSpec())
         assert info.value.step == 3
 
+    def test_non_finite_covariance_detected_with_step(self):
+        # the predicted covariance overflows to inf at step 1
+        model = DelayFreeModel(1e200, 1.0, 1.0)
+        window = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
+            kalman_forward(model, window, NoiseSpec())
+        assert info.value.step == 1
+
     def test_filter_beats_open_loop(self):
         # one-step predictions with feedback beat open-loop simulation
         rng = np.random.default_rng(4)
@@ -119,6 +129,38 @@ class TestKalmanForward:
             if filt_mse <= open_mse:
                 wins += 1
         assert wins >= 18
+
+
+class TestSpdSolve:
+    def test_matches_scipy_cholesky_bitwise(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 4):
+            root = rng.standard_normal((n, n))
+            matrix = root @ root.T + 0.1 * np.eye(n)
+            rhs = rng.standard_normal((n, 3))
+            sym = 0.5 * (matrix + matrix.T)
+            expected = cho_solve(cho_factor(sym, lower=True), rhs)
+            assert np.array_equal(_spd_solve(matrix, rhs, "m", 0), expected)
+
+    def test_singular_matrix_is_solved_with_jitter(self):
+        matrix = np.ones((2, 2))
+        rhs = np.array([[1.0], [2.0]])
+        jittered = matrix + JITTER * np.eye(2)
+        expected = cho_solve(cho_factor(jittered, lower=True), rhs)
+        assert np.array_equal(_spd_solve(matrix, rhs, "m", 0), expected)
+
+    def test_indefinite_matrix_raises_conditioning_error(self):
+        with pytest.raises(ConditioningError, match="at step 4"):
+            _spd_solve(-np.eye(2), np.ones((2, 1)), "m", 4)
+
+    def test_non_finite_input_raises_numerical_error(self):
+        for matrix, rhs in (
+            (np.array([[np.nan]]), np.ones((1, 1))),
+            (np.ones((1, 1)), np.array([[np.inf]])),
+        ):
+            with pytest.raises(NumericalError) as info:
+                _spd_solve(matrix, rhs, "m", 2)
+            assert info.value.step == 2
 
 
 class TestRtsSmoother:
@@ -185,7 +227,7 @@ class TestSelectRegime:
         rng = np.random.default_rng(10)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 30)
-        index, error = select_regime([model], window, NoiseSpec())
+        index, error, _ = select_regime([model], window, NoiseSpec())
         assert index == 0
         assert error >= 0
 
@@ -194,24 +236,28 @@ class TestSelectRegime:
         model_a = random_stable_model(rng, 2, 1, 1)
         model_b = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model_b, 50)
-        index, _ = select_regime([model_a, model_b], window, NoiseSpec())
+        index, error, trace = select_regime([model_a, model_b], window, NoiseSpec())
         assert index == 1
+        # the returned trace is the winner's own filter pass
+        winner = kalman_forward(model_b, window, NoiseSpec())
+        assert np.array_equal(trace.filtered_means, winner.filtered_means)
+        assert error == window_error(model_b, window, NoiseSpec())
 
     def test_tie_break_lowest_index(self):
         rng = np.random.default_rng(12)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 30)
-        index, _ = select_regime([model, model], window, NoiseSpec())
+        index, _, _ = select_regime([model, model], window, NoiseSpec())
         assert index == 0
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(13)
         models = [random_stable_model(rng, 2, 1, 1) for _ in range(3)]
         window, _ = self_generated(rng, models[2], 50)
-        idx, err = select_regime(models, window, NoiseSpec())
+        idx, err, _ = select_regime(models, window, NoiseSpec())
         perm = [2, 0, 1]
         permuted = [models[i] for i in perm]
-        idx2, err2 = select_regime(permuted, window, NoiseSpec())
+        idx2, err2, _ = select_regime(permuted, window, NoiseSpec())
         assert permuted[idx2] is models[idx]
         assert err2 == pytest.approx(err)
 
@@ -260,7 +306,7 @@ class TestForecast:
 
     def test_equivalent_realizations_forecast_identically(self):
         # embedding vs Hankel realization of the same response, anchored by
-        # smoothing on the same noise-free window
+        # filtering on the same noise-free window
         rng = np.random.default_rng(18)
         sys = random_stable_system(rng, 1, 1, 1, delay=1)
         embedded = embed_delay(sys)
@@ -274,3 +320,39 @@ class TestForecast:
         f1 = forecast(embedded, window, inputs[90:], noise)
         f2 = forecast(realized, window, inputs[90:], noise)
         assert np.allclose(f1, f2, atol=1e-6)
+
+    def test_anchor_is_the_smoothed_final_state(self):
+        # the forecast runs no RTS pass; anchoring on the smoothed final
+        # mean instead gives bitwise the same outputs
+        rng = np.random.default_rng(19)
+        noise = NoiseSpec()
+        for n in range(1, 5):
+            for d in (1, 2):
+                model = random_stable_model(rng, n, d, 2)
+                window, _ = self_generated(rng, model, 25)
+                future = rng.standard_normal((6, 2))
+                trace = kalman_forward(model, window, noise)
+                anchor = rts_smoother(model, trace).smoothed_means[-1]
+                a, b, c = model.transition, model.input_map, model.output_map
+                state = a @ anchor + b @ window.inputs[-1]
+                expected = np.empty((6, d))
+                for i in range(6):
+                    expected[i] = c @ state
+                    state = a @ state + b @ future[i]
+                assert np.array_equal(forecast(model, window, future, noise), expected)
+
+    def test_given_trace_skips_the_pass_bitwise(self):
+        rng = np.random.default_rng(20)
+        model = random_stable_model(rng, 3, 2, 1)
+        window, _ = self_generated(rng, model, 30)
+        future = rng.standard_normal((4, 1))
+        noise = NoiseSpec()
+        trace = kalman_forward(model, window, noise)
+        assert np.array_equal(
+            forecast(model, window, future, noise, trace=trace),
+            forecast(model, window, future, noise),
+        )
+        short = Trajectory(window.outputs[:10], window.inputs[:10])
+        short_trace = kalman_forward(model, short, noise)
+        with pytest.raises(ValueError):
+            forecast(model, window, future, noise, trace=short_trace)
