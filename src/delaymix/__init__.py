@@ -20,6 +20,7 @@ from .engine import (
     engine_init,
     engine_update,
     load_checkpoint,
+    run_horizons,
     run_stream,
     save_checkpoint,
 )

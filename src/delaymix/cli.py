@@ -70,6 +70,8 @@ class RunManifest:
     def validate(self) -> None:
         if (self.csv_path is None) == (self.scenario_path is None):
             raise MappingError("exactly one of --csv or --scenario is required")
+        if not self.horizons:
+            raise MappingError("at least one forecast horizon is required")
         if self.csv_path is not None:
             outs = self.output_columns or []
             ins = self.input_columns or []
@@ -241,76 +243,36 @@ def cmd_run(args) -> int:
     manifest = _manifest_from_args(args)
     os.makedirs(manifest.out_dir, exist_ok=True)
     trajectory = _load_trajectory(manifest)
-    d, dc = trajectory.output_dim, trajectory.input_dim
+    d = trajectory.output_dim
+    config = _config_for(manifest, d, trajectory.input_dim, max(manifest.horizons))
+    reports, summaries, state = engine.run_horizons(config, trajectory, manifest.horizons)
 
-    metrics: dict = {
+    metrics = {
         "horizons": list(manifest.horizons),
-        "mse": {},
-        "mae": {},
-        "cumulative_mse": {},
-        "cumulative_mae": {},
-        "updates": {},
-        "adaptations": {},
+        "mse": {str(m.horizon): m.mse for m in summaries},
+        "mae": {str(m.horizon): m.mae for m in summaries},
+        "cumulative_mse": {str(m.horizon): m.cumulative_se for m in summaries},
+        "cumulative_mae": {str(m.horizon): m.cumulative_ae for m in summaries},
+        "updates": {str(m.horizon): len(m.adapted_flags) for m in summaries},
+        "adaptations": {str(m.horizon): sum(m.adapted_flags) for m in summaries},
     }
-    per_horizon: dict[int, list[tuple[int, engine.UpdateReport]]] = {}
-    first_state = None
-    for l_s in manifest.horizons:
-        config = _config_for(manifest, d, dc, l_s)
-        state = engine.engine_init(config)
-        reports = []
-        total_se = total_ae = 0.0
-        n_points = 0
-        cum_se: list[float] = []
-        cum_ae: list[float] = []
-        l_c = config.l_c
-        n_windows = (len(trajectory) - l_s) // l_c
-        if n_windows < 1:
-            raise DelayMixError(
-                f"data too short for horizon {l_s}: need at least {l_c + l_s} steps"
-            )
-        for w in range(n_windows):
-            offset = w * l_c
-            report = engine.engine_update(
-                state,
-                trajectory.outputs[offset : offset + l_c],
-                trajectory.inputs[offset : offset + l_c + l_s],
-            )
-            reports.append((offset, report))
-            actual = trajectory.outputs[offset + l_c : offset + l_c + l_s]
-            diff = state.scaler.outputs(report.forecast) - state.scaler.outputs(actual)
-            total_se += float(np.sum(diff * diff))
-            total_ae += float(np.sum(np.abs(diff)))
-            n_points += diff.size
-            cum_se.append(total_se)
-            cum_ae.append(total_ae)
-        key = str(l_s)
-        metrics["mse"][key] = total_se / n_points
-        metrics["mae"][key] = total_ae / n_points
-        metrics["cumulative_mse"][key] = cum_se
-        metrics["cumulative_mae"][key] = cum_ae
-        metrics["updates"][key] = len(reports)
-        metrics["adaptations"][key] = sum(1 for _, r in reports if r.adapted)
-        per_horizon[l_s] = reports
-        if first_state is None:
-            first_state = state
-
     with open(os.path.join(manifest.out_dir, "metrics.json"), "w", encoding="utf-8") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
 
-    window_len = _config_for(manifest, d, dc, manifest.horizons[0]).l_c
+    l_c = config.l_c
     with open(
         os.path.join(manifest.out_dir, "forecasts.csv"), "w", encoding="utf-8", newline=""
     ) as f:
         writer = csv.writer(f)
         writer.writerow(["horizon", "t", "channel", "predicted", "actual"])
-        for l_s in manifest.horizons:
-            for offset, report in per_horizon[l_s]:
-                for i in range(l_s):
-                    t = offset + window_len + i
+        for summary in summaries:
+            for w, report in enumerate(reports[: len(summary.adapted_flags)]):
+                for i in range(summary.horizon):
+                    t = w * l_c + l_c + i
                     for ch in range(d):
                         writer.writerow(
                             [
-                                l_s,
+                                summary.horizon,
                                 t,
                                 ch,
                                 repr(float(report.forecast[i, ch])),
@@ -323,7 +285,7 @@ def cmd_run(args) -> int:
     ) as f:
         writer = csv.writer(f)
         writer.writerow(["update", "elapsed_seconds", "adapted"])
-        for idx, (_, report) in enumerate(per_horizon[manifest.horizons[0]]):
+        for idx, report in enumerate(reports):
             writer.writerow([idx, f"{report.elapsed:.6f}", int(report.adapted)])
 
     with open(
@@ -331,20 +293,19 @@ def cmd_run(args) -> int:
     ) as f:
         writer = csv.writer(f)
         writer.writerow(["regime", "block", "normalized_spectral_norm", "detected_delay"])
-        for idx, record in enumerate(first_state.database.records):
+        for idx, record in enumerate(state.database.records):
             profile = spectral_norm_profile(record.markov)
             delay = detect_delay(profile)
             for block, value in enumerate(profile, start=1):
                 writer.writerow([idx, block, repr(float(value)), delay])
 
     if getattr(args, "checkpoint", None):
-        engine.save_checkpoint(first_state, args.checkpoint)
+        engine.save_checkpoint(state, args.checkpoint)
 
-    for l_s in manifest.horizons:
-        key = str(l_s)
+    for m in summaries:
         print(
-            f"l_s={l_s}: mse={metrics['mse'][key]:.6g} mae={metrics['mae'][key]:.6g} "
-            f"updates={metrics['updates'][key]} adaptations={metrics['adaptations'][key]}"
+            f"l_s={m.horizon}: mse={m.mse:.6g} mae={m.mae:.6g} "
+            f"updates={len(m.adapted_flags)} adaptations={sum(m.adapted_flags)}"
         )
     return 0
 

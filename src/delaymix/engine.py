@@ -11,6 +11,7 @@ most R models, regardless of how many updates run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import time
@@ -48,17 +49,19 @@ from .syslin import (
     simulate_delay_free,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Everything one streaming run needs.
 
-    l_c is the update window length, l_s the forecast horizon, rho the fit
-    threshold gating model adaptation, rank the number of CP components
-    kept in the database. warm_start controls whether adaptations reuse the
-    previous factors as the ALS initialization.
+    l_c is the update window length, rho the fit threshold gating model
+    adaptation, rank the number of CP components kept in the database.
+    warm_start controls whether adaptations reuse the previous factors as
+    the ALS initialization. l_s is the horizon run_stream scores; it is
+    never read by identification, and engine_update forecasts as many steps
+    as it is given future inputs.
     """
 
     moment: MomentConfig
@@ -315,10 +318,13 @@ def engine_update(
     """Process one window: accumulate, maybe adapt, select, forecast.
 
     window_outputs must hold l_c output vectors; window_and_future_inputs
-    holds l_c + l_s input vectors, the trailing l_s of which drive the
-    forecast. The window is filtered once per model scored: the forecast
-    reuses the gate's pass on the active model, or the winner's pass from
-    selection when the update adapts.
+    holds the window's l_c input vectors followed by at least one future
+    input, and the forecast has one row per future input. Identification
+    reads only the first l_c inputs, so the state after the update does not
+    depend on how many future inputs were passed, and the first h forecast
+    rows are the h-step forecast. The window is filtered once per model
+    scored: the forecast reuses the gate's pass on the active model, or the
+    winner's pass from selection when the update adapts.
     """
     started = time.perf_counter()
     cfg = state.config
@@ -332,21 +338,22 @@ def engine_update(
         raise ValueError(
             f"window_outputs holds {y_raw.shape[0]} steps, config expects l_c={cfg.l_c}"
         )
-    if u_raw.shape[0] != cfg.l_c + cfg.l_s:
+    if u_raw.shape[0] <= cfg.l_c:
         raise ValueError(
             f"window_and_future_inputs holds {u_raw.shape[0]} steps, expected "
-            f"l_c + l_s = {cfg.l_c + cfg.l_s}"
+            f"the l_c = {cfg.l_c} window inputs and at least one future input"
         )
+    u_window = u_raw[: cfg.l_c]
 
     if state.updates == 0:
-        if not np.any(y_raw) or not np.any(u_raw):
+        if not np.any(y_raw) or not np.any(u_window):
             raise ColdStartError(
                 "first window carries all-zero data; provide informative inputs "
                 "before starting the engine"
             )
-        state.scaler = Standardizer.fit(y_raw, u_raw[: cfg.l_c])
+        state.scaler = Standardizer.fit(y_raw, u_window)
     else:
-        state.scaler = state.scaler.absorb(y_raw, u_raw[: cfg.l_c])
+        state.scaler = state.scaler.absorb(y_raw, u_window)
     scaler = state.scaler
     y = scaler.outputs(y_raw)
     u_all = scaler.inputs(u_raw)
@@ -422,57 +429,76 @@ def engine_update(
     )
 
 
-def run_stream(
-    config: EngineConfig, trajectory: Trajectory
-) -> tuple[list[UpdateReport], MetricsSummary]:
-    """Stream a trajectory through consecutive non-overlapping windows.
+def run_horizons(
+    config: EngineConfig, trajectory: Trajectory, horizons
+) -> tuple[list[UpdateReport], list[MetricsSummary], EngineState]:
+    """Stream a trajectory through one engine and score several horizons.
 
-    Each forecast is scored against the realized future outputs on the
-    standardized scale; cumulative squared and absolute errors are reported
-    alongside the final means.
+    Windows are consecutive and non-overlapping. Each update is given the
+    inputs of up to max(horizons) future steps, as many as the trajectory
+    still holds. Horizon h is scored on the first (len - h) // l_c windows,
+    from the first h rows of each forecast, against the realized outputs on
+    the standardized scale. Returns every update's report, one summary per
+    horizon in the order given, and the final state.
     """
     state = engine_init(config)
-    l_c, l_s = config.l_c, config.l_s
-    total = len(trajectory)
-    n_windows = (total - l_s) // l_c
-    if n_windows < 1:
+    horizons = tuple(horizons)
+    if not horizons or min(horizons) < 1:
+        raise ConfigError(f"horizons {list(horizons)} must be non-empty and each at least 1")
+    l_c, total = config.l_c, len(trajectory)
+    longest = max(horizons)
+    if total < l_c + longest:
         raise DataError(
             f"trajectory of length {total} is too short for one window; "
-            f"need at least l_c + l_s = {l_c + l_s} steps"
+            f"need at least l_c + l_s = {l_c + longest} steps"
         )
+    n_windows = (total - min(horizons)) // l_c
     reports: list[UpdateReport] = []
-    cumulative_se: list[float] = []
-    cumulative_ae: list[float] = []
-    total_se = 0.0
-    total_ae = 0.0
-    n_points = 0
+    window_se: list[list[float]] = [[] for _ in horizons]
+    window_ae: list[list[float]] = [[] for _ in horizons]
     for w in range(n_windows):
         offset = w * l_c
         report = engine_update(
             state,
             trajectory.outputs[offset : offset + l_c],
-            trajectory.inputs[offset : offset + l_c + l_s],
+            trajectory.inputs[offset : min(offset + l_c + longest, total)],
         )
         reports.append(report)
-        actual = trajectory.outputs[offset + l_c : offset + l_c + l_s]
-        diff = state.scaler.outputs(report.forecast) - state.scaler.outputs(actual)
-        total_se += float(np.sum(diff * diff))
-        total_ae += float(np.sum(np.abs(diff)))
-        n_points += diff.size
-        cumulative_se.append(total_se)
-        cumulative_ae.append(total_ae)
-    summary = MetricsSummary(
-        horizon=l_s,
-        mse=total_se / n_points,
-        mae=total_ae / n_points,
-        total_se=total_se,
-        total_ae=total_ae,
-        n_points=n_points,
-        cumulative_se=cumulative_se,
-        cumulative_ae=cumulative_ae,
-        per_update_elapsed=[r.elapsed for r in reports],
-        adapted_flags=[r.adapted for r in reports],
-    )
+        for h, se, ae in zip(horizons, window_se, window_ae):
+            if offset + l_c + h > total:
+                continue
+            actual = trajectory.outputs[offset + l_c : offset + l_c + h]
+            diff = state.scaler.outputs(report.forecast[:h]) - state.scaler.outputs(actual)
+            se.append(float(np.sum(diff * diff)))
+            ae.append(float(np.sum(np.abs(diff))))
+    summaries = []
+    for h, se, ae in zip(horizons, window_se, window_ae):
+        scored = reports[: len(se)]
+        cumulative_se = list(itertools.accumulate(se))
+        cumulative_ae = list(itertools.accumulate(ae))
+        n_points = len(se) * h * trajectory.output_dim
+        summaries.append(
+            MetricsSummary(
+                horizon=h,
+                mse=cumulative_se[-1] / n_points,
+                mae=cumulative_ae[-1] / n_points,
+                total_se=cumulative_se[-1],
+                total_ae=cumulative_ae[-1],
+                n_points=n_points,
+                cumulative_se=cumulative_se,
+                cumulative_ae=cumulative_ae,
+                per_update_elapsed=[r.elapsed for r in scored],
+                adapted_flags=[r.adapted for r in scored],
+            )
+        )
+    return reports, summaries, state
+
+
+def run_stream(
+    config: EngineConfig, trajectory: Trajectory
+) -> tuple[list[UpdateReport], MetricsSummary]:
+    """run_horizons scoring the single horizon config.l_s."""
+    reports, (summary,), _ = run_horizons(config, trajectory, (config.l_s,))
     return reports, summary
 
 
@@ -556,6 +582,7 @@ def save_checkpoint(state: EngineState, path) -> None:
         "l_c": cfg.l_c,
         "l_s": cfg.l_s,
         "warm_start": cfg.warm_start,
+        "stability_margin": cfg.stability_margin,
         "als": {"tol": cfg.als.tol, "seed": cfg.als.seed, "max_iters": cfg.als.max_iters},
         "noise": {
             "process_var": cfg.noise.process_var,
@@ -642,6 +669,7 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         ),
         noise=NoiseSpec(**echo["noise"]),
         warm_start=echo["warm_start"],
+        stability_margin=echo["stability_margin"],
     )
     database = _read_models(sections[1], 2 * moment.s)
     scaler = None

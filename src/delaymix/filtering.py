@@ -127,28 +127,30 @@ def kalman_forward(
 
     mean = noise.prior_for(n)
     cov = noise.prior_var * eye_n
-    for t in range(steps):
-        if t == 0:
-            mean_pred = mean
-            cov_pred = cov
-        else:
-            mean_pred = a @ mean + b @ u[t - 1]
-            cov_pred = a @ cov @ a.T + gamma
-        cov_pred = 0.5 * (cov_pred + cov_pred.T)
-        innovation_cov = c @ cov_pred @ c.T + r_obs
-        gain = _spd_solve(innovation_cov, c @ cov_pred, "innovation covariance", t).T
-        y_pred = c @ mean_pred
-        mean = mean_pred + gain @ (y[t] - y_pred)
-        cov = (eye_n - gain @ c) @ cov_pred
-        cov = 0.5 * (cov + cov.T)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise NumericalError(f"non-finite filter state at step {t}", step=t)
-        predicted_means[t] = mean_pred
-        predicted_covs[t] = cov_pred
-        gains[t] = gain
-        filtered_means[t] = mean
-        filtered_covs[t] = cov
-        predictions[t] = y_pred
+    # an overflow reaches the finiteness checks as inf and raises NumericalError
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if t == 0:
+                mean_pred = mean
+                cov_pred = cov
+            else:
+                mean_pred = a @ mean + b @ u[t - 1]
+                cov_pred = a @ cov @ a.T + gamma
+            cov_pred = 0.5 * (cov_pred + cov_pred.T)
+            innovation_cov = c @ cov_pred @ c.T + r_obs
+            gain = _spd_solve(innovation_cov, c @ cov_pred, "innovation covariance", t).T
+            y_pred = c @ mean_pred
+            mean = mean_pred + gain @ (y[t] - y_pred)
+            cov = (eye_n - gain @ c) @ cov_pred
+            cov = 0.5 * (cov + cov.T)
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+                raise NumericalError(f"non-finite filter state at step {t}", step=t)
+            predicted_means[t] = mean_pred
+            predicted_covs[t] = cov_pred
+            gains[t] = gain
+            filtered_means[t] = mean
+            filtered_covs[t] = cov
+            predictions[t] = y_pred
     return BeliefTrace(
         filtered_means, filtered_covs, predicted_means, predicted_covs, gains, predictions
     )

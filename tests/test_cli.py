@@ -293,6 +293,33 @@ class TestRunCommand:
         assert state.updates > 0
         assert state.tensor.sample_count > 0
 
+    def test_one_pass_equals_separate_runs(self, tmp_path, scenario_file, monkeypatch):
+        from delaymix import engine
+
+        def run(ls, out):
+            args = ["run", "--scenario", str(scenario_file), "--out", str(out)]
+            args += ["--ls", ls, "--rho", "0.5", "--rank", "2", "--lc", "86", "--seed", "7"]
+            assert main(args) == 0
+            with open(out / "forecasts.csv") as handle:
+                rows = list(csv.DictReader(handle))
+            return json.loads((out / "metrics.json").read_text()), rows
+
+        inits = []
+        original = engine.engine_init
+        monkeypatch.setattr(
+            engine, "engine_init", lambda config: inits.append(config) or original(config)
+        )
+        together, together_rows = run("1,10,30", tmp_path / "all")
+        assert len(inits) == 1
+        # 2600 steps: horizon 30 loses the last window of the 30 the others get
+        assert together["updates"] == {"1": 30, "10": 30, "30": 29}
+        for h in ("1", "10", "30"):
+            alone, alone_rows = run(h, tmp_path / h)
+            for name in together:
+                if name != "horizons":
+                    assert together[name][h] == alone[name][h]
+            assert [r for r in together_rows if r["horizon"] == h] == alone_rows
+
     def test_manifest_config_file(self, tmp_path, scenario_file):
         manifest = {
             "scenario": str(scenario_file),
@@ -303,6 +330,14 @@ class TestRunCommand:
         cfg.write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_manifest" / "metrics.json").exists()
+
+    def test_manifest_without_horizons_rejected(self, tmp_path, scenario_file, capsys):
+        manifest = {"scenario": str(scenario_file), "out": str(tmp_path / "x"),
+                    "overrides": {"l_s": []}}
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "horizon" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -1,5 +1,6 @@
 import copy
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,14 +145,29 @@ class TestEngineUpdate:
         with pytest.raises(ColdStartError, match="informative"):
             engine_update(state, np.zeros((100, 1)), np.zeros((101, 1)))
 
+    def test_cold_start_ignores_future_inputs(self):
+        # all-zero window inputs stay a cold start when a future input is not
+        traj = single_regime_traj(length=300, seed=5)
+        config = default_config(d=1, dc=1, s=3, l_c=100, l_s=1)
+        state = engine_init(config)
+        inputs = np.zeros((101, 1))
+        inputs[100] = 1.0
+        with pytest.raises(ColdStartError, match="informative"):
+            engine_update(state, traj.outputs[:100], inputs)
+        assert state.updates == 0
+        assert state.scaler is None
+
     def test_window_length_validation(self):
         traj = single_regime_traj(length=300, seed=5)
         config = default_config(d=1, dc=1, s=3, l_c=100, l_s=2)
         state = engine_init(config)
         with pytest.raises(ValueError, match="l_c"):
             engine_update(state, traj.outputs[:90], traj.inputs[:102])
-        with pytest.raises(ValueError, match="l_s"):
-            engine_update(state, traj.outputs[:100], traj.inputs[:101])
+        with pytest.raises(ValueError, match="future"):
+            engine_update(state, traj.outputs[:100], traj.inputs[:100])
+        # the forecast has one row per future input, whatever l_s says
+        report = engine_update(state, traj.outputs[:100], traj.inputs[:103])
+        assert report.forecast.shape == (3, 1)
 
     def test_numerical_errors_carry_stage_name(self):
         traj = single_regime_traj(length=300, seed=6)
@@ -387,6 +403,9 @@ class TestCheckpoint:
         restored = load_checkpoint(path)
         assert restored.config.noise.process_var == pytest.approx(3e-4)
         assert restored.config.noise.obs_var == pytest.approx(2e-2)
+        for margin in (0.9, None):
+            save_checkpoint(engine_init(replace(config, stability_margin=margin)), path)
+            assert load_checkpoint(path).config.stability_margin == margin
 
     def test_damaged_file_raises_parse_error(self, tmp_path):
         traj = single_regime_traj(length=300, seed=14)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -99,8 +101,10 @@ class TestKalmanForward:
         # the predicted covariance overflows to inf at step 1
         model = DelayFreeModel(1e200, 1.0, 1.0)
         window = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError) as info:
-            kalman_forward(model, window, NoiseSpec())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as info:
+                kalman_forward(model, window, NoiseSpec())
         assert info.value.step == 1
 
     def test_filter_beats_open_loop(self):
