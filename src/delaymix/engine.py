@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import struct
+import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,19 +37,13 @@ from .moments import (
     accumulate_window,
     new_tensor,
     normalized_view,
-    tensor_from_bytes,
-    tensor_to_bytes,
 )
 from .realization import RealizationOptions, realize_components
-from .syslin import (
-    DelayFreeModel,
-    MarkovSequence,
-    Trajectory,
-    markov_parameters_free,
-    simulate_delay_free,
-)
+from .syslin import DelayFreeModel, MarkovSequence, Trajectory, simulate_delay_free
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_SCALER_ARRAYS = ("out_mean", "out_std", "in_mean", "in_std")
+_FACTOR_ARRAYS = ("mode1", "mode2", "mode3")
 
 
 @dataclass(frozen=True)
@@ -59,9 +53,9 @@ class EngineConfig:
     l_c is the update window length, rho the fit threshold gating model
     adaptation, rank the number of CP components kept in the database.
     warm_start controls whether adaptations reuse the previous factors as
-    the ALS initialization. l_s is the horizon run_stream scores; it is
-    never read by identification, and engine_update forecasts as many steps
-    as it is given future inputs.
+    the ALS initialization, so als.init must stay None. l_s is the horizon
+    run_stream scores; it is never read by identification, and
+    engine_update forecasts as many steps as it is given future inputs.
     """
 
     moment: MomentConfig
@@ -111,14 +105,12 @@ def default_config(
 
 @dataclass
 class ModelRecord:
-    """One database entry: the model plus its provenance and fit statistics."""
+    """One database entry: the model, its Markov estimate and provenance."""
 
     model: DelayFreeModel
     markov: MarkovSequence
     component_index: int
     b_scale: float = 1.0
-    last_fit: float = float("inf")
-    selections: int = 0
 
 
 @dataclass
@@ -128,10 +120,6 @@ class RegimeDatabase:
     records: list[ModelRecord] = field(default_factory=list)
     active_index: int = -1
     last_factors: CPFactors | None = None
-
-    @property
-    def models(self) -> list[DelayFreeModel]:
-        return [record.model for record in self.records]
 
     def active(self) -> ModelRecord:
         return self.records[self.active_index]
@@ -251,6 +239,8 @@ def engine_init(config: EngineConfig) -> EngineState:
         violations.append(
             f"realization s={config.realization.s} differs from moment s={moment.s}"
         )
+    if config.als.init is not None:
+        violations.append("als.init must be None; warm_start supplies the ALS warm starts")
     if violations:
         raise ConfigError(violations)
     return EngineState(
@@ -324,7 +314,8 @@ def engine_update(
     depend on how many future inputs were passed, and the first h forecast
     rows are the h-step forecast. The window is filtered once per model
     scored: the forecast reuses the gate's pass on the active model, or the
-    winner's pass from selection when the update adapts.
+    winner's pass from selection when the update adapts. A window holding a
+    non-finite value raises DataError before the state is touched.
     """
     started = time.perf_counter()
     cfg = state.config
@@ -343,6 +334,8 @@ def engine_update(
             f"window_and_future_inputs holds {u_raw.shape[0]} steps, expected "
             f"the l_c = {cfg.l_c} window inputs and at least one future input"
         )
+    if not (np.isfinite(y_raw).all() and np.isfinite(u_raw).all()):
+        raise DataError("window holds non-finite outputs or inputs; the state is unchanged")
     u_window = u_raw[: cfg.l_c]
 
     if state.updates == 0:
@@ -369,7 +362,6 @@ def engine_update(
             active = database.active()
             trace = kalman_forward(active.model, window, cfg.noise)
             gate_fit = window_error(active.model, window, cfg.noise, trace=trace)
-            active.last_fit = gate_fit
     else:
         gate_fit = float("inf")
 
@@ -404,8 +396,6 @@ def engine_update(
             index, best_fit, trace = select_regime(
                 [record.model for record in records], window, cfg.noise
             )
-            records[index].selections += 1
-            records[index].last_fit = best_fit
             state.database = RegimeDatabase(
                 records=records, active_index=index, last_factors=factors
             )
@@ -504,187 +494,143 @@ def run_stream(
 
 def state_footprint_bytes(state: EngineState) -> int:
     """Bytes held in the numeric buffers of the streaming state."""
-    total = state.tensor.data.nbytes
-    for record in state.database.records:
-        total += record.model.transition.nbytes
-        total += record.model.input_map.nbytes
-        total += record.model.output_map.nbytes
-        total += record.markov.blocks.nbytes
+    return sum(array.nbytes for _, array in _state_arrays(state))
+
+
+def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray]]:
+    """Every array of the state, named, in checkpoint order."""
+    arrays = [("tensor", state.tensor.data)]
+    if state.scaler is not None:
+        arrays += [(name, getattr(state.scaler, name)) for name in _SCALER_ARRAYS]
     factors = state.database.last_factors
     if factors is not None:
-        total += factors.mode1.nbytes + factors.mode2.nbytes + factors.mode3.nbytes
-    if state.scaler is not None:
-        total += sum(
-            getattr(state.scaler, name).nbytes
-            for name in ("out_mean", "out_std", "in_mean", "in_std")
-        )
-    return total
-
-
-def _pack_section(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
-
-
-def _models_blob(database: RegimeDatabase) -> bytes:
-    chunks = [struct.pack("<II", len(database.records), database.active_index & 0xFFFFFFFF)]
-    for record in database.records:
-        model = record.model
-        n, dc, d = model.state_dim, model.input_dim, model.output_dim
-        chunks.append(struct.pack("<III", n, dc, d))
-        chunks.append(model.transition.astype("<f8").tobytes())
-        chunks.append(model.input_map.astype("<f8").tobytes())
-        chunks.append(model.output_map.astype("<f8").tobytes())
-    return b"".join(chunks)
-
-
-def _read_models(blob: bytes, horizon: int) -> RegimeDatabase:
-    count, active = struct.unpack_from("<II", blob, 0)
-    offset = 8
-    records = []
-    for _ in range(count):
-        n, dc, d = struct.unpack_from("<III", blob, offset)
-        offset += 12
-
-        def take(rows, cols):
-            nonlocal offset
-            size = rows * cols * 8
-            arr = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
-            offset += size
-            return arr.astype(np.float64).reshape(rows, cols)
-
-        model = DelayFreeModel(take(n, n), take(n, dc), take(d, n))
-        records.append(
-            ModelRecord(
-                model=model,
-                markov=markov_parameters_free(model, horizon),
-                component_index=-1,
-            )
-        )
-    if offset != len(blob):
-        raise ParseError(f"model section holds {len(blob) - offset} unread bytes")
-    active_index = -1 if active == 0xFFFFFFFF else int(active)
-    return RegimeDatabase(records=records, active_index=active_index)
+        arrays += [(name, getattr(factors, name)) for name in _FACTOR_ARRAYS]
+    for i, record in enumerate(state.database.records):
+        arrays += [
+            (f"record{i}.transition", record.model.transition),
+            (f"record{i}.input_map", record.model.input_map),
+            (f"record{i}.output_map", record.model.output_map),
+            (f"record{i}.markov", record.markov.blocks),
+        ]
+    return arrays
 
 
 def save_checkpoint(state: EngineState, path) -> None:
-    """Single-file checkpoint: version byte, then three length-prefixed
-    sections (tensor snapshot, model database, config echo as JSON)."""
-    cfg = state.config
-    echo = {
-        "moment": {
-            "d": cfg.moment.d,
-            "dc": cfg.moment.dc,
-            "s": cfg.moment.s,
-            "forgetting": cfg.moment.forgetting,
-        },
-        "rank": cfg.rank,
-        "rho": cfg.rho,
-        "l_c": cfg.l_c,
-        "l_s": cfg.l_s,
-        "warm_start": cfg.warm_start,
-        "stability_margin": cfg.stability_margin,
-        "als": {"tol": cfg.als.tol, "seed": cfg.als.seed, "max_iters": cfg.als.max_iters},
-        "noise": {
-            "process_var": cfg.noise.process_var,
-            "obs_var": cfg.noise.obs_var,
-            "prior_var": cfg.noise.prior_var,
-        },
-        "realization": {
-            "s": cfg.realization.s,
-            "state_dim": cfg.realization.state_dim,
-            "energy_threshold": cfg.realization.energy_threshold,
-        },
+    """Single-file checkpoint: a version byte, the 8-byte little-endian
+    length of a JSON header, the header, then every array the header lists,
+    in its order, as little-endian float64."""
+    config = asdict(state.config)
+    del config["als"]["init"]
+    arrays = _state_arrays(state)
+    header = {
+        "config": config,
         "updates": state.updates,
-        "scaler": None
-        if state.scaler is None
-        else {
-            "out_mean": state.scaler.out_mean.tolist(),
-            "out_std": state.scaler.out_std.tolist(),
-            "in_mean": state.scaler.in_mean.tolist(),
-            "in_std": state.scaler.in_std.tolist(),
-            "samples_seen": state.scaler.samples_seen,
-        },
+        "sample_count": state.tensor.sample_count,
+        "weight": state.tensor.weight,
+        "samples_seen": None if state.scaler is None else state.scaler.samples_seen,
+        "active_index": state.database.active_index,
+        "records": [
+            {"component_index": record.component_index, "b_scale": record.b_scale}
+            for record in state.database.records
+        ],
+        "arrays": [[name, list(array.shape)] for name, array in arrays],
     }
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(bytes([CHECKPOINT_VERSION]))
-        handle.write(_pack_section(tensor_to_bytes(state.tensor)))
-        handle.write(_pack_section(_models_blob(state.database)))
-        handle.write(_pack_section(json.dumps(echo, sort_keys=True).encode("utf-8")))
+        handle.write(len(encoded).to_bytes(8, "little"))
+        handle.write(encoded)
+        for _, array in arrays:
+            handle.write(array.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> EngineState:
     """Rebuild streaming state from a checkpoint file.
 
-    A file that is not one whole checkpoint of this version (truncated,
-    padded, or with a damaged section) raises ParseError. Warm-start factors
-    are not part of the format, so the first adaptation after a restore is
-    a cold start.
+    Restore is exact: continuing from the loaded state gives the same
+    forecasts, bit for bit, as a run that was never interrupted, and saving
+    it again writes the same bytes. The config passes engine_init's checks
+    and every array its type's shape checks. A file that is not one whole
+    checkpoint of this version (truncated, padded, from another version, or
+    with a damaged header or array) raises ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
         return _parse_checkpoint(raw)
-    except (struct.error, ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         cause = err if isinstance(err, ParseError) else f"{type(err).__name__}: {err}"
         raise ParseError(f"damaged checkpoint {path}: {cause}") from err
 
 
 def _parse_checkpoint(raw: bytes) -> EngineState:
     if not raw or raw[0] != CHECKPOINT_VERSION:
+        raise ParseError(f"unsupported checkpoint version (expected {CHECKPOINT_VERSION})")
+    if len(raw) < 9:
+        raise ParseError("file ends inside the header length")
+    start = 9 + int.from_bytes(raw[1:9], "little")
+    if start > len(raw):
+        raise ParseError(f"header runs {start - len(raw)} bytes past the end of the file")
+    header = json.loads(raw[9:start].decode("utf-8"))
+    specs = header["arrays"]
+    for name, shape in specs:
+        if not (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            raise ParseError(f"array entry {name!r} has a malformed shape {shape!r}")
+    sizes = [math.prod(shape) for _, shape in specs]
+    if 8 * sum(sizes) != len(raw) - start:
         raise ParseError(
-            f"unsupported checkpoint version (expected {CHECKPOINT_VERSION})"
+            f"header lists {8 * sum(sizes)} array bytes, {len(raw) - start} follow it"
         )
-    offset = 1
-    sections = []
-    for index in range(3):
-        (size,) = struct.unpack_from("<Q", raw, offset)
-        offset += 8
-        if offset + size > len(raw):
-            raise ParseError(
-                f"section {index} declares {size} bytes, "
-                f"{len(raw) - offset} remain in the file"
-            )
-        sections.append(raw[offset : offset + size])
-        offset += size
-    if offset != len(raw):
-        raise ParseError(f"{len(raw) - offset} trailing bytes after the last section")
-    tensor = tensor_from_bytes(sections[0])
-    echo = json.loads(sections[2].decode("utf-8"))
-    moment = MomentConfig(**echo["moment"])
-    config = EngineConfig(
-        moment=moment,
-        rank=echo["rank"],
-        rho=echo["rho"],
-        l_c=echo["l_c"],
-        l_s=echo["l_s"],
-        als=AlsOptions(
-            max_iters=echo["als"]["max_iters"],
-            tol=echo["als"]["tol"],
-            seed=echo["als"]["seed"],
-        ),
-        realization=RealizationOptions(
-            s=echo["realization"]["s"],
-            state_dim=echo["realization"]["state_dim"],
-            energy_threshold=echo["realization"]["energy_threshold"],
-        ),
-        noise=NoiseSpec(**echo["noise"]),
-        warm_start=echo["warm_start"],
-        stability_margin=echo["stability_margin"],
-    )
-    database = _read_models(sections[1], 2 * moment.s)
-    scaler = None
-    if echo["scaler"] is not None:
-        scaler = Standardizer(
-            out_mean=np.array(echo["scaler"]["out_mean"]),
-            out_std=np.array(echo["scaler"]["out_std"]),
-            in_mean=np.array(echo["scaler"]["in_mean"]),
-            in_std=np.array(echo["scaler"]["in_std"]),
-            samples_seen=echo["scaler"]["samples_seen"],
+    arrays = {}
+    for (name, shape), size in zip(specs, sizes):
+        flat = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
+        arrays[name] = flat.reshape(shape).astype(np.float64)
+        start += 8 * size
+
+    config = header["config"]
+    state = engine_init(
+        EngineConfig(
+            **{
+                **config,
+                "moment": MomentConfig(**config["moment"]),
+                "als": AlsOptions(**config["als"]),
+                "realization": RealizationOptions(**config["realization"]),
+                "noise": NoiseSpec(**config["noise"]),
+            }
         )
-    return EngineState(
-        config=config,
-        tensor=tensor,
-        database=database,
-        scaler=scaler,
-        updates=echo["updates"],
     )
+    state.updates = header["updates"]
+    state.tensor = SystemTensor(
+        arrays["tensor"], header["sample_count"], header["weight"], state.config.moment
+    )
+    if header["samples_seen"] is not None:
+        state.scaler = Standardizer(
+            *(arrays[name] for name in _SCALER_ARRAYS), samples_seen=header["samples_seen"]
+        )
+    if "mode1" in arrays:
+        state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
+    state.database.records = [
+        ModelRecord(
+            model=DelayFreeModel(
+                arrays[f"record{i}.transition"],
+                arrays[f"record{i}.input_map"],
+                arrays[f"record{i}.output_map"],
+            ),
+            markov=MarkovSequence(arrays[f"record{i}.markov"]),
+            component_index=entry["component_index"],
+            b_scale=entry["b_scale"],
+        )
+        for i, entry in enumerate(header["records"])
+    ]
+    active_index = header["active_index"]
+    valid = range(len(state.database.records)) if state.database.records else (-1,)
+    if type(active_index) is not int or active_index not in valid:
+        raise ParseError(f"active_index {active_index!r} names no stored model")
+    state.database.active_index = active_index
+    if [name for name, _ in _state_arrays(state)] != [name for name, _ in specs]:
+        raise ParseError("header's array list does not match the state it describes")
+    return state

@@ -25,33 +25,18 @@ class NoiseSpec:
     """Isotropic noise model for state inference.
 
     Process covariance is process_var * I, observation covariance is
-    obs_var * I, and the prior is N(prior_mean, prior_var * I) with a zero
-    mean by default.
+    obs_var * I, and the prior is N(0, prior_var * I).
     """
 
     process_var: float = 1e-4
     obs_var: float = 1e-2
     prior_var: float = 1.0
-    prior_mean: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("process_var", "obs_var", "prior_var"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.prior_mean is not None:
-            object.__setattr__(
-                self, "prior_mean", np.asarray(self.prior_mean, dtype=np.float64).ravel()
-            )
-
-    def prior_for(self, state_dim: int) -> np.ndarray:
-        if self.prior_mean is None:
-            return np.zeros(state_dim)
-        if self.prior_mean.shape[0] != state_dim:
-            raise ValueError(
-                f"prior_mean has length {self.prior_mean.shape[0]}, model state dim is {state_dim}"
-            )
-        return self.prior_mean
 
 
 @dataclass(frozen=True)
@@ -103,9 +88,9 @@ def kalman_forward(
 ) -> BeliefTrace:
     """Forward pass: predict with the dynamics, correct with each output.
 
-    The prior plays the role of the first predicted state, so the first
-    one-step prediction is C @ prior_mean; from t >= 1 the prediction uses
-    the previous filtered state and the input at t-1.
+    The zero-mean prior plays the role of the first predicted state, so the
+    first one-step prediction is zero; from t >= 1 the prediction uses the
+    previous filtered state and the input at t-1.
     """
     a, b, c = model.transition, model.input_map, model.output_map
     n, d = model.state_dim, model.output_dim
@@ -125,7 +110,7 @@ def kalman_forward(
     gains = np.empty((steps, n, d))
     predictions = np.empty((steps, d))
 
-    mean = noise.prior_for(n)
+    mean = np.zeros(n)
     cov = noise.prior_var * eye_n
     # an overflow reaches the finiteness checks as inf and raises NumericalError
     with np.errstate(over="ignore"):

@@ -21,7 +21,6 @@ stream length.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .syslin import Trajectory
 
-SNAPSHOT_VERSION = 1
 DEFAULT_MODE_CAP = 256
 
 
@@ -111,11 +109,6 @@ def new_tensor(config: MomentConfig, mode_cap: int = DEFAULT_MODE_CAP) -> System
             f"mode size {dim} exceeds the cap {mode_cap}; reduce s, d or dc"
         )
     return SystemTensor(np.zeros((dim, dim, dim)), 0, 0.0, config)
-
-
-def block_slice(config: MomentConfig, k: int) -> slice:
-    """Index range of lag block k (1-based) along any tensor mode."""
-    return slice((k - 1) * config.p, k * config.p)
 
 
 def _pair_products(y: np.ndarray, u: np.ndarray, config: MomentConfig) -> np.ndarray:
@@ -198,53 +191,3 @@ def mismatch_trigger(tensor: SystemTensor, factors) -> float:
         raise EmptyTensorError("tensor norm is zero; nothing to compare against")
     diff = view - reconstruct(factors)
     return float(np.sqrt(np.sum(diff * diff)) / norm)
-
-
-_HEADER = struct.Struct("<6d")
-
-
-def tensor_to_bytes(tensor: SystemTensor) -> bytes:
-    """Snapshot: six-field little-endian header, then the flat float64 data.
-
-    Header fields: d, dc, s, forgetting, sample_count, format version. The
-    discounted weight is not part of the format; loading restores it as the
-    sample count, which is exact for forgetting = 1.
-    """
-    cfg = tensor.config
-    header = _HEADER.pack(
-        float(cfg.d),
-        float(cfg.dc),
-        float(cfg.s),
-        float(cfg.forgetting),
-        float(tensor.sample_count),
-        float(SNAPSHOT_VERSION),
-    )
-    return header + tensor.data.astype("<f8").tobytes()
-
-
-def tensor_from_bytes(buffer: bytes) -> SystemTensor:
-    """Rebuild a tensor from its snapshot bytes."""
-    if len(buffer) < _HEADER.size:
-        raise ValueError("snapshot truncated: header incomplete")
-    d, dc, s, forgetting, sample_count, version = _HEADER.unpack_from(buffer)
-    if int(version) != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    cfg = MomentConfig(d=int(d), dc=int(dc), s=int(s), forgetting=forgetting)
-    dim = cfg.mode_dim
-    payload = np.frombuffer(buffer, dtype="<f8", offset=_HEADER.size)
-    if payload.size != dim**3:
-        raise ValueError(
-            f"snapshot payload holds {payload.size} values, expected {dim ** 3}"
-        )
-    data = payload.astype(np.float64).reshape(dim, dim, dim).copy()
-    return SystemTensor(data, int(sample_count), float(sample_count), cfg)
-
-
-def save_tensor(tensor: SystemTensor, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(tensor_to_bytes(tensor))
-
-
-def load_tensor(path) -> SystemTensor:
-    with open(path, "rb") as handle:
-        return tensor_from_bytes(handle.read())

@@ -1,11 +1,19 @@
 import copy
+import functools
+import json
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaymix import (
+    AlsOptions,
+    CPFactors,
     MomentConfig,
     TimeDelaySystem,
     default_config,
@@ -15,7 +23,7 @@ from delaymix import (
     generate,
     run_stream,
 )
-from delaymix import filtering
+from delaymix import engine, filtering
 from delaymix.datagen import ScenarioSpec
 from delaymix.engine import (
     EngineConfig,
@@ -29,6 +37,7 @@ from delaymix.errors import (
     ConfigError,
     DataError,
     EngineStageError,
+    NumericalError,
     ParseError,
 )
 from delaymix.filtering import NoiseSpec
@@ -81,10 +90,12 @@ class TestEngineInit:
             rho=-1.0,
             l_c=5,
             l_s=0,
+            als=AlsOptions(init=CPFactors(np.ones((6, 1)), np.ones((6, 1)), np.ones((6, 1)))),
         )
         with pytest.raises(ConfigError) as info:
             engine_init(config)
-        assert len(info.value.violations) >= 4
+        assert len(info.value.violations) >= 5
+        assert any("als.init" in violation for violation in info.value.violations)
 
 
 class TestEngineUpdate:
@@ -169,14 +180,52 @@ class TestEngineUpdate:
         report = engine_update(state, traj.outputs[:100], traj.inputs[:103])
         assert report.forecast.shape == (3, 1)
 
-    def test_numerical_errors_carry_stage_name(self):
+    def test_numerical_errors_carry_stage_name(self, monkeypatch):
+        def diverging_als(*args, **kwargs):
+            raise NumericalError("non-finite ALS sweep", step=3)
+
+        monkeypatch.setattr(engine, "cp_als", diverging_als)
         traj = single_regime_traj(length=300, seed=6)
-        outputs = traj.outputs[:100].copy()
-        outputs[50] = np.nan
         config = default_config(d=1, dc=1, s=3, l_c=100, l_s=1)
         state = engine_init(config)
-        with pytest.raises(EngineStageError, match="model_adaptation"):
-            engine_update(state, outputs, traj.inputs[:101])
+        with pytest.raises(EngineStageError, match="model_adaptation") as info:
+            engine_update(state, traj.outputs[:100], traj.inputs[:101])
+        assert isinstance(info.value.cause, NumericalError)
+
+    def test_non_finite_window_leaves_state_unchanged(self):
+        traj = two_regime_traj(length=1600, seed=9)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=1)
+
+        def feed(state, w, outputs=None, inputs=None):
+            o = w * 100
+            return engine_update(
+                state,
+                traj.outputs[o : o + 100] if outputs is None else outputs,
+                traj.inputs[o : o + 101] if inputs is None else inputs,
+            )
+
+        clean, poisoned = engine_init(config), engine_init(config)
+        for w in range(5):
+            feed(clean, w)
+            feed(poisoned, w)
+        before = copy.deepcopy(poisoned)
+        bad_outputs = traj.outputs[500:600].copy()
+        bad_outputs[40] = np.nan
+        bad_future = traj.inputs[500:601].copy()
+        bad_future[100] = np.inf
+        for outputs, inputs in ((bad_outputs, None), (None, bad_future)):
+            with pytest.raises(DataError, match="non-finite"):
+                feed(poisoned, 5, outputs, inputs)
+        assert poisoned.updates == before.updates == 5
+        assert np.array_equal(poisoned.tensor.data, before.tensor.data)
+        assert poisoned.tensor.sample_count == before.tensor.sample_count
+        assert poisoned.tensor.weight == before.tensor.weight
+        for name in ("out_mean", "out_std", "in_mean", "in_std"):
+            assert np.array_equal(getattr(poisoned.scaler, name), getattr(before.scaler, name))
+        assert poisoned.scaler.samples_seen == before.scaler.samples_seen
+        # window 5 never happened: later forecasts match a run that skipped it
+        for w in range(6, 15):
+            assert np.array_equal(feed(poisoned, w).forecast, feed(clean, w).forecast)
 
     def test_forecast_pass_through(self):
         traj = single_regime_traj(length=1000, seed=7)
@@ -357,7 +406,52 @@ class TestWarmStart:
         assert np.median(warm_iters) <= 0.5 * np.median(cold_iters)
 
 
+CUT_WINDOWS, CUT_LC = 16, 60
+
+
+def _cut_config(forgetting):
+    return default_config(
+        d=1, dc=1, s=3, rank=2, rho=0.5, l_c=CUT_LC, l_s=1, forgetting=forgetting
+    )
+
+
+def _feed_windows(state, traj, windows):
+    reports = []
+    for w in windows:
+        o = w * CUT_LC
+        reports.append(
+            engine_update(state, traj.outputs[o : o + CUT_LC], traj.inputs[o : o + CUT_LC + 1])
+        )
+    return reports
+
+
+@functools.cache
+def _uninterrupted_run(forgetting):
+    traj = two_regime_traj(length=CUT_WINDOWS * CUT_LC + 1, seed=3)
+    reports = _feed_windows(engine_init(_cut_config(forgetting)), traj, range(CUT_WINDOWS))
+    return traj, reports
+
+
 class TestCheckpoint:
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(cut=st.integers(0, CUT_WINDOWS - 1), forgetting=st.sampled_from([1.0, 0.9]))
+    def test_restore_then_continue_equals_uninterrupted(self, cut, forgetting):
+        traj, reference = _uninterrupted_run(forgetting)
+        # adaptations after the first one warm-start from the saved factors
+        assert sum(report.adapted for report in reference[1:]) >= 2
+        state = engine_init(_cut_config(forgetting))
+        _feed_windows(state, traj, range(cut))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.bin", Path(tmp) / "second.bin"
+            save_checkpoint(state, first)
+            restored = load_checkpoint(first)
+            save_checkpoint(restored, second)
+            assert second.read_bytes() == first.read_bytes()
+        resumed = _feed_windows(restored, traj, range(cut, CUT_WINDOWS))
+        for got, want in zip(resumed, reference[cut:]):
+            assert got.adapted == want.adapted
+            assert np.array_equal(got.forecast, want.forecast)
+
     def test_round_trip(self, tmp_path):
         traj = single_regime_traj(length=1200, seed=13)
         config = default_config(d=1, dc=1, s=3, rank=1, rho=0.5, l_c=100, l_s=2)
@@ -373,11 +467,21 @@ class TestCheckpoint:
         assert restored.updates == state.updates
         assert restored.database.active_index == state.database.active_index
         assert len(restored.database.records) == len(state.database.records)
+        assert restored.tensor.weight == state.tensor.weight
         for got, want in zip(restored.database.records, state.database.records):
-            assert np.allclose(got.model.transition, want.model.transition)
-            assert np.allclose(got.model.input_map, want.model.input_map)
-            assert np.allclose(got.model.output_map, want.model.output_map)
-        assert np.allclose(restored.scaler.out_mean, state.scaler.out_mean)
+            assert np.array_equal(got.model.transition, want.model.transition)
+            assert np.array_equal(got.model.input_map, want.model.input_map)
+            assert np.array_equal(got.model.output_map, want.model.output_map)
+            assert np.array_equal(got.markov.blocks, want.markov.blocks)
+            assert got.component_index == want.component_index
+            assert got.b_scale == want.b_scale
+        for name in ("mode1", "mode2", "mode3"):
+            assert np.array_equal(
+                getattr(restored.database.last_factors, name),
+                getattr(state.database.last_factors, name),
+            )
+        for name in ("out_mean", "out_std", "in_mean", "in_std"):
+            assert np.array_equal(getattr(restored.scaler, name), getattr(state.scaler, name))
         assert restored.scaler.samples_seen == state.scaler.samples_seen
         # the restored engine keeps producing forecasts
         o = 800
@@ -415,16 +519,32 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
         raw = path.read_bytes()
-        damaged = tmp_path / "damaged.bin"
-        # cuts inside the version byte, a length prefix, the tensor, the
-        # model section and the JSON echo, then a bad version and padding
-        models_start = 1 + 8 + int.from_bytes(raw[1:9], "little") + 8
-        cuts = [0, 1, 5, 9, 100, models_start - 4, models_start + 20, len(raw) - 10]
+        start = 9 + int.from_bytes(raw[1:9], "little")
+        header = json.loads(raw[9:start])
+
+        def with_header(**changes):
+            text = json.dumps({**header, **changes}, sort_keys=True).encode("utf-8")
+            return raw[:1] + len(text).to_bytes(8, "little") + text + raw[start:]
+
+        def with_tensor_shape(shape):
+            return with_header(arrays=[["tensor", shape]] + header["arrays"][1:])
+
+        assert header["arrays"][0] == ["tensor", [6, 6, 6]]
+        # cuts inside the version byte, the length prefix, the header and the
+        # array payload, then a version-2 file and one trailing byte
+        cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([raw[0] + 1]) + raw[1:], raw + b"\x00"]
-        # a model count of 0 leaves the stored model unread
-        count_at = models_start + 8
-        variants.append(raw[:count_at] + bytes(4) + raw[count_at + 4 :])
+        variants += [bytes([2]) + raw[1:], raw + b"\x00"]
+        variants += [
+            with_tensor_shape([6, 6, -6]),
+            with_tensor_shape([6, 6, 10**12]),
+            # same byte count, but not the (D, D, D) shape the config implies
+            with_tensor_shape([3, 12, 6]),
+            # the header drops the record whose arrays it still lists
+            with_header(records=[]),
+            with_header(active_index=1),
+        ]
+        damaged = tmp_path / "damaged.bin"
         for blob in variants:
             damaged.write_bytes(blob)
             with pytest.raises(ParseError, match="damaged checkpoint"):

@@ -13,13 +13,9 @@ from delaymix.errors import (
 from delaymix.moments import (
     SystemTensor,
     accumulate_window,
-    load_tensor,
     mismatch_trigger,
     new_tensor,
     normalized_view,
-    save_tensor,
-    tensor_from_bytes,
-    tensor_to_bytes,
 )
 
 
@@ -263,30 +259,3 @@ class TestMismatchTrigger:
         assert reported == pytest.approx(direct, rel=1e-12)
         assert reported > 0.0
 
-
-class TestSnapshot:
-    def test_round_trip_bytes(self):
-        rng = np.random.default_rng(11)
-        config = MomentConfig(d=2, dc=1, s=1, forgetting=0.9)
-        tensor = accumulate_window(new_tensor(config), random_window(rng, config))
-        restored = tensor_from_bytes(tensor_to_bytes(tensor))
-        assert np.array_equal(restored.data, tensor.data)
-        assert restored.sample_count == tensor.sample_count
-        assert restored.config == tensor.config
-
-    def test_round_trip_file(self, tmp_path):
-        rng = np.random.default_rng(12)
-        config = MomentConfig(d=1, dc=1, s=2)
-        tensor = accumulate_window(new_tensor(config), random_window(rng, config))
-        path = tmp_path / "tensor.bin"
-        save_tensor(tensor, path)
-        restored = load_tensor(path)
-        assert np.array_equal(restored.data, tensor.data)
-        # weight restored as the sample count (exact for forgetting = 1)
-        assert restored.weight == tensor.weight
-
-    def test_truncated_snapshot_rejected(self):
-        config = MomentConfig(d=1, dc=1, s=1)
-        blob = tensor_to_bytes(new_tensor(config))
-        with pytest.raises(ValueError):
-            tensor_from_bytes(blob[:-8])
