@@ -39,7 +39,6 @@ from .moments import (
     MomentConfig,
     SystemTensor,
     accumulate_window,
-    mismatch_trigger,
     new_tensor,
     normalized_view,
 )
@@ -47,7 +46,6 @@ from .realization import (
     RealizationOptions,
     factor_to_markov,
     ho_kalman,
-    realize_all,
     realize_components,
 )
 from .syslin import (

@@ -5,9 +5,6 @@ Commands:
     run       stream a CSV or scenario through the engine, emit metrics
     bench     per-update timing over increasing stream lengths
     validate  grid-search rho x rank on a validation prefix
-
-The environment variable DELAYMIX_THREADS caps internal linear-algebra
-parallelism (best effort; applied before heavy computation starts).
 """
 
 from __future__ import annotations
@@ -28,25 +25,6 @@ from .syslin import Trajectory, detect_delay, spectral_norm_profile
 
 DEFAULT_RHO_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_RANK_GRID = (2, 4, 8, 10)
-
-
-def _cap_threads() -> None:
-    value = os.environ.get("DELAYMIX_THREADS")
-    if not value:
-        return
-    try:
-        limit = max(1, int(value))
-    except ValueError:
-        print(f"ignoring non-integer DELAYMIX_THREADS={value!r}", file=sys.stderr)
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(limit))
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=limit)
-    except ImportError:
-        pass
 
 
 @dataclass
@@ -446,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

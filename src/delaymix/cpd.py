@@ -51,19 +51,12 @@ class CPFactors:
     def component(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.mode1[:, i], self.mode2[:, i], self.mode3[:, i]
 
-    @property
-    def components(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [self.component(i) for i in range(self.rank)]
-
     @classmethod
     def from_components(cls, triples: Sequence[tuple]) -> "CPFactors":
         m1 = np.column_stack([np.asarray(t[0], dtype=np.float64) for t in triples])
         m2 = np.column_stack([np.asarray(t[1], dtype=np.float64) for t in triples])
         m3 = np.column_stack([np.asarray(t[2], dtype=np.float64) for t in triples])
         return cls(m1, m2, m3)
-
-    def copy(self) -> "CPFactors":
-        return CPFactors(self.mode1.copy(), self.mode2.copy(), self.mode3.copy())
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,7 +41,11 @@ from .moments import (
 from .realization import RealizationOptions, realize_components
 from .syslin import DelayFreeModel, MarkovSequence, Trajectory, simulate_delay_free
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+# The state-inference noise model and the spectral radius realized models
+# are clipped to; both are fixed parts of the pipeline, not settings.
+NOISE = NoiseSpec()
+STABILITY_MARGIN = 0.999
 _SCALER_ARRAYS = ("out_mean", "out_std", "in_mean", "in_std")
 _FACTOR_ARRAYS = ("mode1", "mode2", "mode3")
 
@@ -52,8 +56,8 @@ class EngineConfig:
 
     l_c is the update window length, rho the fit threshold gating model
     adaptation, rank the number of CP components kept in the database.
-    warm_start controls whether adaptations reuse the previous factors as
-    the ALS initialization, so als.init must stay None. l_s is the horizon
+    seed draws the ALS cold starts; warm_start controls whether later
+    adaptations start from the previous factors instead. l_s is the horizon
     run_stream scores; it is never read by identification, and
     engine_update forecasts as many steps as it is given future inputs.
     """
@@ -63,15 +67,8 @@ class EngineConfig:
     rho: float
     l_c: int
     l_s: int
-    als: AlsOptions = field(default_factory=AlsOptions)
-    realization: RealizationOptions | None = None
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    seed: int = 0
     warm_start: bool = True
-    stability_margin: float | None = 0.999
-
-    def __post_init__(self):
-        if self.realization is None:
-            object.__setattr__(self, "realization", RealizationOptions(s=self.moment.s))
 
 
 def default_config(
@@ -96,9 +93,7 @@ def default_config(
         rho=rho,
         l_c=l_c,
         l_s=l_s,
-        als=AlsOptions(seed=seed),
-        realization=RealizationOptions(s=s),
-        noise=NoiseSpec(),
+        seed=seed,
         warm_start=warm_start,
     )
 
@@ -235,12 +230,6 @@ def engine_init(config: EngineConfig) -> EngineState:
         violations.append(
             f"mode size {moment.mode_dim} exceeds the dense cap {DEFAULT_MODE_CAP}"
         )
-    if config.realization is not None and config.realization.s != moment.s:
-        violations.append(
-            f"realization s={config.realization.s} differs from moment s={moment.s}"
-        )
-    if config.als.init is not None:
-        violations.append("als.init must be None; warm_start supplies the ALS warm starts")
     if violations:
         raise ConfigError(violations)
     return EngineState(
@@ -261,20 +250,19 @@ def _stage(name: str):
         raise EngineStageError(name, err) from err
 
 
-def _stabilize(model: DelayFreeModel, margin: float | None) -> DelayFreeModel:
-    """Shrink the transition when noise pushed its spectral radius past 1.
+def _stabilize(model: DelayFreeModel) -> DelayFreeModel:
+    """Shrink the transition when noise pushed its spectral radius past
+    STABILITY_MARGIN.
 
     Realizations of exactly representable sequences keep their radius and
     are untouched; this only clips estimation artifacts that would make
     open-loop multi-step forecasts diverge.
     """
-    if margin is None:
-        return model
     radius = model.spectral_radius()
-    if radius <= margin:
+    if radius <= STABILITY_MARGIN:
         return model
     return DelayFreeModel(
-        model.transition * (margin / radius), model.input_map, model.output_map
+        model.transition * (STABILITY_MARGIN / radius), model.input_map, model.output_map
     )
 
 
@@ -360,8 +348,8 @@ def engine_update(
     if had_models:
         with _stage("fit_scoring"):
             active = database.active()
-            trace = kalman_forward(active.model, window, cfg.noise)
-            gate_fit = window_error(active.model, window, cfg.noise, trace=trace)
+            trace = kalman_forward(active.model, window, NOISE)
+            gate_fit = window_error(active.model, window, NOISE, trace=trace)
     else:
         gate_fit = float("inf")
 
@@ -371,19 +359,15 @@ def engine_update(
         adapted = True
         with _stage("model_adaptation"):
             view = normalized_view(state.tensor)
-            warm = database.last_factors
-            usable_warm = (
-                cfg.warm_start
-                and warm is not None
-                and warm.dim == cfg.moment.mode_dim
-                and warm.rank == cfg.rank
-            )
-            opts = replace(cfg.als, init=warm if usable_warm else None)
+            warm = database.last_factors if cfg.warm_start else None
+            opts = AlsOptions(seed=cfg.seed, init=warm)
             factors, als_iters, _ = cp_als(view, cfg.rank, opts)
-            realized = realize_components(factors, cfg.moment, cfg.realization)
+            realized = realize_components(
+                factors, cfg.moment, RealizationOptions(s=cfg.moment.s)
+            )
             records = []
             for item in realized:
-                model = _stabilize(item.model, cfg.stability_margin)
+                model = _stabilize(item.model)
                 model, scale = _rescale_input_map(model, window)
                 records.append(
                     ModelRecord(
@@ -394,7 +378,7 @@ def engine_update(
                     )
                 )
             index, best_fit, trace = select_regime(
-                [record.model for record in records], window, cfg.noise
+                [record.model for record in records], window, NOISE
             )
             state.database = RegimeDatabase(
                 records=records, active_index=index, last_factors=factors
@@ -405,7 +389,7 @@ def engine_update(
     active = state.database.active()
     with _stage("forecasting"):
         predicted = forecast(
-            active.model, window, u_all[cfg.l_c :], cfg.noise, trace=trace
+            active.model, window, u_all[cfg.l_c :], NOISE, trace=trace
         )
     state.updates += 1
     elapsed = time.perf_counter() - started
@@ -519,11 +503,9 @@ def save_checkpoint(state: EngineState, path) -> None:
     """Single-file checkpoint: a version byte, the 8-byte little-endian
     length of a JSON header, the header, then every array the header lists,
     in its order, as little-endian float64."""
-    config = asdict(state.config)
-    del config["als"]["init"]
     arrays = _state_arrays(state)
     header = {
-        "config": config,
+        "config": asdict(state.config),
         "updates": state.updates,
         "sample_count": state.tensor.sample_count,
         "weight": state.tensor.weight,
@@ -549,10 +531,11 @@ def load_checkpoint(path) -> EngineState:
 
     Restore is exact: continuing from the loaded state gives the same
     forecasts, bit for bit, as a run that was never interrupted, and saving
-    it again writes the same bytes. The config passes engine_init's checks
-    and every array its type's shape checks. A file that is not one whole
-    checkpoint of this version (truncated, padded, from another version, or
-    with a damaged header or array) raises ParseError.
+    it again writes the same bytes. The config passes engine_init's checks,
+    every array has the shape the config implies, and there are at most
+    rank stored models. A file that is not one whole checkpoint of this
+    version (truncated, padded, from another version, or with a damaged
+    header or array) raises ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -593,16 +576,12 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
 
     config = header["config"]
     state = engine_init(
-        EngineConfig(
-            **{
-                **config,
-                "moment": MomentConfig(**config["moment"]),
-                "als": AlsOptions(**config["als"]),
-                "realization": RealizationOptions(**config["realization"]),
-                "noise": NoiseSpec(**config["noise"]),
-            }
-        )
+        EngineConfig(**{**config, "moment": MomentConfig(**config["moment"])})
     )
+    if len(header["records"]) > state.config.rank:
+        raise ParseError(
+            f"{len(header['records'])} stored models exceed rank {state.config.rank}"
+        )
     state.updates = header["updates"]
     state.tensor = SystemTensor(
         arrays["tensor"], header["sample_count"], header["weight"], state.config.moment
@@ -631,6 +610,36 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
     if type(active_index) is not int or active_index not in valid:
         raise ParseError(f"active_index {active_index!r} names no stored model")
     state.database.active_index = active_index
-    if [name for name, _ in _state_arrays(state)] != [name for name, _ in specs]:
+    loaded = _state_arrays(state)
+    if [name for name, _ in loaded] != [name for name, _ in specs]:
         raise ParseError("header's array list does not match the state it describes")
+    expected = _config_shapes(state)
+    for name, array in loaded:
+        if array.shape != expected[name]:
+            raise ParseError(
+                f"{name} has shape {list(array.shape)}, the config implies "
+                f"{list(expected[name])}"
+            )
     return state
+
+
+def _config_shapes(state: EngineState) -> dict[str, tuple[int, ...]]:
+    """The shape the config implies for every array of the state; a model's
+    state order is its own, read from its transition."""
+    moment = state.config.moment
+    d, dc, dim = moment.d, moment.dc, moment.mode_dim
+    shapes = {
+        "tensor": (dim, dim, dim),
+        "out_mean": (d,),
+        "out_std": (d,),
+        "in_mean": (dc,),
+        "in_std": (dc,),
+    }
+    shapes.update(dict.fromkeys(_FACTOR_ARRAYS, (dim, state.config.rank)))
+    for i, record in enumerate(state.database.records):
+        n = record.model.state_dim
+        shapes[f"record{i}.transition"] = (n, n)
+        shapes[f"record{i}.input_map"] = (n, dc)
+        shapes[f"record{i}.output_map"] = (d, n)
+        shapes[f"record{i}.markov"] = (moment.k_max, d, dc)
+    return shapes

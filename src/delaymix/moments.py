@@ -175,19 +175,3 @@ def normalized_view(tensor: SystemTensor) -> np.ndarray:
     if tensor.sample_count == 0:
         raise EmptyTensorError("tensor holds no accumulated samples yet")
     return tensor.data / tensor.weight
-
-
-def mismatch_trigger(tensor: SystemTensor, factors) -> float:
-    """Relative Frobenius residual of a factor set against the normalized view."""
-    from .cpd import reconstruct
-
-    view = normalized_view(tensor)
-    if factors.dim != tensor.config.mode_dim:
-        raise ShapeError(
-            f"factors have mode size {factors.dim}, tensor has {tensor.config.mode_dim}"
-        )
-    norm = float(np.sqrt(np.sum(view * view)))
-    if norm == 0.0:
-        raise EmptyTensorError("tensor norm is zero; nothing to compare against")
-    diff = view - reconstruct(factors)
-    return float(np.sqrt(np.sum(diff * diff)) / norm)

@@ -21,6 +21,8 @@ from .syslin import DelayFreeModel, MarkovSequence
 logger = logging.getLogger(__name__)
 
 SV_CUTOFF = 1e-10
+# Cumulative squared singular-value energy the automatic order must reach.
+ENERGY_THRESHOLD = 0.999
 DEGENERATE_TOL = 1e-12
 
 
@@ -31,22 +33,17 @@ class RealizationOptions:
     s sets the block Hankel to s rows and s+1 block columns (consuming 2s
     impulse-response blocks). state_dim fixes the realized order; when None
     the order is the smallest n whose cumulative squared singular-value
-    energy reaches energy_threshold.
+    energy reaches ENERGY_THRESHOLD.
     """
 
     s: int
     state_dim: int | None = None
-    energy_threshold: float = 0.999
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
         if self.state_dim is not None and self.state_dim < 1:
             raise ValueError(f"state_dim must be positive, got {self.state_dim}")
-        if self.state_dim is None and not 0.0 < self.energy_threshold < 1.0:
-            raise ValueError(
-                f"energy_threshold must lie in (0, 1), got {self.energy_threshold}"
-            )
 
 
 def factor_to_markov(component, config: MomentConfig) -> MarkovSequence:
@@ -109,7 +106,7 @@ def ho_kalman(seq: MarkovSequence, opts: RealizationOptions) -> DelayFreeModel:
         total = energy[-1]
         if total <= 0.0:
             raise DegenerateSequenceError("left Hankel block is numerically zero")
-        order = int(np.searchsorted(energy, opts.energy_threshold * total) + 1)
+        order = int(np.searchsorted(energy, ENERGY_THRESHOLD * total) + 1)
         order = min(order, max_order)
 
     root = np.sqrt(sv[:order])
@@ -154,12 +151,3 @@ def realize_components(
     if not realized:
         raise EmptyDatabaseError("every component was degenerate; no models realized")
     return realized
-
-
-def realize_all(
-    factors: CPFactors,
-    config: MomentConfig,
-    opts: RealizationOptions,
-) -> list[DelayFreeModel]:
-    """Map factor_to_markov then ho_kalman over all components."""
-    return [item.model for item in realize_components(factors, config, opts)]

@@ -3,7 +3,6 @@ import functools
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaymix import (
-    AlsOptions,
-    CPFactors,
     MomentConfig,
     TimeDelaySystem,
     default_config,
@@ -90,12 +87,10 @@ class TestEngineInit:
             rho=-1.0,
             l_c=5,
             l_s=0,
-            als=AlsOptions(init=CPFactors(np.ones((6, 1)), np.ones((6, 1)), np.ones((6, 1)))),
         )
         with pytest.raises(ConfigError) as info:
             engine_init(config)
-        assert len(info.value.violations) >= 5
-        assert any("als.init" in violation for violation in info.value.violations)
+        assert len(info.value.violations) >= 4
 
 
 class TestEngineUpdate:
@@ -240,7 +235,7 @@ class TestEngineUpdate:
             state.database.active().model,
             window,
             scaler.inputs(traj.inputs[100:104]),
-            config.noise,
+            NoiseSpec(),
         )
         assert np.array_equal(report.forecast, scaler.restore_outputs(expected))
 
@@ -491,25 +486,17 @@ class TestCheckpoint:
         )
         assert r1.forecast.shape == r2.forecast.shape
 
-    def test_noise_spec_round_trip(self, tmp_path):
-        config = default_config(d=1, dc=1, s=3, l_c=100, l_s=1)
-        config = EngineConfig(
-            moment=config.moment,
-            rank=config.rank,
-            rho=config.rho,
-            l_c=config.l_c,
-            l_s=config.l_s,
-            noise=NoiseSpec(process_var=3e-4, obs_var=2e-2, prior_var=0.5),
+    def test_config_round_trip(self, tmp_path):
+        config = default_config(
+            d=1, dc=1, s=3, l_c=100, l_s=1, seed=5, warm_start=False, forgetting=0.9
         )
-        state = engine_init(config)
         path = tmp_path / "c.bin"
-        save_checkpoint(state, path)
-        restored = load_checkpoint(path)
-        assert restored.config.noise.process_var == pytest.approx(3e-4)
-        assert restored.config.noise.obs_var == pytest.approx(2e-2)
-        for margin in (0.9, None):
-            save_checkpoint(engine_init(replace(config, stability_margin=margin)), path)
-            assert load_checkpoint(path).config.stability_margin == margin
+        save_checkpoint(engine_init(config), path)
+        header, _ = _split_checkpoint(path.read_bytes())
+        assert set(header["config"]) == {
+            "moment", "rank", "rho", "l_c", "l_s", "seed", "warm_start"
+        }
+        assert load_checkpoint(path).config == config
 
     def test_damaged_file_raises_parse_error(self, tmp_path):
         traj = single_regime_traj(length=300, seed=14)
@@ -519,22 +506,21 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
         raw = path.read_bytes()
-        start = 9 + int.from_bytes(raw[1:9], "little")
-        header = json.loads(raw[9:start])
+        header, payload = _split_checkpoint(raw)
+        start = len(raw) - len(payload)
 
         def with_header(**changes):
-            text = json.dumps({**header, **changes}, sort_keys=True).encode("utf-8")
-            return raw[:1] + len(text).to_bytes(8, "little") + text + raw[start:]
+            return _join_checkpoint({**header, **changes}, payload)
 
         def with_tensor_shape(shape):
             return with_header(arrays=[["tensor", shape]] + header["arrays"][1:])
 
         assert header["arrays"][0] == ["tensor", [6, 6, 6]]
         # cuts inside the version byte, the length prefix, the header and the
-        # array payload, then a version-2 file and one trailing byte
+        # array payload, then version-2 and version-3 files and one trailing byte
         cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([2]) + raw[1:], raw + b"\x00"]
+        variants += [bytes([2]) + raw[1:], bytes([3]) + raw[1:], raw + b"\x00"]
         variants += [
             with_tensor_shape([6, 6, -6]),
             with_tensor_shape([6, 6, 10**12]),
@@ -551,3 +537,50 @@ class TestCheckpoint:
                 load_checkpoint(damaged)
         # the intact file still loads
         assert load_checkpoint(path).updates == 1
+
+    def test_array_shapes_checked_against_config(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(_adapted_state(rank=1), path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        assert dict(header["arrays"])["out_mean"] == [1]
+        # each edit keeps the byte count, so only the shape check can refuse it
+        for changes in (
+            {"out_mean": [2], "out_std": [0]},
+            {"in_mean": [0], "in_std": [2]},
+            {"record0.markov": [3, 2, 1]},
+        ):
+            arrays = [[name, changes.get(name, shape)] for name, shape in header["arrays"]]
+            path.write_bytes(_join_checkpoint({**header, "arrays": arrays}, payload))
+            with pytest.raises(ParseError, match="damaged checkpoint .*the config implies"):
+                load_checkpoint(path)
+
+    def test_rank_checked_against_config(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        for saved_rank, claimed_rank, message in ((1, 2, "mode1"), (2, 1, "exceed rank")):
+            state = _adapted_state(rank=saved_rank)
+            assert len(state.database.records) == saved_rank
+            save_checkpoint(state, path)
+            header, payload = _split_checkpoint(path.read_bytes())
+            config = {**header["config"], "rank": claimed_rank}
+            path.write_bytes(_join_checkpoint({**header, "config": config}, payload))
+            with pytest.raises(ParseError, match=f"damaged checkpoint .*{message}"):
+                load_checkpoint(path)
+
+
+def _adapted_state(rank):
+    traj = two_regime_traj(length=300, seed=14)
+    config = default_config(d=1, dc=1, s=3, rank=rank, rho=0.5, l_c=100, l_s=1)
+    state = engine_init(config)
+    engine_update(state, traj.outputs[:100], traj.inputs[:101])
+    return state
+
+
+def _split_checkpoint(raw):
+    """A checkpoint's decoded header and the array bytes after it."""
+    start = 9 + int.from_bytes(raw[1:9], "little")
+    return json.loads(raw[9:start]), raw[start:]
+
+
+def _join_checkpoint(header, payload):
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return bytes([engine.CHECKPOINT_VERSION]) + len(text).to_bytes(8, "little") + text + payload

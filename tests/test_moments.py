@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from delaymix import MomentConfig, Trajectory, cp_als, CPFactors
-from delaymix.cpd import AlsOptions, reconstruct
+from delaymix import MomentConfig, Trajectory
 from delaymix.datagen import oracle_moment_tensor
 from delaymix.errors import (
     CapacityError,
@@ -10,13 +9,7 @@ from delaymix.errors import (
     ShapeError,
     WindowLengthError,
 )
-from delaymix.moments import (
-    SystemTensor,
-    accumulate_window,
-    mismatch_trigger,
-    new_tensor,
-    normalized_view,
-)
+from delaymix.moments import accumulate_window, new_tensor, normalized_view
 
 
 def random_window(rng, config, extra=0):
@@ -196,66 +189,4 @@ class TestNormalizedView:
     def test_empty_tensor_error(self):
         with pytest.raises(EmptyTensorError):
             normalized_view(new_tensor(MomentConfig(d=1, dc=1, s=1)))
-
-
-class TestMismatchTrigger:
-    def _tensor_from_factors(self, factors, config):
-        data = reconstruct(factors)
-        return SystemTensor(data.copy(), 1, 1.0, config)
-
-    def test_exact_factors_give_zero(self):
-        rng = np.random.default_rng(8)
-        config = MomentConfig(d=1, dc=1, s=2)
-        dim = config.mode_dim
-        factors = CPFactors(
-            rng.standard_normal((dim, 2)),
-            rng.standard_normal((dim, 2)),
-            rng.standard_normal((dim, 2)),
-        )
-        tensor = self._tensor_from_factors(factors, config)
-        assert mismatch_trigger(tensor, factors) < 1e-10
-
-    def test_zero_factors_give_one(self):
-        rng = np.random.default_rng(9)
-        config = MomentConfig(d=1, dc=1, s=2)
-        dim = config.mode_dim
-        truth = CPFactors(
-            rng.standard_normal((dim, 1)),
-            rng.standard_normal((dim, 1)),
-            rng.standard_normal((dim, 1)),
-        )
-        tensor = self._tensor_from_factors(truth, config)
-        zeros = CPFactors(
-            np.zeros((dim, 1)), np.zeros((dim, 1)), np.zeros((dim, 1))
-        )
-        assert mismatch_trigger(tensor, zeros) == pytest.approx(1.0)
-
-    def test_zero_norm_tensor_rejected(self):
-        config = MomentConfig(d=1, dc=1, s=1)
-        tensor = accumulate_window(
-            new_tensor(config), Trajectory(np.zeros((9, 1)), np.ones((9, 1)))
-        )
-        assert tensor.sample_count > 0  # accumulated, but all-zero data
-        factors = CPFactors(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
-        with pytest.raises(EmptyTensorError, match="zero"):
-            mismatch_trigger(tensor, factors)
-
-    def test_rank_deficient_fit_residual_matches_direct_norm(self):
-        rng = np.random.default_rng(10)
-        config = MomentConfig(d=1, dc=1, s=2)
-        dim = config.mode_dim
-        truth = CPFactors(
-            rng.standard_normal((dim, 2)),
-            rng.standard_normal((dim, 2)),
-            rng.standard_normal((dim, 2)),
-        )
-        tensor = self._tensor_from_factors(truth, config)
-        fitted, _, _ = cp_als(normalized_view(tensor), 1, AlsOptions(seed=0))
-        reported = mismatch_trigger(tensor, fitted)
-        view = normalized_view(tensor)
-        direct = np.sqrt(np.sum((view - reconstruct(fitted)) ** 2)) / np.sqrt(
-            np.sum(view * view)
-        )
-        assert reported == pytest.approx(direct, rel=1e-12)
-        assert reported > 0.0
 

@@ -24,7 +24,6 @@ from delaymix.realization import (
     RealizationOptions,
     factor_to_markov,
     ho_kalman,
-    realize_all,
     realize_components,
 )
 from delaymix.syslin import MarkovSequence
@@ -198,9 +197,9 @@ class TestRealizeAll:
         truth = markov_parameters_delayed(sys, 6)
         q1, q2, q3 = stacked_component(truth, config, rng)
         factors = CPFactors(q1[:, None], q2[:, None], q3[:, None])
-        models = realize_all(factors, config, RealizationOptions(s=3))
-        assert len(models) == 1
-        regen = markov_parameters_free(models[0], 6)
+        realized = realize_components(factors, config, RealizationOptions(s=3))
+        assert len(realized) == 1
+        regen = markov_parameters_free(realized[0].model, 6)
         scale = regen.blocks[1, 0, 0] / truth.blocks[1, 0, 0]
         assert np.allclose(regen.blocks, scale * truth.blocks, atol=1e-8)
 
@@ -227,7 +226,7 @@ class TestRealizeAll:
         dim = config.mode_dim
         zeros = CPFactors(np.zeros((dim, 2)), np.zeros((dim, 2)), np.zeros((dim, 2)))
         with pytest.raises(EmptyDatabaseError):
-            realize_all(zeros, config, RealizationOptions(s=2))
+            realize_components(zeros, config, RealizationOptions(s=2))
 
     def test_degenerate_component_skipped(self, caplog):
         rng = np.random.default_rng(9)
