@@ -60,6 +60,21 @@ class RunManifest:
                 raise MappingError(
                     f"output and input column sets overlap: {sorted(overlap)}"
                 )
+        # JSON overrides reach here unconverted; type() also rules out bools
+        problems = []
+        if not all(type(h) is int and h >= 1 for h in self.horizons):
+            problems.append(f"forecast horizons {list(self.horizons)} must be integers >= 1")
+        for name in ("s", "rank", "l_c", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name in ("l_c", "seed")):
+                problems.append(f"{name}={value!r} must be an integer")
+        for name in ("rho", "forgetting", "val_fraction"):
+            if type(getattr(self, name)) not in (int, float):
+                problems.append(f"{name}={getattr(self, name)!r} must be a number")
+        if type(self.val_fraction) in (int, float) and not 0.0 < self.val_fraction <= 1.0:
+            problems.append(f"val_fraction={self.val_fraction!r} must lie in (0, 1]")
+        if problems:
+            raise MappingError("; ".join(problems))
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
@@ -79,7 +94,7 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
                 setattr(manifest, key, overrides[key])
         if "l_s" in overrides:
             value = overrides["l_s"]
-            manifest.horizons = tuple(value) if isinstance(value, list) else (int(value),)
+            manifest.horizons = tuple(value) if isinstance(value, list) else (value,)
     for attr, flag in (
         ("csv_path", "csv"),
         ("scenario_path", "scenario"),

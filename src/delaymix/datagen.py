@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ScenarioError, ShapeError
 from .moments import MomentConfig
-from .syslin import DelayFreeModel, TimeDelaySystem, Trajectory
+from .syslin import DelayFreeModel, TimeDelaySystem, Trajectory, simulate_delayed
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,11 @@ class ScenarioSpec:
     """A regime-switching stream recipe.
 
     schedule lists (start_time, regime_index) change points with 1-based
-    regime indices, sorted and starting at time 0. The latent state resets
-    to zero at every change point. Observation noise (std obs_noise_std) is
-    added to the outputs only.
+    regime indices, sorted and starting at time 0. Each change to another
+    regime starts a segment from a zero latent state whose delayed inputs
+    reach back across the switch; an entry naming the regime already active
+    changes nothing, and of two entries for one time the last wins.
+    Observation noise (std obs_noise_std) is added to the outputs only.
     """
 
     regimes: tuple[TimeDelaySystem, ...]
@@ -118,22 +120,22 @@ def generate(spec: ScenarioSpec) -> Trajectory:
     rng = np.random.default_rng(spec.seed)
     length, d, dc = spec.length, spec.output_dim, spec.input_dim
     inputs = spec.input_dist.sample(rng, (length, dc))
+    # the last entry for a time wins; naming the active regime starts nothing
+    segments: list[tuple[int, int]] = []
+    for start, regime in dict(spec.schedule).items():
+        if not segments or segments[-1][1] != regime:
+            segments.append((start, regime))
+    lead = max(regime.delay for regime in spec.regimes)
+    padded = np.concatenate([np.zeros((lead, dc)), inputs])  # u(t) is padded[lead + t]
     labels = np.empty(length, dtype=np.int64)
-    change_at = {t: r for t, r in spec.schedule}
     outputs = np.empty((length, d))
-    active = spec.schedule[0][1]
-    sys = spec.regimes[active - 1]
-    state = np.zeros(sys.state_dim)
-    for t in range(length):
-        if t in change_at and change_at[t] != active:
-            active = change_at[t]
-            sys = spec.regimes[active - 1]
-            state = np.zeros(sys.state_dim)
-        labels[t] = active
-        outputs[t] = sys.output_map @ state
-        j = t - sys.delay
-        u = inputs[j] if j >= 0 else np.zeros(dc)
-        state = sys.transition @ state + sys.input_map @ u
+    stops = [start for start, _ in segments[1:]] + [length]
+    for (start, regime), stop in zip(segments, stops):
+        sys = spec.regimes[regime - 1]
+        prehistory = padded[lead + start - sys.delay : lead + start]
+        segment = simulate_delayed(sys, inputs[start:stop], prehistory=prehistory)
+        outputs[start:stop] = segment.outputs
+        labels[start:stop] = regime
     if spec.obs_noise_std > 0.0:
         outputs = outputs + rng.normal(0.0, spec.obs_noise_std, outputs.shape)
     return Trajectory(outputs, inputs, labels)

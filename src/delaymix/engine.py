@@ -28,6 +28,7 @@ from .errors import (
     DelayMixError,
     EngineStageError,
     ParseError,
+    ShapeError,
 )
 from .filtering import NoiseSpec, forecast, kalman_forward, select_regime, window_error
 from .moments import (
@@ -303,7 +304,8 @@ def engine_update(
     rows are the h-step forecast. The window is filtered once per model
     scored: the forecast reuses the gate's pass on the active model, or the
     winner's pass from selection when the update adapts. A window holding a
-    non-finite value raises DataError before the state is touched.
+    non-finite value raises DataError, and one whose step or channel counts
+    do not fit the config raises ShapeError, before the state is touched.
     """
     started = time.perf_counter()
     cfg = state.config
@@ -314,13 +316,19 @@ def engine_update(
     if u_raw.ndim == 1:
         u_raw = u_raw.reshape(-1, 1)
     if y_raw.shape[0] != cfg.l_c:
-        raise ValueError(
+        raise ShapeError(
             f"window_outputs holds {y_raw.shape[0]} steps, config expects l_c={cfg.l_c}"
         )
     if u_raw.shape[0] <= cfg.l_c:
-        raise ValueError(
+        raise ShapeError(
             f"window_and_future_inputs holds {u_raw.shape[0]} steps, expected "
             f"the l_c = {cfg.l_c} window inputs and at least one future input"
+        )
+    d, dc = cfg.moment.d, cfg.moment.dc
+    if y_raw.shape[1:] != (d,) or u_raw.shape[1:] != (dc,):
+        raise ShapeError(
+            f"window outputs have shape {y_raw.shape} and inputs {u_raw.shape}; "
+            f"config expects {d} output and {dc} input channels"
         )
     if not (np.isfinite(y_raw).all() and np.isfinite(u_raw).all()):
         raise DataError("window holds non-finite outputs or inputs; the state is unchanged")
@@ -349,7 +357,7 @@ def engine_update(
         with _stage("fit_scoring"):
             active = database.active()
             trace = kalman_forward(active.model, window, NOISE)
-            gate_fit = window_error(active.model, window, NOISE, trace=trace)
+            gate_fit = window_error(window, trace)
     else:
         gate_fit = float("inf")
 
@@ -388,9 +396,7 @@ def engine_update(
 
     active = state.database.active()
     with _stage("forecasting"):
-        predicted = forecast(
-            active.model, window, u_all[cfg.l_c :], NOISE, trace=trace
-        )
+        predicted = forecast(active.model, window, u_all[cfg.l_c :], trace)
     state.updates += 1
     elapsed = time.perf_counter() - started
     return UpdateReport(
@@ -582,13 +588,17 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         raise ParseError(
             f"{len(header['records'])} stored models exceed rank {state.config.rank}"
         )
-    state.updates = header["updates"]
+    weight = header["weight"]
+    if type(weight) is not float or not math.isfinite(weight) or weight < 0.0:
+        raise ParseError(f"weight {weight!r} is not a finite float >= 0")
+    state.updates = _counter(header, "updates")
     state.tensor = SystemTensor(
-        arrays["tensor"], header["sample_count"], header["weight"], state.config.moment
+        arrays["tensor"], _counter(header, "sample_count"), weight, state.config.moment
     )
     if header["samples_seen"] is not None:
         state.scaler = Standardizer(
-            *(arrays[name] for name in _SCALER_ARRAYS), samples_seen=header["samples_seen"]
+            *(arrays[name] for name in _SCALER_ARRAYS),
+            samples_seen=_counter(header, "samples_seen"),
         )
     if "mode1" in arrays:
         state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
@@ -621,6 +631,13 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
                 f"{list(expected[name])}"
             )
     return state
+
+
+def _counter(header: dict, key: str) -> int:
+    value = header[key]
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{key} {value!r} is not a non-negative integer")
+    return value
 
 
 def _config_shapes(state: EngineState) -> dict[str, tuple[int, ...]]:

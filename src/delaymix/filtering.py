@@ -1,9 +1,8 @@
 """Kalman filtering, RTS smoothing, window scoring and forecasting.
 
-One forward pass per model and window carries all the scoring and
-forecasting: `window_error` and `forecast` accept the `BeliefTrace` of a pass
-already run, and `select_regime` returns the winner's trace so the caller can
-forecast from it without filtering again.
+`kalman_forward` is the only forward pass. `window_error` and `forecast`
+read the `BeliefTrace` of a pass already run, and `select_regime` returns the
+winner's trace so the caller can forecast from it without filtering again.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, EmptyDatabaseError, NumericalError
-from .syslin import DelayFreeModel, Trajectory, _input_array
+from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
 
 JITTER = 1e-9
 
@@ -163,21 +162,13 @@ def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> SmoothedTrace:
     return SmoothedTrace(smoothed, gains)
 
 
-def window_error(
-    model: DelayFreeModel,
-    window: Trajectory,
-    noise: NoiseSpec,
-    trace: BeliefTrace | None = None,
-) -> float:
-    """Mean Euclidean one-step prediction error over the window.
+def window_error(window: Trajectory, trace: BeliefTrace) -> float:
+    """Mean Euclidean one-step prediction error of a filter trace over the
+    window it was run on.
 
     The mean (rather than a raw sum) keeps the value comparable across
-    window lengths, so a fit threshold on it is length independent. Pass
-    the `kalman_forward` trace of this model on this window as `trace` to
-    score it without filtering again.
+    window lengths, so a fit threshold on it is length independent.
     """
-    if trace is None:
-        trace = kalman_forward(model, window, noise)
     errors = np.linalg.norm(window.outputs - trace.one_step_predictions, axis=1)
     return float(errors.mean())
 
@@ -194,47 +185,29 @@ def select_regime(
     if len(database) == 0:
         raise EmptyDatabaseError("cannot select a regime from an empty model database")
     traces = [kalman_forward(model, window, noise) for model in database]
-    errors = [
-        window_error(model, window, noise, trace=trace)
-        for model, trace in zip(database, traces)
-    ]
+    errors = [window_error(window, trace) for trace in traces]
     best = int(np.argmin(errors))
     return best, float(errors[best]), traces[best]
 
 
 def forecast(
-    model: DelayFreeModel,
-    window: Trajectory,
-    future_inputs,
-    noise: NoiseSpec,
-    trace: BeliefTrace | None = None,
+    model: DelayFreeModel, window: Trajectory, future_inputs, trace: BeliefTrace
 ) -> np.ndarray:
     """Multi-step prediction anchored at the filter's final state.
 
-    The filtered mean at the final window index is the state estimate
-    there; an RTS backward pass would return that same vector as its last
-    smoothed mean, so none is run. Advancing it once with the final window
-    input gives the state at the first forecast step. From there the
-    deterministic recursion consumes the future inputs, emitting one output
-    per step. Pass the `kalman_forward` trace of this model on this window
-    as `trace` to skip the filter pass.
+    trace is the `kalman_forward` pass of this model on this window. Its
+    filtered mean at the final window index is the state estimate there;
+    an RTS backward pass would return that same vector as its last smoothed
+    mean, so none is run. Advancing it once with the final window input
+    gives the state at the first forecast step, from which the delay-free
+    recursion consumes the future inputs, emitting one output per step.
     """
-    future = _input_array(future_inputs, model.input_dim, "future_inputs")
-    horizon = future.shape[0]
-    if horizon < 1:
-        raise ValueError("future_inputs must contain at least one step")
     steps = window.outputs.shape[0]
-    if trace is None:
-        trace = kalman_forward(model, window, noise)
-    elif trace.filtered_means.shape != (steps, model.state_dim):
+    if trace.filtered_means.shape != (steps, model.state_dim):
         raise ValueError(
             f"trace holds filtered means of shape {trace.filtered_means.shape}, "
             f"expected {(steps, model.state_dim)} for this model and window"
         )
-    a, b, c = model.transition, model.input_map, model.output_map
+    a, b = model.transition, model.input_map
     state = a @ trace.filtered_means[-1] + b @ window.inputs[steps - 1]
-    outputs = np.empty((horizon, model.output_dim))
-    for i in range(horizon):
-        outputs[i] = c @ state
-        state = a @ state + b @ future[i]
-    return outputs
+    return simulate_delay_free(model, future_inputs, x0=state).outputs

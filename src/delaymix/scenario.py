@@ -70,6 +70,18 @@ def _parse_input_dist(text: str, row: int) -> InputDistribution:
     raise ParseError(f"unknown input distribution {kind!r}", row=row)
 
 
+def _number(entries: dict, key: str, kind, default, what: str | None = None):
+    """entries[key] parsed as kind (int or float), or default when absent."""
+    if key not in entries:
+        return default
+    value, row = entries[key]
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{what or key} must be {noun}", row=row) from None
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text into a ScenarioSpec."""
     top: dict[str, tuple[str, int]] = {}
@@ -110,24 +122,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     if "length" not in top:
         raise ParseError("missing required key 'length'")
-    try:
-        length = int(top["length"][0])
-    except ValueError:
-        raise ParseError("length must be an integer", row=top["length"][1]) from None
-    seed = 0
-    if "seed" in top:
-        try:
-            seed = int(top["seed"][0])
-        except ValueError:
-            raise ParseError("seed must be an integer", row=top["seed"][1]) from None
-    noise = 0.0
-    if "obs_noise_std" in top:
-        try:
-            noise = float(top["obs_noise_std"][0])
-        except ValueError:
-            raise ParseError(
-                "obs_noise_std must be a number", row=top["obs_noise_std"][1]
-            ) from None
+    length = _number(top, "length", int, None)
+    seed = _number(top, "seed", int, 0)
+    noise = _number(top, "obs_noise_std", float, 0.0)
     dist = InputDistribution.rademacher()
     if "input" in top:
         dist = _parse_input_dist(top["input"][0], top["input"][1])
@@ -139,14 +136,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         for key in ("A", "B", "C"):
             if key not in entry:
                 raise ParseError(f"regime {i} is missing matrix {key}")
-        delay = 0
-        if "delay" in entry:
-            try:
-                delay = int(entry["delay"][0])
-            except ValueError:
-                raise ParseError(
-                    f"regime {i} delay must be an integer", row=entry["delay"][1]
-                ) from None
+        delay = _number(entry, "delay", int, 0, f"regime {i} delay")
         systems.append(
             TimeDelaySystem(
                 transition=_parse_matrix(*entry["A"]),

@@ -26,6 +26,9 @@ def _matrix(value, name: str) -> np.ndarray:
 
 
 def _state_vector(value, dim: int, name: str) -> np.ndarray:
+    """A length-dim state; None stands for the zero state."""
+    if value is None:
+        return np.zeros(dim)
     vec = np.asarray(value, dtype=np.float64).ravel()
     if vec.shape[0] != dim:
         raise ShapeError(f"{name} must have length {dim}, got {vec.shape[0]}")
@@ -51,17 +54,15 @@ def _input_array(value, input_dim: int, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TimeDelaySystem:
-    """One regime's dynamics: x(t+1) = A x(t) + B u(t - delay), y(t) = C x(t).
+class _StateSpace:
+    """Shared A/B/C validation and dimensions of the two system types.
 
-    transition is A (k x k), input_map is B (k x dc), output_map is C (d x k)
-    and delay is the integer input lag tau >= 0.
+    transition is A (k x k), input_map is B (k x dc), output_map is C (d x k).
     """
 
     transition: np.ndarray
     input_map: np.ndarray
     output_map: np.ndarray
-    delay: int = 0
 
     def __post_init__(self):
         a = _matrix(self.transition, "transition")
@@ -70,6 +71,8 @@ class TimeDelaySystem:
         if a.shape[0] != a.shape[1]:
             raise ShapeError(f"transition must be square, got {a.shape}")
         k = a.shape[0]
+        if k < 1:
+            raise ShapeError("state dimension must be at least 1")
         if b.shape[0] != k:
             raise ShapeError(
                 f"input_map has {b.shape[0]} rows, state dimension is {k}"
@@ -78,12 +81,9 @@ class TimeDelaySystem:
             raise ShapeError(
                 f"output_map has {c.shape[1]} columns, state dimension is {k}"
             )
-        if int(self.delay) != self.delay or self.delay < 0:
-            raise ValueError(f"delay must be a non-negative integer, got {self.delay}")
         object.__setattr__(self, "transition", a)
         object.__setattr__(self, "input_map", b)
         object.__setattr__(self, "output_map", c)
-        object.__setattr__(self, "delay", int(self.delay))
 
     @property
     def state_dim(self) -> int:
@@ -99,54 +99,28 @@ class TimeDelaySystem:
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.transition))))
+
+
+@dataclass(frozen=True)
+class TimeDelaySystem(_StateSpace):
+    """One regime's dynamics: x(t+1) = A x(t) + B u(t - delay), y(t) = C x(t),
+    with the integer input lag delay = tau >= 0."""
+
+    delay: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if int(self.delay) != self.delay or self.delay < 0:
+            raise ValueError(f"delay must be a non-negative integer, got {self.delay}")
+        object.__setattr__(self, "delay", int(self.delay))
 
     def is_stable(self) -> bool:
         return self.spectral_radius() < 1.0
 
 
 @dataclass(frozen=True)
-class DelayFreeModel:
+class DelayFreeModel(_StateSpace):
     """Standard state-space model x(t+1) = A x(t) + B u(t), y(t) = C x(t)."""
-
-    transition: np.ndarray
-    input_map: np.ndarray
-    output_map: np.ndarray
-
-    def __post_init__(self):
-        a = _matrix(self.transition, "transition")
-        b = _matrix(self.input_map, "input_map")
-        c = _matrix(self.output_map, "output_map")
-        if a.shape[0] != a.shape[1]:
-            raise ShapeError(f"transition must be square, got {a.shape}")
-        n = a.shape[0]
-        if n < 1:
-            raise ShapeError("state dimension must be at least 1")
-        if b.shape[0] != n:
-            raise ShapeError(
-                f"input_map has {b.shape[0]} rows, state dimension is {n}"
-            )
-        if c.shape[1] != n:
-            raise ShapeError(
-                f"output_map has {c.shape[1]} columns, state dimension is {n}"
-            )
-        object.__setattr__(self, "transition", a)
-        object.__setattr__(self, "input_map", b)
-        object.__setattr__(self, "output_map", c)
-
-    @property
-    def state_dim(self) -> int:
-        return self.transition.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.input_map.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.output_map.shape[0]
-
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.transition))))
 
 
 @dataclass(frozen=True)
@@ -233,42 +207,36 @@ class Trajectory:
         return Trajectory(self.outputs[start:stop], self.inputs[start:ustop], labels)
 
 
-def simulate_delayed(
-    sys: TimeDelaySystem,
-    inputs,
-    x0=None,
-    prehistory=None,
-) -> Trajectory:
+def _delay_free_part(sys: TimeDelaySystem) -> DelayFreeModel:
+    """The same (A, B, C) without the input lag."""
+    return DelayFreeModel(sys.transition, sys.input_map, sys.output_map)
+
+
+def _prehistory(sys: TimeDelaySystem, prehistory) -> np.ndarray:
+    """The tau inputs before time 0, oldest first; zeros when not given."""
+    if prehistory is None:
+        return np.zeros((sys.delay, sys.input_dim))
+    pre = _input_array(prehistory, sys.input_dim, "prehistory")
+    if pre.shape[0] != sys.delay:
+        raise ShapeError(
+            f"prehistory must supply exactly {sys.delay} input vectors, got {pre.shape[0]}"
+        )
+    return pre
+
+
+def simulate_delayed(sys: TimeDelaySystem, inputs, x0=None, prehistory=None) -> Trajectory:
     """Run the delayed recursion over an input sequence.
 
-    prehistory supplies u(t) for t in [-delay, -1], oldest first; it defaults
-    to zeros. Outputs have the same length as the inputs.
+    A delay is an input shift: the delay-free model (A, B, C) driven by
+    u(t - delay), that is by the prehistory followed by the inputs, cut to
+    the input length. prehistory supplies u(t) for t in [-delay, -1],
+    oldest first; it defaults to zeros. Outputs have the same length as the
+    inputs.
     """
     u_seq = _input_array(inputs, sys.input_dim, "inputs")
-    steps = u_seq.shape[0]
-    if steps < 1:
-        raise ValueError("inputs must contain at least one step")
-    x = (
-        np.zeros(sys.state_dim)
-        if x0 is None
-        else _state_vector(x0, sys.state_dim, "x0")
-    )
-    if prehistory is None:
-        pre = np.zeros((sys.delay, sys.input_dim))
-    else:
-        pre = _input_array(prehistory, sys.input_dim, "prehistory")
-        if pre.shape[0] != sys.delay:
-            raise ShapeError(
-                f"prehistory must supply exactly {sys.delay} input vectors, got {pre.shape[0]}"
-            )
-    a, b, c = sys.transition, sys.input_map, sys.output_map
-    y_seq = np.empty((steps, sys.output_dim))
-    for t in range(steps):
-        y_seq[t] = c @ x
-        j = t - sys.delay
-        u = u_seq[j] if j >= 0 else pre[j + sys.delay]
-        x = a @ x + b @ u
-    return Trajectory(y_seq, u_seq)
+    shifted = np.concatenate([_prehistory(sys, prehistory), u_seq])[: u_seq.shape[0]]
+    free = simulate_delay_free(_delay_free_part(sys), shifted, x0)
+    return Trajectory(free.outputs, u_seq)
 
 
 def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
@@ -277,11 +245,7 @@ def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
     steps = u_seq.shape[0]
     if steps < 1:
         raise ValueError("inputs must contain at least one step")
-    x = (
-        np.zeros(model.state_dim)
-        if x0 is None
-        else _state_vector(x0, model.state_dim, "x0")
-    )
+    x = _state_vector(x0, model.state_dim, "x0")
     a, b, c = model.transition, model.input_map, model.output_map
     y_seq = np.empty((steps, model.output_dim))
     for t in range(steps):
@@ -294,12 +258,10 @@ def markov_parameters_delayed(sys: TimeDelaySystem, horizon: int) -> MarkovSeque
     """Impulse response of a delayed system: tau zero blocks, then C A^(j-tau-1) B."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    d, dc, k = sys.output_dim, sys.input_dim, sys.state_dim
-    blocks = np.zeros((horizon, d, dc))
-    power = np.eye(k)
-    for j in range(sys.delay + 1, horizon + 1):
-        blocks[j - 1] = sys.output_map @ power @ sys.input_map
-        power = sys.transition @ power
+    blocks = np.zeros((horizon, sys.output_dim, sys.input_dim))
+    if horizon > sys.delay:
+        free = markov_parameters_free(_delay_free_part(sys), horizon - sys.delay)
+        blocks[sys.delay :] = free.blocks
     return MarkovSequence(blocks)
 
 
@@ -326,7 +288,7 @@ def embed_delay(sys: TimeDelaySystem) -> DelayFreeModel:
     """
     tau, k, dc, d = sys.delay, sys.state_dim, sys.input_dim, sys.output_dim
     if tau == 0:
-        return DelayFreeModel(sys.transition, sys.input_map, sys.output_map)
+        return _delay_free_part(sys)
     n = k + tau * dc
     a_aug = np.zeros((n, n))
     a_aug[:k, :k] = sys.transition
@@ -344,22 +306,10 @@ def embed_delay(sys: TimeDelaySystem) -> DelayFreeModel:
 
 def embedded_state(sys: TimeDelaySystem, x0=None, prehistory=None) -> np.ndarray:
     """Initial augmented state matching simulate_delayed(sys, ., x0, prehistory)."""
-    x = (
-        np.zeros(sys.state_dim)
-        if x0 is None
-        else _state_vector(x0, sys.state_dim, "x0")
-    )
+    x = _state_vector(x0, sys.state_dim, "x0")
     if sys.delay == 0:
         return x
-    if prehistory is None:
-        pre = np.zeros((sys.delay, sys.input_dim))
-    else:
-        pre = _input_array(prehistory, sys.input_dim, "prehistory")
-        if pre.shape[0] != sys.delay:
-            raise ShapeError(
-                f"prehistory must supply exactly {sys.delay} input vectors, got {pre.shape[0]}"
-            )
-    return np.concatenate([x, pre.ravel()])
+    return np.concatenate([x, _prehistory(sys, prehistory).ravel()])
 
 
 def spectral_norm_profile(seq: MarkovSequence) -> np.ndarray:

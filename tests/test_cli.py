@@ -339,6 +339,33 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"l_s": [1.5]}, "horizons"),
+            ({"l_s": ["1"]}, "horizons"),
+            ({"l_s": [0]}, "horizons"),
+            ({"l_s": "3"}, "horizons"),
+            ({"s": "3"}, "s='3'"),
+            ({"rank": 2.7}, "rank=2.7"),
+            ({"l_c": 100.0}, "l_c=100.0"),
+            ({"rho": "0.5"}, "rho='0.5'"),
+            ({"forgetting": None}, "forgetting=None"),
+            ({"val_fraction": 0.0}, "val_fraction"),
+            ({"val_fraction": 1.5}, "val_fraction"),
+        ],
+    )
+    def test_manifest_bad_override_rejected(
+        self, tmp_path, scenario_file, capsys, overrides, message
+    ):
+        manifest = {"scenario": str(scenario_file), "out": str(tmp_path / "x"),
+                    "overrides": overrides}
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestBenchCommand:
     def test_bench_writes_tables(self, tmp_path, scenario_file):

@@ -26,7 +26,56 @@ def two_regime_spec(length=400, seed=0, noise=0.0):
     )
 
 
+def stepwise_outputs(spec, inputs):
+    """Per-step reference for generate's noise-free outputs and labels.
+
+    change_at keeps the last schedule entry for each time, and an entry
+    naming the regime already active neither switches nor resets the state.
+    """
+    length, dc = inputs.shape
+    labels = np.empty(length, dtype=np.int64)
+    outputs = np.empty((length, spec.output_dim))
+    change_at = {t: r for t, r in spec.schedule}
+    active = spec.schedule[0][1]
+    sys = spec.regimes[active - 1]
+    state = np.zeros(sys.state_dim)
+    for t in range(length):
+        if t in change_at and change_at[t] != active:
+            active = change_at[t]
+            sys = spec.regimes[active - 1]
+            state = np.zeros(sys.state_dim)
+        labels[t] = active
+        outputs[t] = sys.output_map @ state
+        j = t - sys.delay
+        u = inputs[j] if j >= 0 else np.zeros(dc)
+        state = sys.transition @ state + sys.input_map @ u
+    return outputs, labels
+
+
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            # naming the active regime again keeps its state running
+            ((0, 1), (100, 1), (200, 2)),
+            # of two entries for one time the last wins
+            ((0, 2), (0, 1), (120, 3), (120, 2), (250, 3)),
+            # a regime of delay 7 starts 3 steps after a switch and reads
+            # inputs from before it
+            ((0, 3), (3, 1), (90, 3), (93, 2), (96, 3)),
+        ],
+    )
+    def test_segments_match_stepwise_recursion(self, schedule):
+        rng = np.random.default_rng(21)
+        regimes = tuple(
+            random_stable_system(rng, 2, 2, 2, delay=delay) for delay in (0, 2, 7)
+        )
+        spec = ScenarioSpec(regimes=regimes, length=300, schedule=schedule, seed=5)
+        traj = generate(spec)
+        outputs, labels = stepwise_outputs(spec, traj.inputs)
+        assert np.array_equal(traj.outputs, outputs)
+        assert np.array_equal(traj.regime_labels, labels)
+
     def test_single_regime_matches_direct_simulation(self):
         rng = np.random.default_rng(0)
         sys = random_stable_system(rng, 2, 2, 2, delay=2)

@@ -18,6 +18,7 @@ from delaymix import (
     engine_update,
     forecast,
     generate,
+    kalman_forward,
     run_stream,
 )
 from delaymix import engine, filtering
@@ -36,6 +37,7 @@ from delaymix.errors import (
     EngineStageError,
     NumericalError,
     ParseError,
+    ShapeError,
 )
 from delaymix.filtering import NoiseSpec
 from delaymix.syslin import Trajectory
@@ -208,8 +210,16 @@ class TestEngineUpdate:
         bad_outputs[40] = np.nan
         bad_future = traj.inputs[500:601].copy()
         bad_future[100] = np.inf
-        for outputs, inputs in ((bad_outputs, None), (None, bad_future)):
-            with pytest.raises(DataError, match="non-finite"):
+        # two channels on a d = dc = 1 engine would broadcast into the scaler
+        wide_outputs = np.hstack([traj.outputs[500:600]] * 2)
+        wide_inputs = np.hstack([traj.inputs[500:601]] * 2)
+        for outputs, inputs, error in (
+            (bad_outputs, None, DataError),
+            (None, bad_future, DataError),
+            (wide_outputs, None, ShapeError),
+            (None, wide_inputs, ShapeError),
+        ):
+            with pytest.raises(error, match="non-finite|channels"):
                 feed(poisoned, 5, outputs, inputs)
         assert poisoned.updates == before.updates == 5
         assert np.array_equal(poisoned.tensor.data, before.tensor.data)
@@ -231,11 +241,12 @@ class TestEngineUpdate:
         window = Trajectory(
             scaler.outputs(traj.outputs[:100]), scaler.inputs(traj.inputs[:100])
         )
+        model = state.database.active().model
         expected = forecast(
-            state.database.active().model,
+            model,
             window,
             scaler.inputs(traj.inputs[100:104]),
-            NoiseSpec(),
+            kalman_forward(model, window, NoiseSpec()),
         )
         assert np.array_equal(report.forecast, scaler.restore_outputs(expected))
 
@@ -529,6 +540,15 @@ class TestCheckpoint:
             # the header drops the record whose arrays it still lists
             with_header(records=[]),
             with_header(active_index=1),
+            # counters of the wrong type, sign or finiteness
+            with_header(updates="1"),
+            with_header(updates=-1),
+            with_header(sample_count=1.0),
+            with_header(samples_seen=-100),
+            with_header(samples_seen=True),
+            with_header(weight=float("nan")),
+            with_header(weight=-1.0),
+            with_header(weight="1"),
         ]
         damaged = tmp_path / "damaged.bin"
         for blob in variants:

@@ -211,7 +211,8 @@ class TestWindowError:
         steps = 30
         outputs = np.ones((steps, 1))
         window = Trajectory(outputs, np.zeros((steps, 1)))
-        assert window_error(model, window, NoiseSpec()) == pytest.approx(1.0)
+        trace = kalman_forward(model, window, NoiseSpec())
+        assert window_error(window, trace) == pytest.approx(1.0)
 
     def test_wrong_regime_scores_worse(self):
         rng = np.random.default_rng(9)
@@ -221,8 +222,8 @@ class TestWindowError:
         model_b = embed_delay(sys_b)
         window, _ = self_generated(rng, model_b, 60)
         noise = NoiseSpec()
-        assert window_error(model_b, window, noise) < window_error(
-            model_a, window, noise
+        assert window_error(window, kalman_forward(model_b, window, noise)) < window_error(
+            window, kalman_forward(model_a, window, noise)
         )
 
 
@@ -245,7 +246,7 @@ class TestSelectRegime:
         # the returned trace is the winner's own filter pass
         winner = kalman_forward(model_b, window, NoiseSpec())
         assert np.array_equal(trace.filtered_means, winner.filtered_means)
-        assert error == window_error(model_b, window, NoiseSpec())
+        assert error == window_error(window, winner)
 
     def test_tie_break_lowest_index(self):
         rng = np.random.default_rng(12)
@@ -279,14 +280,16 @@ class TestForecast:
         sim = simulate_delay_free(model, inputs)
         window = Trajectory(sim.outputs[:60], inputs[:60])
         noise = NoiseSpec(process_var=1e-10, obs_var=1e-10)
-        predicted = forecast(model, window, inputs[60:61], noise)
+        trace = kalman_forward(model, window, noise)
+        predicted = forecast(model, window, inputs[60:61], trace)
         assert np.allclose(predicted[0], sim.outputs[60], atol=1e-5)
 
     def test_zero_everything(self):
         rng = np.random.default_rng(15)
         model = random_stable_model(rng, 2, 1, 1)
         window = Trajectory(np.zeros((20, 1)), np.zeros((20, 1)))
-        predicted = forecast(model, window, np.zeros((5, 1)), NoiseSpec())
+        trace = kalman_forward(model, window, NoiseSpec())
+        predicted = forecast(model, window, np.zeros((5, 1)), trace)
         assert np.allclose(predicted, 0.0)
 
     def test_split_horizon_is_exact_continuation(self):
@@ -294,18 +297,19 @@ class TestForecast:
         model = random_stable_model(rng, 3, 2, 2)
         window, _ = self_generated(rng, model, 40)
         future = rng.standard_normal((7, 2))
-        noise = NoiseSpec()
-        full = forecast(model, window, future, noise)
-        head = forecast(model, window, future[:3], noise)
+        trace = kalman_forward(model, window, NoiseSpec())
+        full = forecast(model, window, future, trace)
+        head = forecast(model, window, future[:3], trace)
         assert np.allclose(full[:3], head, atol=0)
 
     def test_horizons_for_metrics(self):
         rng = np.random.default_rng(17)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 30)
+        trace = kalman_forward(model, window, NoiseSpec())
         for horizon in (1, 10, 30):
             future = rng.standard_normal((horizon, 1))
-            predicted = forecast(model, window, future, NoiseSpec())
+            predicted = forecast(model, window, future, trace)
             assert predicted.shape == (horizon, 1)
 
     def test_equivalent_realizations_forecast_identically(self):
@@ -321,8 +325,8 @@ class TestForecast:
         sim = simulate_delay_free(embedded, inputs)
         window = Trajectory(sim.outputs[:90], inputs[:90])
         noise = NoiseSpec(process_var=1e-12, obs_var=1e-10)
-        f1 = forecast(embedded, window, inputs[90:], noise)
-        f2 = forecast(realized, window, inputs[90:], noise)
+        f1 = forecast(embedded, window, inputs[90:], kalman_forward(embedded, window, noise))
+        f2 = forecast(realized, window, inputs[90:], kalman_forward(realized, window, noise))
         assert np.allclose(f1, f2, atol=1e-6)
 
     def test_anchor_is_the_smoothed_final_state(self):
@@ -343,20 +347,16 @@ class TestForecast:
                 for i in range(6):
                     expected[i] = c @ state
                     state = a @ state + b @ future[i]
-                assert np.array_equal(forecast(model, window, future, noise), expected)
+                assert np.array_equal(forecast(model, window, future, trace), expected)
 
     def test_given_trace_skips_the_pass_bitwise(self):
+        # forecast always reads a given trace; one from another window is refused
         rng = np.random.default_rng(20)
         model = random_stable_model(rng, 3, 2, 1)
         window, _ = self_generated(rng, model, 30)
         future = rng.standard_normal((4, 1))
         noise = NoiseSpec()
-        trace = kalman_forward(model, window, noise)
-        assert np.array_equal(
-            forecast(model, window, future, noise, trace=trace),
-            forecast(model, window, future, noise),
-        )
         short = Trajectory(window.outputs[:10], window.inputs[:10])
         short_trace = kalman_forward(model, short, noise)
         with pytest.raises(ValueError):
-            forecast(model, window, future, noise, trace=short_trace)
+            forecast(model, window, future, short_trace)
