@@ -77,12 +77,32 @@ class RunManifest:
             raise MappingError("; ".join(problems))
 
 
+def _comma_list(text: str | None, convert, flag: str, default=()) -> list:
+    """A comma list flag converted item by item, or the default when the flag
+    is absent; a bad item is a MappingError."""
+    if not text:
+        return list(default)
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError:
+        raise MappingError(
+            f"--{flag} {text!r} must be a comma list of {convert.__name__} values"
+        ) from None
+
+
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     manifest = RunManifest()
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            try:
+                raw = json.load(handle)
+            except ValueError as err:
+                raise ParseError(f"{config_path} is not valid JSON: {err}") from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("overrides", {}), dict):
+            raise MappingError(
+                f"{config_path} must hold a JSON object whose overrides are an object"
+            )
         manifest.csv_path = raw.get("csv")
         manifest.scenario_path = raw.get("scenario")
         manifest.output_columns = raw.get("outputs")
@@ -115,7 +135,7 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     if getattr(args, "inputs", None):
         manifest.input_columns = args.inputs.split(",")
     if getattr(args, "ls", None):
-        manifest.horizons = tuple(int(v) for v in args.ls.split(","))
+        manifest.horizons = tuple(_comma_list(args.ls, int, "ls"))
     manifest.validate()
     return manifest
 
@@ -305,8 +325,8 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     manifest = _manifest_from_args(args)
+    lengths = _comma_list(args.lengths, int, "lengths")
     os.makedirs(manifest.out_dir, exist_ok=True)
-    lengths = [int(v) for v in args.lengths.split(",")]
     l_s = manifest.horizons[0]
     summary_rows = []
     detail_rows = []
@@ -355,18 +375,12 @@ def best_cell(cells: list[dict]) -> dict:
 
 def cmd_validate(args) -> int:
     manifest = _manifest_from_args(args)
+    rho_grid = _comma_list(args.grid_rho, float, "grid-rho", DEFAULT_RHO_GRID)
+    rank_grid = _comma_list(args.grid_rank, int, "grid-rank", DEFAULT_RANK_GRID)
     os.makedirs(manifest.out_dir, exist_ok=True)
-    rho_grid = (
-        [float(v) for v in args.grid_rho.split(",")] if args.grid_rho else list(DEFAULT_RHO_GRID)
-    )
-    rank_grid = (
-        [int(v) for v in args.grid_rank.split(",")] if args.grid_rank else list(DEFAULT_RANK_GRID)
-    )
-    if not rho_grid or not rank_grid:
-        raise DelayMixError("validation grid is empty")
     trajectory = _load_trajectory(manifest)
     split = max(1, int(len(trajectory) * manifest.val_fraction))
-    prefix = trajectory.window(0, split, input_stop=split)
+    prefix = trajectory.window(0, split)
     l_s = manifest.horizons[0]
     cells = []
     for rank in rank_grid:

@@ -42,7 +42,7 @@ from .moments import (
 from .realization import RealizationOptions, realize_components
 from .syslin import DelayFreeModel, MarkovSequence, Trajectory, simulate_delay_free
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # The state-inference noise model and the spectral radius realized models
 # are clipped to; both are fixed parts of the pipeline, not settings.
 NOISE = NoiseSpec()
@@ -137,7 +137,6 @@ class Standardizer:
     out_std: np.ndarray
     in_mean: np.ndarray
     in_std: np.ndarray
-    samples_seen: int = 0
 
     @classmethod
     def fit(cls, outputs: np.ndarray, inputs: np.ndarray) -> "Standardizer":
@@ -149,15 +148,16 @@ class Standardizer:
 
         om, os = stats(outputs)
         im, istd = stats(inputs)
-        return cls(om, os, im, istd, samples_seen=outputs.shape[0])
+        return cls(om, os, im, istd)
 
-    def absorb(self, outputs: np.ndarray, inputs: np.ndarray) -> "Standardizer":
-        """Fold another window into the running means (stds stay frozen)."""
+    def absorb(self, outputs: np.ndarray, inputs: np.ndarray, seen: int) -> "Standardizer":
+        """Fold another window into the running means, which so far average
+        `seen` samples (stds stay frozen)."""
         count = outputs.shape[0]
-        total = self.samples_seen + count
-        out_mean = (self.out_mean * self.samples_seen + outputs.sum(axis=0)) / total
-        in_mean = (self.in_mean * self.samples_seen + inputs[:count].sum(axis=0)) / total
-        return Standardizer(out_mean, self.out_std, in_mean, self.in_std, total)
+        total = seen + count
+        out_mean = (self.out_mean * seen + outputs.sum(axis=0)) / total
+        in_mean = (self.in_mean * seen + inputs[:count].sum(axis=0)) / total
+        return Standardizer(out_mean, self.out_std, in_mean, self.in_std)
 
     def outputs(self, y: np.ndarray) -> np.ndarray:
         return (y - self.out_mean) / self.out_std
@@ -171,7 +171,8 @@ class Standardizer:
 
 @dataclass
 class EngineState:
-    """Mutable streaming state; exclusively owned by one updater."""
+    """Streaming state, owned by one updater and assigned only when an update
+    commits. The standardizer's means average updates * l_c samples."""
 
     config: EngineConfig
     tensor: SystemTensor
@@ -199,12 +200,9 @@ class MetricsSummary:
     horizon: int
     mse: float
     mae: float
-    total_se: float
-    total_ae: float
     n_points: int
     cumulative_se: list[float]
     cumulative_ae: list[float]
-    per_update_elapsed: list[float]
     adapted_flags: list[bool]
 
 
@@ -303,18 +301,18 @@ def engine_update(
     depend on how many future inputs were passed, and the first h forecast
     rows are the h-step forecast. The window is filtered once per model
     scored: the forecast reuses the gate's pass on the active model, or the
-    winner's pass from selection when the update adapts. A window holding a
-    non-finite value raises DataError, and one whose step or channel counts
-    do not fit the config raises ShapeError, before the state is touched.
+    winner's pass from selection when the update adapts.
+
+    Every stage computes into locals and the state is assigned once, at the
+    end, so an update either commits whole or raises and leaves the state
+    as it was: a window holding a non-finite value raises DataError, one
+    whose shape or step or channel counts do not fit the config raises
+    ShapeError, and a failing stage raises EngineStageError.
     """
     started = time.perf_counter()
     cfg = state.config
-    y_raw = np.asarray(window_outputs, dtype=np.float64)
-    if y_raw.ndim == 1:
-        y_raw = y_raw.reshape(-1, 1)
-    u_raw = np.asarray(window_and_future_inputs, dtype=np.float64)
-    if u_raw.ndim == 1:
-        u_raw = u_raw.reshape(-1, 1)
+    raw = Trajectory(window_outputs, window_and_future_inputs)
+    y_raw, u_raw = raw.outputs, raw.inputs
     if y_raw.shape[0] != cfg.l_c:
         raise ShapeError(
             f"window_outputs holds {y_raw.shape[0]} steps, config expects l_c={cfg.l_c}"
@@ -325,7 +323,7 @@ def engine_update(
             f"the l_c = {cfg.l_c} window inputs and at least one future input"
         )
     d, dc = cfg.moment.d, cfg.moment.dc
-    if y_raw.shape[1:] != (d,) or u_raw.shape[1:] != (dc,):
+    if raw.output_dim != d or raw.input_dim != dc:
         raise ShapeError(
             f"window outputs have shape {y_raw.shape} and inputs {u_raw.shape}; "
             f"config expects {d} output and {dc} input channels"
@@ -340,23 +338,21 @@ def engine_update(
                 "first window carries all-zero data; provide informative inputs "
                 "before starting the engine"
             )
-        state.scaler = Standardizer.fit(y_raw, u_window)
+        scaler = Standardizer.fit(y_raw, u_window)
     else:
-        state.scaler = state.scaler.absorb(y_raw, u_window)
-    scaler = state.scaler
+        scaler = state.scaler.absorb(y_raw, u_window, state.updates * cfg.l_c)
     y = scaler.outputs(y_raw)
     u_all = scaler.inputs(u_raw)
     window = Trajectory(y, u_all[: cfg.l_c])
 
     with _stage("moment_collection"):
-        accumulate_window(state.tensor, window)
+        tensor = accumulate_window(state.tensor, window)
 
     database = state.database
     had_models = bool(database.records)
     if had_models:
         with _stage("fit_scoring"):
-            active = database.active()
-            trace = kalman_forward(active.model, window, NOISE)
+            trace = kalman_forward(database.active().model, window, NOISE)
             gate_fit = window_error(window, trace)
     else:
         gate_fit = float("inf")
@@ -366,7 +362,7 @@ def engine_update(
     if not had_models or gate_fit >= cfg.rho:
         adapted = True
         with _stage("model_adaptation"):
-            view = normalized_view(state.tensor)
+            view = normalized_view(tensor)
             warm = database.last_factors if cfg.warm_start else None
             opts = AlsOptions(seed=cfg.seed, init=warm)
             factors, als_iters, _ = cp_als(view, cfg.rank, opts)
@@ -388,24 +384,24 @@ def engine_update(
             index, best_fit, trace = select_regime(
                 [record.model for record in records], window, NOISE
             )
-            state.database = RegimeDatabase(
+            database = RegimeDatabase(
                 records=records, active_index=index, last_factors=factors
             )
             if not had_models:
                 gate_fit = best_fit
 
-    active = state.database.active()
     with _stage("forecasting"):
-        predicted = forecast(active.model, window, u_all[cfg.l_c :], trace)
-    state.updates += 1
-    elapsed = time.perf_counter() - started
+        predicted = forecast(database.active().model, window, u_all[cfg.l_c :], trace)
+    state.scaler, state.tensor, state.database, state.updates = (
+        scaler, tensor, database, state.updates + 1
+    )
     return UpdateReport(
         forecast=scaler.restore_outputs(predicted),
         adapted=adapted,
         window_fit=gate_fit,
         als_iters=als_iters,
-        elapsed=elapsed,
-        active_regime=state.database.active_index,
+        elapsed=time.perf_counter() - started,
+        active_regime=database.active_index,
     )
 
 
@@ -453,7 +449,6 @@ def run_horizons(
             ae.append(float(np.sum(np.abs(diff))))
     summaries = []
     for h, se, ae in zip(horizons, window_se, window_ae):
-        scored = reports[: len(se)]
         cumulative_se = list(itertools.accumulate(se))
         cumulative_ae = list(itertools.accumulate(ae))
         n_points = len(se) * h * trajectory.output_dim
@@ -462,13 +457,10 @@ def run_horizons(
                 horizon=h,
                 mse=cumulative_se[-1] / n_points,
                 mae=cumulative_ae[-1] / n_points,
-                total_se=cumulative_se[-1],
-                total_ae=cumulative_ae[-1],
                 n_points=n_points,
                 cumulative_se=cumulative_se,
                 cumulative_ae=cumulative_ae,
-                per_update_elapsed=[r.elapsed for r in scored],
-                adapted_flags=[r.adapted for r in scored],
+                adapted_flags=[r.adapted for r in reports[: len(se)]],
             )
         )
     return reports, summaries, state
@@ -513,9 +505,7 @@ def save_checkpoint(state: EngineState, path) -> None:
     header = {
         "config": asdict(state.config),
         "updates": state.updates,
-        "sample_count": state.tensor.sample_count,
         "weight": state.tensor.weight,
-        "samples_seen": None if state.scaler is None else state.scaler.samples_seen,
         "active_index": state.database.active_index,
         "records": [
             {"component_index": record.component_index, "b_scale": record.b_scale}
@@ -539,9 +529,13 @@ def load_checkpoint(path) -> EngineState:
     forecasts, bit for bit, as a run that was never interrupted, and saving
     it again writes the same bytes. The config passes engine_init's checks,
     every array has the shape the config implies, and there are at most
-    rank stored models. A file that is not one whole checkpoint of this
-    version (truncated, padded, from another version, or with a damaged
-    header or array) raises ParseError.
+    rank stored models. The standardizer, the warm-start factors, a positive
+    tensor weight and at least one model are present exactly when the
+    update count is positive, the only states an update can commit; the
+    standardizer's sample count is derived, updates * l_c. A file that is
+    not one whole checkpoint of this version (truncated, padded, from
+    another version, or with a damaged header or array) or holds a state no
+    update can reach raises ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -588,19 +582,25 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         raise ParseError(
             f"{len(header['records'])} stored models exceed rank {state.config.rank}"
         )
+    updates = header["updates"]
+    if type(updates) is not int or updates < 0:
+        raise ParseError(f"updates {updates!r} is not a non-negative integer")
     weight = header["weight"]
     if type(weight) is not float or not math.isfinite(weight) or weight < 0.0:
         raise ParseError(f"weight {weight!r} is not a finite float >= 0")
-    state.updates = _counter(header, "updates")
-    state.tensor = SystemTensor(
-        arrays["tensor"], _counter(header, "sample_count"), weight, state.config.moment
-    )
-    if header["samples_seen"] is not None:
-        state.scaler = Standardizer(
-            *(arrays[name] for name in _SCALER_ARRAYS),
-            samples_seen=_counter(header, "samples_seen"),
-        )
-    if "mode1" in arrays:
+    # an update commits all four together, so a file holds all or none
+    for what, present in (
+        ("a positive weight", weight > 0.0),
+        ("the standardizer", "out_mean" in arrays),
+        ("the warm-start factors", "mode1" in arrays),
+        ("a stored model", bool(header["records"])),
+    ):
+        if present != (updates > 0):
+            raise ParseError(f"updates={updates}, yet {what} is {'' if present else 'not '}stored")
+    state.updates = updates
+    state.tensor = SystemTensor(arrays["tensor"], weight, state.config.moment)
+    if updates:
+        state.scaler = Standardizer(*(arrays[name] for name in _SCALER_ARRAYS))
         state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
     state.database.records = [
         ModelRecord(
@@ -631,13 +631,6 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
                 f"{list(expected[name])}"
             )
     return state
-
-
-def _counter(header: dict, key: str) -> int:
-    value = header[key]
-    if type(value) is not int or value < 0:
-        raise ParseError(f"{key} {value!r} is not a non-negative integer")
-    return value
 
 
 def _config_shapes(state: EngineState) -> dict[str, tuple[int, ...]]:

@@ -80,23 +80,18 @@ class MomentConfig:
 
 
 class SystemTensor:
-    """Dense order-3 moment tensor with accumulation bookkeeping.
+    """Dense order-3 moment tensor and its forgetting-discounted
+    contribution count, the weight used to form the normalized view."""
 
-    sample_count is the raw number of rank-one contributions accumulated;
-    weight is the forgetting-discounted contribution count used to form the
-    normalized view. With forgetting = 1 the two coincide.
-    """
+    __slots__ = ("data", "weight", "config")
 
-    __slots__ = ("data", "sample_count", "weight", "config")
-
-    def __init__(self, data: np.ndarray, sample_count: int, weight: float, config: MomentConfig):
+    def __init__(self, data: np.ndarray, weight: float, config: MomentConfig):
         dim = config.mode_dim
         if data.shape != (dim, dim, dim):
             raise ShapeError(
                 f"tensor data must have shape {(dim, dim, dim)}, got {data.shape}"
             )
         self.data = data
-        self.sample_count = int(sample_count)
         self.weight = float(weight)
         self.config = config
 
@@ -108,7 +103,7 @@ def new_tensor(config: MomentConfig, mode_cap: int = DEFAULT_MODE_CAP) -> System
         raise CapacityError(
             f"mode size {dim} exceeds the cap {mode_cap}; reduce s, d or dc"
         )
-    return SystemTensor(np.zeros((dim, dim, dim)), 0, 0.0, config)
+    return SystemTensor(np.zeros((dim, dim, dim)), 0.0, config)
 
 
 def _pair_products(y: np.ndarray, u: np.ndarray, config: MomentConfig) -> np.ndarray:
@@ -125,11 +120,12 @@ def _pair_products(y: np.ndarray, u: np.ndarray, config: MomentConfig) -> np.nda
 
 
 def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
-    """Fold one data window into the tensor (in place).
+    """The tensor with one data window folded in; the argument is not
+    mutated.
 
     Existing mass is decayed by the forgetting factor once per call, then
     every admissible (k1, k2, k3, tau) combination contributes one rank-one
-    term to its lag block. Returns the same tensor for chaining.
+    term to its lag block.
     """
     cfg = tensor.config
     y = window.outputs
@@ -146,12 +142,11 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
         raise ShapeError(f"window inputs have {u.shape[1]} channels, expected {cfg.dc}")
 
     pairs = _pair_products(y, u, cfg)
-    if cfg.forgetting < 1.0:
-        tensor.data *= cfg.forgetting
-    tensor.weight *= cfg.forgetting
+    # a new array leaves the argument untouched; times 1.0 changes no bit
+    data = tensor.data * cfg.forgetting
 
     k_max, p = cfg.k_max, cfg.p
-    blocks = tensor.data.reshape(k_max, p, k_max, p, k_max, p)
+    blocks = data.reshape(k_max, p, k_max, p, k_max, p)
     count = 0
     for k1, k2, k3 in product(range(1, k_max + 1), repeat=3):
         n_tau = length - (k1 + k2 + k3 + 2)
@@ -165,13 +160,11 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
             "ta,tb,tc->abc", m1, m2, m3
         )
         count += n_tau
-    tensor.sample_count += count
-    tensor.weight += count
-    return tensor
+    return SystemTensor(data, tensor.weight * cfg.forgetting + count, cfg)
 
 
 def normalized_view(tensor: SystemTensor) -> np.ndarray:
     """Tensor divided by the discounted contribution count. Does not mutate."""
-    if tensor.sample_count == 0:
+    if tensor.weight == 0:
         raise EmptyTensorError("tensor holds no accumulated samples yet")
     return tensor.data / tensor.weight

@@ -191,8 +191,3 @@ def format_scenario(spec: ScenarioSpec) -> str:
         lines.append(f"{start} {index}")
     lines.append("")
     return "\n".join(lines)
-
-
-def save_scenario(spec: ScenarioSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_scenario(spec))

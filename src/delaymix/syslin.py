@@ -172,7 +172,10 @@ class Trajectory:
         if u.ndim == 1:
             u = u.reshape(-1, 1)
         if y.ndim != 2 or u.ndim != 2:
-            raise ShapeError("outputs and inputs must be 2-D time-major arrays")
+            raise ShapeError(
+                "outputs and inputs must be 1-D or 2-D time-major arrays "
+                "(steps x channels)"
+            )
         if u.shape[0] < y.shape[0]:
             raise ShapeError(
                 f"inputs cover {u.shape[0]} steps but outputs cover {y.shape[0]}"
@@ -198,13 +201,10 @@ class Trajectory:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def window(self, start: int, stop: int, input_stop: int | None = None) -> "Trajectory":
-        """Slice [start, stop) of the trajectory; inputs may extend further."""
-        ustop = stop if input_stop is None else input_stop
-        labels = None
-        if self.regime_labels is not None:
-            labels = self.regime_labels[start:stop]
-        return Trajectory(self.outputs[start:stop], self.inputs[start:ustop], labels)
+    def window(self, start: int, stop: int) -> "Trajectory":
+        """Slice [start, stop) of the trajectory."""
+        labels = None if self.regime_labels is None else self.regime_labels[start:stop]
+        return Trajectory(self.outputs[start:stop], self.inputs[start:stop], labels)
 
 
 def _delay_free_part(sys: TimeDelaySystem) -> DelayFreeModel:

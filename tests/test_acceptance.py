@@ -253,14 +253,14 @@ def test_criterion_6_regime_tracking():
 def test_criterion_7_forecast_quality_vs_persistence():
     ratios_1 = []
     ratios_10 = []
+    config = dm.default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, seed=0)
     for seed in range(10):
         traj = two_regime_stream(seed, length=6000, noise=0.01)
-        for l_s, sink in ((1, ratios_1), (10, ratios_10)):
-            config = dm.default_config(
-                d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=l_s, seed=0
+        _, summaries, _ = dm.run_horizons(config, traj, (1, 10))
+        for metrics, sink in zip(summaries, (ratios_1, ratios_10)):
+            sink.append(
+                standardized_persistence_mse(traj, 100, metrics.horizon) / metrics.mse
             )
-            _, metrics = dm.run_stream(config, traj)
-            sink.append(standardized_persistence_mse(traj, 100, l_s) / metrics.mse)
     med_1 = float(np.median(ratios_1))
     med_10 = float(np.median(ratios_10))
     report(

@@ -291,7 +291,7 @@ class TestRunCommand:
         assert code == 0
         state = load_checkpoint(ckpt)
         assert state.updates > 0
-        assert state.tensor.sample_count > 0
+        assert state.tensor.weight > 0
 
     def test_one_pass_equals_separate_runs(self, tmp_path, scenario_file, monkeypatch):
         from delaymix import engine
@@ -363,6 +363,30 @@ class TestRunCommand:
         cfg = tmp_path / "manifest.json"
         cfg.write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("run", ["--ls", "1,x"], "--ls '1,x'"),
+            ("validate", ["--grid-rho", "0.5,a"], "--grid-rho '0.5,a'"),
+            ("validate", ["--grid-rank", "2,x"], "--grid-rank '2,x'"),
+            ("bench", ["--lengths", "100,z"], "--lengths '100,z'"),
+            ("run", ["--config", "{"], "not valid JSON"),
+            ("run", ["--config", "[1]"], "JSON object"),
+            ("run", ["--config", '{"overrides": [1]}'], "JSON object"),
+        ],
+    )
+    def test_bad_flag_list_or_manifest_exits_2(
+        self, tmp_path, scenario_file, capsys, command, extra, message
+    ):
+        if extra[0] == "--config":
+            cfg = tmp_path / "manifest.json"
+            cfg.write_text(extra[1], encoding="utf-8")
+            extra = ["--config", str(cfg)]
+        argv = [command, "--scenario", str(scenario_file), "--out", str(tmp_path / "x")]
+        assert main(argv + extra) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 

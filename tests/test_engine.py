@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -218,19 +219,53 @@ class TestEngineUpdate:
             (None, bad_future, DataError),
             (wide_outputs, None, ShapeError),
             (None, wide_inputs, ShapeError),
+            (5.0, None, ShapeError),
         ):
             with pytest.raises(error, match="non-finite|channels"):
                 feed(poisoned, 5, outputs, inputs)
         assert poisoned.updates == before.updates == 5
-        assert np.array_equal(poisoned.tensor.data, before.tensor.data)
-        assert poisoned.tensor.sample_count == before.tensor.sample_count
-        assert poisoned.tensor.weight == before.tensor.weight
-        for name in ("out_mean", "out_std", "in_mean", "in_std"):
-            assert np.array_equal(getattr(poisoned.scaler, name), getattr(before.scaler, name))
-        assert poisoned.scaler.samples_seen == before.scaler.samples_seen
+        assert_same_state(poisoned, before)
         # window 5 never happened: later forecasts match a run that skipped it
         for w in range(6, 15):
             assert np.array_equal(feed(poisoned, w).forecast, feed(clean, w).forecast)
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("moment_collection", "accumulate_window"),
+            ("fit_scoring", "window_error"),
+            ("model_adaptation", "cp_als"),
+            ("forecasting", "forecast"),
+        ],
+    )
+    def test_failed_stage_leaves_state_unchanged(self, monkeypatch, stage, name):
+        traj = two_regime_traj(length=1600, seed=9)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=1)
+
+        def feed(state, w):
+            o = w * 100
+            return engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 101])
+
+        clean = engine_init(config)
+        reference = [feed(clean, w) for w in range(15)]
+        # an adapting update with models already stored runs all four stages
+        failing = next(w for w in range(1, 15) if reference[w].adapted)
+        state = engine_init(config)
+        for w in range(failing):
+            feed(state, w)
+        before = copy.deepcopy(state)
+
+        def broken(*args, **kwargs):
+            raise NumericalError("injected failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, name, broken)
+            with pytest.raises(EngineStageError, match=stage):
+                feed(state, failing)
+        assert_same_state(state, before)
+        # the retried window and the rest of the stream equal a clean run
+        for w in range(failing, 15):
+            assert np.array_equal(feed(state, w).forecast, reference[w].forecast)
 
     def test_forecast_pass_through(self):
         traj = single_regime_traj(length=1000, seed=7)
@@ -390,7 +425,7 @@ class TestRunStream:
         assert metrics.n_points == len(reports) * 5
         assert len(metrics.cumulative_se) == len(reports)
         assert metrics.cumulative_se == sorted(metrics.cumulative_se)
-        assert metrics.total_se == pytest.approx(metrics.cumulative_se[-1])
+        assert metrics.mse == metrics.cumulative_se[-1] / metrics.n_points
 
 
 class TestWarmStart:
@@ -468,27 +503,7 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
         restored = load_checkpoint(path)
-        assert np.array_equal(restored.tensor.data, state.tensor.data)
-        assert restored.tensor.sample_count == state.tensor.sample_count
-        assert restored.updates == state.updates
-        assert restored.database.active_index == state.database.active_index
-        assert len(restored.database.records) == len(state.database.records)
-        assert restored.tensor.weight == state.tensor.weight
-        for got, want in zip(restored.database.records, state.database.records):
-            assert np.array_equal(got.model.transition, want.model.transition)
-            assert np.array_equal(got.model.input_map, want.model.input_map)
-            assert np.array_equal(got.model.output_map, want.model.output_map)
-            assert np.array_equal(got.markov.blocks, want.markov.blocks)
-            assert got.component_index == want.component_index
-            assert got.b_scale == want.b_scale
-        for name in ("mode1", "mode2", "mode3"):
-            assert np.array_equal(
-                getattr(restored.database.last_factors, name),
-                getattr(state.database.last_factors, name),
-            )
-        for name in ("out_mean", "out_std", "in_mean", "in_std"):
-            assert np.array_equal(getattr(restored.scaler, name), getattr(state.scaler, name))
-        assert restored.scaler.samples_seen == state.scaler.samples_seen
+        assert_same_state(restored, state)
         # the restored engine keeps producing forecasts
         o = 800
         r1 = engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 102])
@@ -528,10 +543,11 @@ class TestCheckpoint:
 
         assert header["arrays"][0] == ["tensor", [6, 6, 6]]
         # cuts inside the version byte, the length prefix, the header and the
-        # array payload, then version-2 and version-3 files and one trailing byte
+        # array payload, then files of versions 2 to 4 and one trailing byte
         cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([2]) + raw[1:], bytes([3]) + raw[1:], raw + b"\x00"]
+        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4)]
+        variants += [raw + b"\x00"]
         variants += [
             with_tensor_shape([6, 6, -6]),
             with_tensor_shape([6, 6, 10**12]),
@@ -543,9 +559,7 @@ class TestCheckpoint:
             # counters of the wrong type, sign or finiteness
             with_header(updates="1"),
             with_header(updates=-1),
-            with_header(sample_count=1.0),
-            with_header(samples_seen=-100),
-            with_header(samples_seen=True),
+            with_header(updates=True),
             with_header(weight=float("nan")),
             with_header(weight=-1.0),
             with_header(weight="1"),
@@ -557,6 +571,33 @@ class TestCheckpoint:
                 load_checkpoint(damaged)
         # the intact file still loads
         assert load_checkpoint(path).updates == 1
+
+    def test_state_parts_present_exactly_after_an_update(self, tmp_path):
+        path = tmp_path / "checkpoint.bin"
+        state = _adapted_state(rank=1)
+        save_checkpoint(engine_init(state.config), path)
+        empty = _split_checkpoint(path.read_bytes())
+        save_checkpoint(state, path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        scaler = ("out_mean", "out_std", "in_mean", "in_std")
+        factors = ("mode1", "mode2", "mode3")
+        model = [f"record0.{part}" for part in ("transition", "input_map", "output_map", "markov")]
+        variants = [
+            # a never-updated state that claims updates
+            (dict(empty[0], updates=3), empty[1]),
+            # an updated state that claims none, or lacks its weight
+            (dict(header, updates=0), payload),
+            (dict(header, weight=0.0), payload),
+            # an updated state without its standardizer or warm-start factors
+            _without_arrays(header, payload, scaler),
+            _without_arrays(header, payload, factors),
+            # factors but no model
+            _without_arrays(dict(header, records=[], active_index=-1), payload, model),
+        ]
+        for changed_header, changed_payload in variants:
+            path.write_bytes(_join_checkpoint(changed_header, changed_payload))
+            with pytest.raises(ParseError, match="damaged checkpoint .*updates="):
+                load_checkpoint(path)
 
     def test_array_shapes_checked_against_config(self, tmp_path):
         path = tmp_path / "checkpoint.bin"
@@ -593,6 +634,41 @@ def _adapted_state(rank):
     state = engine_init(config)
     engine_update(state, traj.outputs[:100], traj.inputs[:101])
     return state
+
+
+def assert_same_state(got, want):
+    """Every counter and array of two engine states is bitwise equal."""
+    assert got.updates == want.updates
+    assert got.tensor.weight == want.tensor.weight
+    assert np.array_equal(got.tensor.data, want.tensor.data)
+    for name in ("out_mean", "out_std", "in_mean", "in_std"):
+        assert np.array_equal(getattr(got.scaler, name), getattr(want.scaler, name))
+    assert got.database.active_index == want.database.active_index
+    for name in ("mode1", "mode2", "mode3"):
+        assert np.array_equal(
+            getattr(got.database.last_factors, name),
+            getattr(want.database.last_factors, name),
+        )
+    assert len(got.database.records) == len(want.database.records)
+    for mine, theirs in zip(got.database.records, want.database.records):
+        assert np.array_equal(mine.model.transition, theirs.model.transition)
+        assert np.array_equal(mine.model.input_map, theirs.model.input_map)
+        assert np.array_equal(mine.model.output_map, theirs.model.output_map)
+        assert np.array_equal(mine.markov.blocks, theirs.markov.blocks)
+        assert mine.component_index == theirs.component_index
+        assert mine.b_scale == theirs.b_scale
+
+
+def _without_arrays(header, payload, names):
+    """A checkpoint header and payload with the named arrays taken out."""
+    kept, chunks, start = [], [], 0
+    for name, shape in header["arrays"]:
+        size = 8 * math.prod(shape)
+        if name not in names:
+            kept.append([name, shape])
+            chunks.append(payload[start : start + size])
+        start += size
+    return dict(header, arrays=kept), b"".join(chunks)
 
 
 def _split_checkpoint(raw):

@@ -29,7 +29,7 @@ class TestConfigAndAllocation:
     def test_shapes(self):
         tensor = new_tensor(MomentConfig(d=1, dc=1, s=3))
         assert tensor.data.shape == (6, 6, 6)
-        assert tensor.sample_count == 0
+        assert tensor.weight == 0.0
         assert np.allclose(tensor.data, 0.0)
 
     def test_capacity_cap(self):
@@ -60,8 +60,8 @@ class TestAccumulate:
         config = MomentConfig(d=1, dc=1, s=1)
         tensor = new_tensor(config)
         window = Trajectory(np.zeros((9, 1)), np.ones((9, 1)))
-        accumulate_window(tensor, window)
-        assert tensor.sample_count > 0
+        tensor = accumulate_window(tensor, window)
+        assert tensor.weight > 0
         assert np.allclose(tensor.data, 0.0)
 
     @pytest.mark.parametrize(
@@ -80,13 +80,11 @@ class TestAccumulate:
         config = MomentConfig(d=1, dc=1, s=1)
         w1 = random_window(rng, config)
         w2 = random_window(rng, config)
-        both = new_tensor(config)
-        accumulate_window(both, w1)
-        accumulate_window(both, w2)
+        both = accumulate_window(accumulate_window(new_tensor(config), w1), w2)
         t1 = accumulate_window(new_tensor(config), w1)
         t2 = accumulate_window(new_tensor(config), w2)
         assert np.allclose(both.data, t1.data + t2.data, atol=1e-12)
-        assert both.sample_count == t1.sample_count + t2.sample_count
+        assert both.weight == t1.weight + t2.weight
 
     def test_order_invariance_with_unit_forgetting(self):
         rng = np.random.default_rng(1)
@@ -94,10 +92,10 @@ class TestAccumulate:
         windows = [random_window(rng, config) for _ in range(4)]
         forward = new_tensor(config)
         for w in windows:
-            accumulate_window(forward, w)
+            forward = accumulate_window(forward, w)
         backward = new_tensor(config)
         for w in reversed(windows):
-            accumulate_window(backward, w)
+            backward = accumulate_window(backward, w)
         assert np.allclose(forward.data, backward.data, atol=1e-9)
 
     def test_forgetting_decays_existing_mass(self):
@@ -106,12 +104,21 @@ class TestAccumulate:
         w1 = random_window(rng, config)
         w2 = random_window(rng, config)
         t1 = accumulate_window(new_tensor(config), w1)
-        snapshot = t1.data.copy()
-        accumulate_window(t1, w2)
+        both = accumulate_window(t1, w2)
         raw2 = accumulate_window(
             new_tensor(MomentConfig(d=1, dc=1, s=1)), w2
         )
-        assert np.allclose(t1.data, 0.5 * snapshot + raw2.data, atol=1e-12)
+        assert np.allclose(both.data, 0.5 * t1.data + raw2.data, atol=1e-12)
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.5])
+    def test_argument_is_not_mutated(self, forgetting):
+        rng = np.random.default_rng(8)
+        config = MomentConfig(d=1, dc=1, s=1, forgetting=forgetting)
+        tensor = accumulate_window(new_tensor(config), random_window(rng, config))
+        data, weight = tensor.data.copy(), tensor.weight
+        folded = accumulate_window(tensor, random_window(rng, config))
+        assert np.array_equal(tensor.data, data) and tensor.weight == weight
+        assert folded.data is not tensor.data and folded.weight > weight
 
     def test_single_contribution_lands_in_its_block(self):
         # d = dc = 1, s = 1: outputs vanish except at t in {1, 4, 6}, so the
@@ -139,7 +146,7 @@ class TestAccumulate:
         tensor = new_tensor(config)
         sizes = set()
         for _ in range(100):
-            accumulate_window(tensor, random_window(rng, config))
+            tensor = accumulate_window(tensor, random_window(rng, config))
             sizes.add(tensor.data.nbytes)
         assert sizes == {tensor.config.mode_dim**3 * 8}
 
@@ -150,17 +157,17 @@ class TestNormalizedView:
         config = MomentConfig(d=1, dc=1, s=1)
         window = random_window(rng, config)
         tensor = accumulate_window(new_tensor(config), window)
-        assert np.allclose(normalized_view(tensor), tensor.data / tensor.sample_count)
+        assert np.allclose(normalized_view(tensor), tensor.data / tensor.weight)
 
     def test_repeated_window_mean_unchanged(self):
         rng = np.random.default_rng(5)
         config = MomentConfig(d=1, dc=1, s=1)
         window = random_window(rng, config)
         once = accumulate_window(new_tensor(config), window)
-        view_once = normalized_view(once).copy()
+        repeated = once
         for _ in range(4):
-            accumulate_window(once, window)
-        assert np.allclose(normalized_view(once), view_once, atol=1e-12)
+            repeated = accumulate_window(repeated, window)
+        assert np.allclose(normalized_view(repeated), normalized_view(once), atol=1e-12)
 
     def test_discounted_mean_matches_direct_computation(self):
         rng = np.random.default_rng(6)
@@ -170,12 +177,8 @@ class TestNormalizedView:
         w1, w2 = random_window(rng, config), random_window(rng, config)
         t1 = accumulate_window(new_tensor(plain), w1)
         t2 = accumulate_window(new_tensor(plain), w2)
-        mixed = new_tensor(config)
-        accumulate_window(mixed, w1)
-        accumulate_window(mixed, w2)
-        expected = (lam * t1.data + t2.data) / (
-            lam * t1.sample_count + t2.sample_count
-        )
+        mixed = accumulate_window(accumulate_window(new_tensor(config), w1), w2)
+        expected = (lam * t1.data + t2.data) / (lam * t1.weight + t2.weight)
         assert np.allclose(normalized_view(mixed), expected, atol=1e-12)
 
     def test_view_does_not_mutate(self):
