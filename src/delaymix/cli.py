@@ -50,18 +50,19 @@ class RunManifest:
             raise MappingError("exactly one of --csv or --scenario is required")
         if not self.horizons:
             raise MappingError("at least one forecast horizon is required")
-        if self.csv_path is not None:
-            outs = self.output_columns or []
-            ins = self.input_columns or []
-            if not outs or not ins:
-                raise MappingError("CSV input needs --outputs and --inputs column lists")
-            overlap = set(outs) & set(ins)
-            if overlap:
-                raise MappingError(
-                    f"output and input column sets overlap: {sorted(overlap)}"
-                )
         # JSON overrides reach here unconverted; type() also rules out bools
         problems = []
+        paths = (("csv_path", "csv"), ("scenario_path", "scenario"), ("out_dir", "out"))
+        for name, key in paths:
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (value is None and key != "out"):
+                problems.append(f"{key}={value!r} must be a string")
+        for name, key in (("output_columns", "outputs"), ("input_columns", "inputs")):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, list) and all(isinstance(v, str) for v in value)
+            ):
+                problems.append(f"{key}={value!r} must be a list of column names")
         if not all(type(h) is int and h >= 1 for h in self.horizons):
             problems.append(f"forecast horizons {list(self.horizons)} must be integers >= 1")
         for name in ("s", "rank", "l_c", "seed"):
@@ -75,6 +76,16 @@ class RunManifest:
             problems.append(f"val_fraction={self.val_fraction!r} must lie in (0, 1]")
         if problems:
             raise MappingError("; ".join(problems))
+        if self.csv_path is not None:
+            outs = self.output_columns or []
+            ins = self.input_columns or []
+            if not outs or not ins:
+                raise MappingError("CSV input needs --outputs and --inputs column lists")
+            overlap = set(outs) & set(ins)
+            if overlap:
+                raise MappingError(
+                    f"output and input column sets overlap: {sorted(overlap)}"
+                )
 
 
 def _comma_list(text: str | None, convert, flag: str, default=()) -> list:

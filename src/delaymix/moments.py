@@ -15,6 +15,12 @@ indexed by (k1, k2, k3). Mode axis i of the block runs over m(i), so block
 k of a mode-1 factor carries the k-step impulse response and the leading
 zero blocks of a delayed system survive in the factors.
 
+One batched matrix product per k1 folds a window in (MTTKRP batching, Kolda
+& Bader 2009): over the starts tau, the row-wise product z of m1 and m2 (all
+k2) is contracted with m3 (all k2, k3), both shifted views of the pair
+products. No mask is needed for the ragged starts tau < len - (k1+k2+k3+2):
+the lag-k pair product is zero from row len - k on, so m3 is zero there.
+
 Storage is a dense D x D x D array with D = 2 s d dc, independent of the
 stream length.
 """
@@ -22,9 +28,9 @@ stream length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CapacityError,
@@ -107,15 +113,13 @@ def new_tensor(config: MomentConfig, mode_cap: int = DEFAULT_MODE_CAP) -> System
 
 
 def _pair_products(y: np.ndarray, u: np.ndarray, config: MomentConfig) -> np.ndarray:
-    """pairs[k-1, t] = vec(y(t+k) u(t)^T) for every valid start t."""
+    """pairs[t, k-1] = vec(y(t+k) u(t)^T) for t < len - k, and zero for later
+    t through min_window rows of padding that keep the shifted views in range."""
     length = y.shape[0]
-    pairs = np.zeros((config.k_max, length, config.p))
+    pairs = np.zeros((length + config.min_window, config.k_max, config.p))
     for k in range(1, config.k_max + 1):
-        count = length - k
-        if count <= 0:
-            continue
-        outer = y[k : k + count, :, None] * u[:count, None, :]
-        pairs[k - 1, :count] = outer.reshape(count, config.p)
+        outer = y[k:, :, None] * u[: length - k, None, :]
+        pairs[: length - k, k - 1] = outer.reshape(length - k, config.p)
     return pairs
 
 
@@ -125,7 +129,7 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
 
     Existing mass is decayed by the forgetting factor once per call, then
     every admissible (k1, k2, k3, tau) combination contributes one rank-one
-    term to its lag block.
+    term to its lag block (batched per k1, see the module notes).
     """
     cfg = tensor.config
     y = window.outputs
@@ -144,22 +148,18 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
     pairs = _pair_products(y, u, cfg)
     # a new array leaves the argument untouched; times 1.0 changes no bit
     data = tensor.data * cfg.forgetting
-
     k_max, p = cfg.k_max, cfg.p
-    blocks = data.reshape(k_max, p, k_max, p, k_max, p)
-    count = 0
-    for k1, k2, k3 in product(range(1, k_max + 1), repeat=3):
-        n_tau = length - (k1 + k2 + k3 + 2)
-        if n_tau <= 0:
-            continue
-        taus = np.arange(n_tau)
-        m1 = pairs[k1 - 1, taus]
-        m2 = pairs[k2 - 1, taus + k1 + 1]
-        m3 = pairs[k3 - 1, taus + k1 + k2 + 2]
-        blocks[k1 - 1, :, k2 - 1, :, k3 - 1, :] += np.einsum(
-            "ta,tb,tc->abc", m1, m2, m3
-        )
-        count += n_tau
+    rows = data.reshape(k_max, p, k_max, p, -1)  # [k1-1, a, k2-1, b, (k3-1, c)]
+    shifted = sliding_window_view(pairs.reshape(len(pairs), -1), length, axis=0)
+    for k1 in range(1, k_max + 1):
+        m1 = pairs[:length, k1 - 1]  # (t, a)
+        m2 = pairs[k1 + 1 : k1 + 1 + length]  # (t, k2, b)
+        m3 = shifted[k1 + 3 : k1 + 3 + k_max].swapaxes(1, 2)  # (k2, t, (k3, c))
+        z = (m1[:, None, :, None] * m2[:, :, None, :]).reshape(length, k_max, p * p)
+        block = np.matmul(z.transpose(1, 2, 0), m3)  # (k2, (a, b), (k3, c))
+        rows[k1 - 1] += block.reshape(k_max, p, p, -1).swapaxes(0, 1)
+    # length >= min_window admits every triplet: sum of len - (k1 + k2 + k3 + 2)
+    count = k_max**3 * (length - 2) - 3 * k_max**3 * (k_max + 1) // 2
     return SystemTensor(data, tensor.weight * cfg.forgetting + count, cfg)
 
 

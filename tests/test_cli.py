@@ -367,6 +367,29 @@ class TestRunCommand:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"csv": 3, "outputs": ["y1"], "inputs": ["u1"]}, "csv=3"),
+            ({"scenario": ["s.scn"]}, "scenario=['s.scn']"),
+            ({"scenario": "SCENARIO", "out": 3}, "out=3"),
+            ({"csv": "d.csv", "outputs": 5, "inputs": ["u1"]}, "outputs=5"),
+            ({"csv": "d.csv", "outputs": ["y1"], "inputs": "u1"}, "inputs='u1'"),
+        ],
+    )
+    def test_manifest_bad_path_or_column_type_exits_2(
+        self, tmp_path, scenario_file, capsys, fields, message
+    ):
+        manifest = {"out": str(tmp_path / "x"), "overrides": {"l_s": [1]}}
+        manifest.update(
+            {k: str(scenario_file) if v == "SCENARIO" else v for k, v in fields.items()}
+        )
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "command, extra, message",
         [
             ("run", ["--ls", "1,x"], "--ls '1,x'"),

@@ -65,7 +65,7 @@ class TestAccumulate:
         assert np.allclose(tensor.data, 0.0)
 
     @pytest.mark.parametrize(
-        "d,dc,s", [(1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 3)]
+        "d,dc,s", [(1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 3), (2, 2, 4)]
     )
     def test_oracle_equivalence(self, d, dc, s):
         rng = np.random.default_rng(42 + d * 10 + dc * 100 + s)
@@ -74,6 +74,42 @@ class TestAccumulate:
         tensor = accumulate_window(new_tensor(config), window)
         oracle = oracle_moment_tensor(window, config)
         assert np.allclose(tensor.data, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("length", [27, 78])
+    def test_oracle_equivalence_window_lengths(self, length):
+        # d = dc = 2, s = 4 (D = 32) is the cli_multi_horizon sizing: 27 is
+        # its min_window and 78 its l_c
+        rng = np.random.default_rng(length)
+        config = MomentConfig(d=2, dc=2, s=4)
+        window = random_window(rng, config, extra=length - config.min_window)
+        tensor = accumulate_window(new_tensor(config), window)
+        assert np.allclose(tensor.data, oracle_moment_tensor(window, config), atol=1e-10)
+
+    def test_oracle_equivalence_with_forgetting(self):
+        rng = np.random.default_rng(9)
+        lam = 0.9
+        config = MomentConfig(d=1, dc=2, s=2, forgetting=lam)
+        windows = [random_window(rng, config, extra=extra) for extra in (0, 5, 11)]
+        tensor = new_tensor(config)
+        for window in windows:
+            tensor = accumulate_window(tensor, window)
+        expected = sum(
+            lam ** (2 - i) * oracle_moment_tensor(w, config) for i, w in enumerate(windows)
+        )
+        assert np.allclose(tensor.data, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("d,dc,s,extra", [(1, 1, 1, 0), (1, 2, 3, 7), (2, 2, 4, 51)])
+    def test_weight_counts_admissible_combinations(self, d, dc, s, extra):
+        config = MomentConfig(d=d, dc=dc, s=s)
+        window = random_window(np.random.default_rng(10), config, extra=extra)
+        length, lags = len(window), range(1, config.k_max + 1)
+        admissible = 0
+        for k1 in lags:
+            for k2 in lags:
+                for k3 in lags:
+                    for tau in range(length):
+                        admissible += tau + k1 + k2 + k3 + 2 <= length - 1
+        assert accumulate_window(new_tensor(config), window).weight == admissible
 
     def test_two_calls_additive(self):
         rng = np.random.default_rng(0)
