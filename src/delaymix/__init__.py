@@ -1,6 +1,6 @@
 """Streaming identification and forecasting for mixtures of time-delay systems."""
 
-from .cpd import Alignment, AlsOptions, CPFactors, align_components, cp_als, reconstruct
+from .cpd import Alignment, CPFactors, align_components, cp_als, reconstruct
 from .datagen import (
     InputDistribution,
     ScenarioSpec,
@@ -43,7 +43,7 @@ from .moments import (
     normalized_view,
 )
 from .realization import (
-    RealizationOptions,
+    ModelRecord,
     factor_to_markov,
     ho_kalman,
     realize_components,

@@ -270,6 +270,9 @@ def cmd_run(args) -> int:
     d = trajectory.output_dim
     config = _config_for(manifest, d, trajectory.input_dim, max(manifest.horizons))
     reports, summaries, state = engine.run_horizons(config, trajectory, manifest.horizons)
+    # horizon h is scored on the first len(cumulative_se) windows
+    scored = {m.horizon: len(m.cumulative_se) for m in summaries}
+    adaptations = {h: sum(r.adapted for r in reports[:n]) for h, n in scored.items()}
 
     metrics = {
         "horizons": list(manifest.horizons),
@@ -277,8 +280,8 @@ def cmd_run(args) -> int:
         "mae": {str(m.horizon): m.mae for m in summaries},
         "cumulative_mse": {str(m.horizon): m.cumulative_se for m in summaries},
         "cumulative_mae": {str(m.horizon): m.cumulative_ae for m in summaries},
-        "updates": {str(m.horizon): len(m.adapted_flags) for m in summaries},
-        "adaptations": {str(m.horizon): sum(m.adapted_flags) for m in summaries},
+        "updates": {str(h): n for h, n in scored.items()},
+        "adaptations": {str(h): n for h, n in adaptations.items()},
     }
     with open(os.path.join(manifest.out_dir, "metrics.json"), "w", encoding="utf-8") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
@@ -290,7 +293,7 @@ def cmd_run(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["horizon", "t", "channel", "predicted", "actual"])
         for summary in summaries:
-            for w, report in enumerate(reports[: len(summary.adapted_flags)]):
+            for w, report in enumerate(reports[: scored[summary.horizon]]):
                 for i in range(summary.horizon):
                     t = w * l_c + l_c + i
                     for ch in range(d):
@@ -329,7 +332,7 @@ def cmd_run(args) -> int:
     for m in summaries:
         print(
             f"l_s={m.horizon}: mse={m.mse:.6g} mae={m.mae:.6g} "
-            f"updates={len(m.adapted_flags)} adaptations={sum(m.adapted_flags)}"
+            f"updates={scored[m.horizon]} adaptations={adaptations[m.horizon]}"
         )
     return 0
 

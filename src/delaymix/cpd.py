@@ -59,35 +59,6 @@ class CPFactors:
         return cls(m1, m2, m3)
 
 
-@dataclass(frozen=True)
-class AlsOptions:
-    """Alternating least squares controls.
-
-    init = None draws a seeded random cold start; passing previous factors
-    warm-starts the sweep. max_iters = None resolves to 200 (cold) or 50
-    (warm). tol is the relative residual-change stopping threshold; the
-    sweep also stops, whatever tol is, once the residual fails to decrease
-    (see cp_als).
-    """
-
-    max_iters: int | None = None
-    tol: float = 1e-6
-    seed: int = 0
-    init: CPFactors | None = None
-
-    def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-
-    @property
-    def resolved_max_iters(self) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return WARM_MAX_ITERS if self.init is not None else COLD_MAX_ITERS
-
-
 def _cold_init(dim: int, rank: int, seed: int) -> CPFactors:
     rng = np.random.default_rng(seed)
     mats = []
@@ -98,20 +69,23 @@ def _cold_init(dim: int, rank: int, seed: int) -> CPFactors:
     return CPFactors(*mats)
 
 
-def _solve_normal(gram: np.ndarray, rhs: np.ndarray, factors: CPFactors) -> np.ndarray:
-    """Solve (gram + ridge I) x = rhs for each rhs row, with a rescue ridge."""
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray, sweep_start: tuple) -> np.ndarray:
+    """Solve (gram + ridge I) x = rhs for each rhs row, with a rescue ridge.
+
+    sweep_start holds the (mode1, mode2, mode3) arrays the sweep began from;
+    they are the ConvergenceError's factors when the rescue fails too.
+    """
     rank = gram.shape[0]
-    ridge = RIDGE_SCALE * np.trace(gram)
-    for attempt, eps in enumerate((ridge, 1e-6 * np.trace(gram) + 1e-12)):
+    trace = np.trace(gram)
+    for eps in (RIDGE_SCALE * trace, 1e-6 * trace + 1e-12):
         try:
             return np.linalg.solve(gram + eps * np.eye(rank), rhs)
         except np.linalg.LinAlgError:
-            if attempt == 1:
-                raise ConvergenceError(
-                    "normal equations stayed singular beyond ridge rescue",
-                    factors=factors,
-                )
-    raise AssertionError("unreachable")
+            pass
+    raise ConvergenceError(
+        "normal equations stayed singular beyond ridge rescue",
+        factors=CPFactors(*sweep_start),
+    )
 
 
 def _fix_signs(m1: np.ndarray, m2: np.ndarray) -> None:
@@ -127,12 +101,19 @@ def _fix_signs(m1: np.ndarray, m2: np.ndarray) -> None:
 def cp_als(
     tensor: np.ndarray,
     rank: int,
-    opts: AlsOptions | None = None,
+    *,
+    seed: int = 0,
+    init: CPFactors | None = None,
+    max_iters: int | None = None,
+    tol: float = 1e-6,
 ) -> tuple[CPFactors, int, float]:
     """Fit a rank-R CP decomposition by cyclic per-mode least squares.
 
-    Returns (factors, iterations used, final relative residual
-    ||T - reconstruct(factors)|| / ||T||). Deterministic given seed and init.
+    init = None draws a cold start from seed; passing previous factors
+    warm-starts the sweep. max_iters = None resolves to COLD_MAX_ITERS or,
+    with init, WARM_MAX_ITERS. Returns (factors, iterations used, final
+    relative residual ||T - reconstruct(factors)|| / ||T||). Deterministic
+    given seed and init.
 
     Each sweep first evaluates the residual in the cheap expanded form
     ||T||^2 - 2<T, rec> + ||rec||^2 from the mode-3 MTTKRP (Kolda & Bader
@@ -142,13 +123,18 @@ def cp_als(
     value drives both the stopping test and the return value.
 
     The sweep stops when the relative change of the residual drops below
-    opts.tol, when the residual fails to decrease, when it falls below
+    tol, when the residual fails to decrease, when it falls below
     1e-14, or at max_iters. Exact ALS never increases the residual, since
     each mode update is a least-squares minimiser; a rise means only the
     RIDGE_SCALE bias or rounding is still acting. That bias also keeps the
     residual of an exact low-rank fit at about 1e-10 relative, not 0.
     """
-    opts = opts or AlsOptions()
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iters is None:
+        max_iters = COLD_MAX_ITERS if init is None else WARM_MAX_ITERS
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
         raise ShapeError(f"expected a cubical order-3 tensor, got shape {tensor.shape}")
@@ -160,20 +146,14 @@ def cp_als(
     if not np.all(np.isfinite(tensor)):
         raise DataError("tensor contains non-finite values")
 
-    if opts.init is not None:
-        if opts.init.dim != dim:
-            raise ShapeError(
-                f"warm-start factors have mode size {opts.init.dim}, tensor has {dim}"
-            )
-        if opts.init.rank != rank:
-            raise RankError(
-                f"warm-start factors have rank {opts.init.rank}, requested {rank}"
-            )
-        m1 = opts.init.mode1.copy()
-        m2 = opts.init.mode2.copy()
-        m3 = opts.init.mode3.copy()
+    if init is not None:
+        if init.dim != dim:
+            raise ShapeError(f"warm-start factors have mode size {init.dim}, tensor has {dim}")
+        if init.rank != rank:
+            raise RankError(f"warm-start factors have rank {init.rank}, requested {rank}")
+        m1, m2, m3 = init.mode1.copy(), init.mode2.copy(), init.mode3.copy()
     else:
-        cold = _cold_init(dim, rank, opts.seed)
+        cold = _cold_init(dim, rank, seed)
         m1, m2, m3 = cold.mode1, cold.mode2, cold.mode3
 
     norm_sq = float(np.sum(tensor * tensor))
@@ -192,8 +172,8 @@ def cp_als(
     prev = None
     iters = 0
     final = 0.0
-    for iteration in range(1, opts.resolved_max_iters + 1):
-        current = CPFactors(m1, m2, m3)
+    for iteration in range(1, max_iters + 1):
+        current = (m1, m2, m3)
         gram = (m2.T @ m2) * (m3.T @ m3)
         rhs = np.einsum("abc,br,cr->ra", tensor, m2, m3, optimize=True)
         m1 = _solve_normal(gram, rhs, current).T
@@ -210,7 +190,7 @@ def cp_als(
         iters = iteration
         final = rel_res
         if prev is not None and (
-            rel_res >= prev or prev - rel_res < opts.tol * max(prev, 1e-300)
+            rel_res >= prev or prev - rel_res < tol * max(prev, 1e-300)
         ):
             break
         if rel_res < 1e-14:

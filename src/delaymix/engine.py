@@ -16,11 +16,11 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .cpd import AlsOptions, CPFactors, cp_als
+from .cpd import CPFactors, cp_als
 from .errors import (
     ColdStartError,
     ConfigError,
@@ -39,7 +39,7 @@ from .moments import (
     new_tensor,
     normalized_view,
 )
-from .realization import RealizationOptions, realize_components
+from .realization import ModelRecord, realize_components
 from .syslin import DelayFreeModel, MarkovSequence, Trajectory, simulate_delay_free
 
 CHECKPOINT_VERSION = 5
@@ -97,16 +97,6 @@ def default_config(
         seed=seed,
         warm_start=warm_start,
     )
-
-
-@dataclass
-class ModelRecord:
-    """One database entry: the model, its Markov estimate and provenance."""
-
-    model: DelayFreeModel
-    markov: MarkovSequence
-    component_index: int
-    b_scale: float = 1.0
 
 
 @dataclass
@@ -195,15 +185,21 @@ class UpdateReport:
 
 @dataclass
 class MetricsSummary:
-    """Forecast scores over a streamed run, on the standardized scale."""
+    """Forecast scores over a streamed run, on the standardized scale: the
+    running squared and absolute error sums, one entry per scored window."""
 
     horizon: int
-    mse: float
-    mae: float
     n_points: int
     cumulative_se: list[float]
     cumulative_ae: list[float]
-    adapted_flags: list[bool]
+
+    @property
+    def mse(self) -> float:
+        return self.cumulative_se[-1] / self.n_points
+
+    @property
+    def mae(self) -> float:
+        return self.cumulative_ae[-1] / self.n_points
 
 
 def engine_init(config: EngineConfig) -> EngineState:
@@ -287,6 +283,13 @@ def _rescale_input_map(model: DelayFreeModel, window: Trajectory) -> tuple[Delay
     return rescaled, scale
 
 
+def _calibrate(record: ModelRecord, window: Trajectory) -> ModelRecord:
+    """The record with its model stabilized and its input map rescaled on
+    the window."""
+    model, scale = _rescale_input_map(_stabilize(record.model), window)
+    return replace(record, model=model, b_scale=scale)
+
+
 def engine_update(
     state: EngineState,
     window_outputs,
@@ -362,25 +365,14 @@ def engine_update(
     if not had_models or gate_fit >= cfg.rho:
         adapted = True
         with _stage("model_adaptation"):
-            view = normalized_view(tensor)
             warm = database.last_factors if cfg.warm_start else None
-            opts = AlsOptions(seed=cfg.seed, init=warm)
-            factors, als_iters, _ = cp_als(view, cfg.rank, opts)
-            realized = realize_components(
-                factors, cfg.moment, RealizationOptions(s=cfg.moment.s)
+            factors, als_iters, _ = cp_als(
+                normalized_view(tensor), cfg.rank, seed=cfg.seed, init=warm
             )
-            records = []
-            for item in realized:
-                model = _stabilize(item.model)
-                model, scale = _rescale_input_map(model, window)
-                records.append(
-                    ModelRecord(
-                        model=model,
-                        markov=item.markov,
-                        component_index=item.component_index,
-                        b_scale=scale,
-                    )
-                )
+            records = [
+                _calibrate(record, window)
+                for record in realize_components(factors, cfg.moment)
+            ]
             index, best_fit, trace = select_regime(
                 [record.model for record in records], window, NOISE
             )
@@ -447,22 +439,15 @@ def run_horizons(
             diff = state.scaler.outputs(report.forecast[:h]) - state.scaler.outputs(actual)
             se.append(float(np.sum(diff * diff)))
             ae.append(float(np.sum(np.abs(diff))))
-    summaries = []
-    for h, se, ae in zip(horizons, window_se, window_ae):
-        cumulative_se = list(itertools.accumulate(se))
-        cumulative_ae = list(itertools.accumulate(ae))
-        n_points = len(se) * h * trajectory.output_dim
-        summaries.append(
-            MetricsSummary(
-                horizon=h,
-                mse=cumulative_se[-1] / n_points,
-                mae=cumulative_ae[-1] / n_points,
-                n_points=n_points,
-                cumulative_se=cumulative_se,
-                cumulative_ae=cumulative_ae,
-                adapted_flags=[r.adapted for r in reports[: len(se)]],
-            )
+    summaries = [
+        MetricsSummary(
+            horizon=h,
+            n_points=len(se) * h * trajectory.output_dim,
+            cumulative_se=list(itertools.accumulate(se)),
+            cumulative_ae=list(itertools.accumulate(ae)),
         )
+        for h, se, ae in zip(horizons, window_se, window_ae)
+    ]
     return reports, summaries, state
 
 
@@ -476,23 +461,34 @@ def run_stream(
 
 def state_footprint_bytes(state: EngineState) -> int:
     """Bytes held in the numeric buffers of the streaming state."""
-    return sum(array.nbytes for _, array in _state_arrays(state))
+    return sum(array.nbytes for _, array, _ in _state_arrays(state))
 
 
-def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray]]:
-    """Every array of the state, named, in checkpoint order."""
-    arrays = [("tensor", state.tensor.data)]
+def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
+    """Every array of the state, named, in checkpoint order, with the shape
+    the config implies for it; a model's state order is its own, read from
+    its transition."""
+    moment = state.config.moment
+    d, dc, dim = moment.d, moment.dc, moment.mode_dim
+    arrays = [("tensor", state.tensor.data, (dim, dim, dim))]
     if state.scaler is not None:
-        arrays += [(name, getattr(state.scaler, name)) for name in _SCALER_ARRAYS]
+        shapes = ((d,), (d,), (dc,), (dc,))
+        arrays += [
+            (name, getattr(state.scaler, name), shape)
+            for name, shape in zip(_SCALER_ARRAYS, shapes)
+        ]
     factors = state.database.last_factors
     if factors is not None:
-        arrays += [(name, getattr(factors, name)) for name in _FACTOR_ARRAYS]
-    for i, record in enumerate(state.database.records):
         arrays += [
-            (f"record{i}.transition", record.model.transition),
-            (f"record{i}.input_map", record.model.input_map),
-            (f"record{i}.output_map", record.model.output_map),
-            (f"record{i}.markov", record.markov.blocks),
+            (name, getattr(factors, name), (dim, state.config.rank)) for name in _FACTOR_ARRAYS
+        ]
+    for i, record in enumerate(state.database.records):
+        model, n = record.model, record.model.state_dim
+        arrays += [
+            (f"record{i}.transition", model.transition, (n, n)),
+            (f"record{i}.input_map", model.input_map, (n, dc)),
+            (f"record{i}.output_map", model.output_map, (d, n)),
+            (f"record{i}.markov", record.markov.blocks, (moment.k_max, d, dc)),
         ]
     return arrays
 
@@ -511,14 +507,14 @@ def save_checkpoint(state: EngineState, path) -> None:
             {"component_index": record.component_index, "b_scale": record.b_scale}
             for record in state.database.records
         ],
-        "arrays": [[name, list(array.shape)] for name, array in arrays],
+        "arrays": [[name, list(array.shape)] for name, array, _ in arrays],
     }
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(bytes([CHECKPOINT_VERSION]))
         handle.write(len(encoded).to_bytes(8, "little"))
         handle.write(encoded)
-        for _, array in arrays:
+        for _, array, _ in arrays:
             handle.write(array.astype("<f8").tobytes())
 
 
@@ -621,35 +617,11 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         raise ParseError(f"active_index {active_index!r} names no stored model")
     state.database.active_index = active_index
     loaded = _state_arrays(state)
-    if [name for name, _ in loaded] != [name for name, _ in specs]:
+    if [name for name, _, _ in loaded] != [name for name, _ in specs]:
         raise ParseError("header's array list does not match the state it describes")
-    expected = _config_shapes(state)
-    for name, array in loaded:
-        if array.shape != expected[name]:
+    for name, array, expected in loaded:
+        if array.shape != expected:
             raise ParseError(
-                f"{name} has shape {list(array.shape)}, the config implies "
-                f"{list(expected[name])}"
+                f"{name} has shape {list(array.shape)}, the config implies {list(expected)}"
             )
     return state
-
-
-def _config_shapes(state: EngineState) -> dict[str, tuple[int, ...]]:
-    """The shape the config implies for every array of the state; a model's
-    state order is its own, read from its transition."""
-    moment = state.config.moment
-    d, dc, dim = moment.d, moment.dc, moment.mode_dim
-    shapes = {
-        "tensor": (dim, dim, dim),
-        "out_mean": (d,),
-        "out_std": (d,),
-        "in_mean": (dc,),
-        "in_std": (dc,),
-    }
-    shapes.update(dict.fromkeys(_FACTOR_ARRAYS, (dim, state.config.rank)))
-    for i, record in enumerate(state.database.records):
-        n = record.model.state_dim
-        shapes[f"record{i}.transition"] = (n, n)
-        shapes[f"record{i}.input_map"] = (n, dc)
-        shapes[f"record{i}.output_map"] = (d, n)
-        shapes[f"record{i}.markov"] = (moment.k_max, d, dc)
-    return shapes

@@ -55,7 +55,6 @@ class SmoothedTrace:
     """Backward-pass state estimates; the final mean equals the filtered one."""
 
     smoothed_means: np.ndarray  # (T, n)
-    smoother_gains: np.ndarray  # (T, n, n); the last entry is unused
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
@@ -145,7 +144,6 @@ def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> SmoothedTrace:
     a = model.transition
     steps, n = trace.filtered_means.shape
     smoothed = np.empty((steps, n))
-    gains = np.zeros((steps, n, n))
     smoothed[-1] = trace.filtered_means[-1]
     for t in range(steps - 2, -1, -1):
         # V(t) = P(t) A^T inv(P_pred(t+1)), computed via an SPD solve
@@ -155,11 +153,10 @@ def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> SmoothedTrace:
             "predicted covariance",
             t + 1,
         ).T
-        gains[t] = gain
         smoothed[t] = trace.filtered_means[t] + gain @ (
             smoothed[t + 1] - trace.predicted_means[t + 1]
         )
-    return SmoothedTrace(smoothed, gains)
+    return SmoothedTrace(smoothed)
 
 
 def window_error(window: Trajectory, trace: BeliefTrace) -> float:

@@ -27,23 +27,15 @@ DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RealizationOptions:
-    """Hankel sizing and order selection for the realization step.
+class ModelRecord:
+    """One database entry: a realized model, the Markov estimate it was
+    realized from, its CP component index, and the gain on its input map
+    (1.0 until the engine calibrates the model on a window)."""
 
-    s sets the block Hankel to s rows and s+1 block columns (consuming 2s
-    impulse-response blocks). state_dim fixes the realized order; when None
-    the order is the smallest n whose cumulative squared singular-value
-    energy reaches ENERGY_THRESHOLD.
-    """
-
-    s: int
-    state_dim: int | None = None
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.state_dim is not None and self.state_dim < 1:
-            raise ValueError(f"state_dim must be positive, got {self.state_dim}")
+    model: DelayFreeModel
+    markov: MarkovSequence
+    component_index: int
+    b_scale: float = 1.0
 
 
 def factor_to_markov(component, config: MomentConfig) -> MarkovSequence:
@@ -69,16 +61,20 @@ def factor_to_markov(component, config: MomentConfig) -> MarkovSequence:
     return MarkovSequence(signed.reshape(config.k_max, config.d, config.dc))
 
 
-def ho_kalman(seq: MarkovSequence, opts: RealizationOptions) -> DelayFreeModel:
+def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFreeModel:
     """Realize (A, B, C) from the leading 2s blocks of an impulse response.
 
     Builds the block Hankel with block (r, c) = g_{r+c-1} for r = 1..s,
     c = 1..s+1, splits off the left and shifted sub-Hankels, truncates the
     SVD of the left part to order n, and reads the model out of the balanced
-    factors. Only input-output behavior is pinned down; state coordinates
-    are arbitrary.
+    factors. order fixes n; when None, n is the smallest order whose
+    cumulative squared singular-value energy reaches ENERGY_THRESHOLD. Only
+    input-output behavior is pinned down; state coordinates are arbitrary.
     """
-    s = opts.s
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if order is not None and order < 1:
+        raise ValueError(f"state_dim must be positive, got {order}")
     if seq.horizon < 2 * s:
         raise HorizonError(
             f"sequence horizon {seq.horizon} is too short for s={s}; need at least {2 * s}"
@@ -95,12 +91,11 @@ def ho_kalman(seq: MarkovSequence, opts: RealizationOptions) -> DelayFreeModel:
 
     u_mat, sv, vt = np.linalg.svd(left, full_matrices=False)
     max_order = sv.shape[0]  # = s * min(d, dc)
-    if opts.state_dim is not None:
-        if opts.state_dim > max_order:
+    if order is not None:
+        if order > max_order:
             raise RankError(
-                f"requested order {opts.state_dim} exceeds the Hankel rank bound {max_order}"
+                f"requested order {order} exceeds the Hankel rank bound {max_order}"
             )
-        order = opts.state_dim
     else:
         energy = np.cumsum(sv**2)
         total = energy[-1]
@@ -124,30 +119,18 @@ def ho_kalman(seq: MarkovSequence, opts: RealizationOptions) -> DelayFreeModel:
     return DelayFreeModel(a_mat, b_mat, c_mat)
 
 
-@dataclass(frozen=True)
-class RealizedComponent:
-    """One CP component realized as a state-space model."""
-
-    component_index: int
-    markov: MarkovSequence
-    model: DelayFreeModel
-
-
-def realize_components(
-    factors: CPFactors,
-    config: MomentConfig,
-    opts: RealizationOptions,
-) -> list[RealizedComponent]:
-    """Realize every non-degenerate component, keeping its Markov estimate."""
+def realize_components(factors: CPFactors, config: MomentConfig) -> list[ModelRecord]:
+    """Realize every non-degenerate component at Hankel size config.s,
+    keeping its Markov estimate in the record."""
     realized = []
     for i in range(factors.rank):
         seq = factor_to_markov(factors.component(i), config)
         try:
-            model = ho_kalman(seq, opts)
+            model = ho_kalman(seq, config.s)
         except DegenerateSequenceError as err:
             logger.warning("skipping component %d: %s", i, err)
             continue
-        realized.append(RealizedComponent(i, seq, model))
+        realized.append(ModelRecord(model, seq, i))
     if not realized:
         raise EmptyDatabaseError("every component was degenerate; no models realized")
     return realized

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import delaymix as dm
-from delaymix.cpd import AlsOptions, CPFactors, align_components, cp_als, reconstruct
+from delaymix.cpd import CPFactors, align_components, cp_als, reconstruct
 from delaymix.datagen import (
     ScenarioSpec,
     oracle_moment_tensor,
@@ -20,7 +20,7 @@ from delaymix.datagen import (
 from delaymix.engine import Standardizer, engine_init, engine_update, state_footprint_bytes
 from delaymix.filtering import NoiseSpec, kalman_forward, rts_smoother
 from delaymix.moments import MomentConfig, accumulate_window, new_tensor
-from delaymix.realization import RealizationOptions, ho_kalman
+from delaymix.realization import ho_kalman
 from delaymix.syslin import (
     TimeDelaySystem,
     Trajectory,
@@ -101,7 +101,7 @@ def test_criterion_2_hankel_realization_round_trip():
         dc = int(rng.integers(1, 4))
         model = random_stable_model(rng, n, d, dc)
         seq = markov_parameters_free(model, 6)
-        realized = ho_kalman(seq, RealizationOptions(s=3, state_dim=n))
+        realized = ho_kalman(seq, 3, order=n)
         regen = markov_parameters_free(realized, 6)
         worst = max(worst, float(np.max(np.abs(regen.blocks - seq.blocks))))
     elapsed = time.perf_counter() - started
@@ -170,9 +170,7 @@ def test_criterion_4_cp_component_recovery():
         tensor = tensor + 1e-4 * np.sqrt(np.sum(tensor**2) / np.sum(noise**2)) * noise
         # patient stopping rule: correlated components put plateaus in the
         # ALS path that a loose tolerance mistakes for convergence
-        factors, _, _ = cp_als(
-            tensor, 2, AlsOptions(seed=seed, tol=1e-10, max_iters=5000)
-        )
+        factors, _, _ = cp_als(tensor, 2, seed=seed, tol=1e-10, max_iters=5000)
         alignment = align_components(factors, truth)
         if np.all(alignment.cosines > 0.99):
             passes += 1

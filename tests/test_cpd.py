@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from delaymix.cpd import (
-    AlsOptions,
     CPFactors,
     align_components,
     cp_als,
@@ -34,7 +33,7 @@ class TestCpAls:
         dim = 8
         a, b, c = (unit(rng, dim) for _ in range(3))
         tensor = 2.5 * rank_one(a, b, c)
-        factors, _, residual = cp_als(tensor, 1, AlsOptions(seed=1))
+        factors, _, residual = cp_als(tensor, 1, seed=1)
         assert residual < 1e-8
         q1, _, _ = factors.component(0)
         cos = abs(q1 @ a) / np.linalg.norm(q1)
@@ -51,7 +50,7 @@ class TestCpAls:
             np.column_stack([base[2], other[2]]),
         )
         tensor = reconstruct(truth)
-        factors, _, residual = cp_als(tensor, 2, AlsOptions(seed=2))
+        factors, _, residual = cp_als(tensor, 2, seed=2)
         assert residual < 1e-6
         alignment = align_components(factors, truth)
         assert sorted(alignment.permutation.tolist()) == [0, 1]
@@ -66,9 +65,7 @@ class TestCpAls:
             rng.standard_normal((dim, 2)),
         )
         tensor = reconstruct(truth)
-        _, iters, residual = cp_als(
-            tensor, 2, AlsOptions(tol=1e-8, init=truth)
-        )
+        _, iters, residual = cp_als(tensor, 2, tol=1e-8, init=truth)
         assert iters <= 3
         assert residual < 1e-8
 
@@ -81,14 +78,14 @@ class TestCpAls:
         truth = CPFactors(*(rng.standard_normal((dim, 2)) for _ in range(3)))
         if case == "exact_rank_one":
             tensor = 2.5 * rank_one(*(unit(rng, dim) for _ in range(3)))
-            opts, rank = AlsOptions(seed=1), 1
+            opts, rank = dict(seed=1), 1
         elif case == "warm_from_truth":
             tensor = reconstruct(truth)
-            opts, rank = AlsOptions(tol=1e-8, init=truth), 2
+            opts, rank = dict(tol=1e-8, init=truth), 2
         else:
             tensor = reconstruct(truth) + 1e-8 * rng.standard_normal((dim,) * 3)
-            opts, rank = AlsOptions(tol=1e-10, seed=3), 2
-        factors, iters, residual = cp_als(tensor, rank, opts)
+            opts, rank = dict(tol=1e-10, seed=3), 2
+        factors, iters, residual = cp_als(tensor, rank, **opts)
         direct = np.linalg.norm(tensor - reconstruct(factors)) / np.linalg.norm(tensor)
         assert residual < 1e-6
         assert residual == pytest.approx(direct, rel=1e-6)
@@ -101,9 +98,7 @@ class TestCpAls:
         tensor = rng.standard_normal((dim, dim, dim))
         residuals = []
         for iters in range(1, 12):
-            _, _, residual = cp_als(
-                tensor, 2, AlsOptions(max_iters=iters, tol=1e-14, seed=5)
-            )
+            _, _, residual = cp_als(tensor, 2, max_iters=iters, tol=1e-14, seed=5)
             residuals.append(residual)
         diffs = np.diff(residuals)
         assert np.all(diffs <= 1e-10)
@@ -111,8 +106,8 @@ class TestCpAls:
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(4)
         tensor = rng.standard_normal((6, 6, 6))
-        f1, i1, r1 = cp_als(tensor, 2, AlsOptions(seed=9))
-        f2, i2, r2 = cp_als(tensor, 2, AlsOptions(seed=9))
+        f1, i1, r1 = cp_als(tensor, 2, seed=9)
+        f2, i2, r2 = cp_als(tensor, 2, seed=9)
         assert i1 == i2
         assert r1 == r2
         assert np.array_equal(f1.mode1, f2.mode1)
@@ -123,8 +118,8 @@ class TestCpAls:
         rng = np.random.default_rng(5)
         tensor = rng.standard_normal((6, 6, 6))
         scale = 7.3
-        f1, i1, _ = cp_als(tensor, 2, AlsOptions(seed=3))
-        f2, i2, _ = cp_als(scale * tensor, 2, AlsOptions(seed=3))
+        f1, i1, _ = cp_als(tensor, 2, seed=3)
+        f2, i2, _ = cp_als(scale * tensor, 2, seed=3)
         assert i1 == i2
         assert np.allclose(reconstruct(f2), scale * reconstruct(f1), atol=1e-8)
         for mode in ("mode1", "mode2", "mode3"):
@@ -145,13 +140,13 @@ class TestCpAls:
             rng.standard_normal((dim, 3)),
             rng.standard_normal((dim, 3)),
         )
-        _, _, residual = cp_als(reconstruct(truth), 3, AlsOptions(init=truth))
+        _, _, residual = cp_als(reconstruct(truth), 3, init=truth)
         assert residual < 1e-8
 
     def test_sign_convention(self):
         rng = np.random.default_rng(7)
         tensor = rng.standard_normal((5, 5, 5))
-        factors, _, _ = cp_als(tensor, 2, AlsOptions(seed=0))
+        factors, _, _ = cp_als(tensor, 2, seed=0)
         for r in range(2):
             column = factors.mode1[:, r]
             assert column[np.argmax(np.abs(column))] > 0
@@ -159,28 +154,37 @@ class TestCpAls:
     def test_rank_errors(self):
         tensor = np.zeros((4, 4, 4))
         with pytest.raises(RankError):
-            cp_als(tensor, 5, AlsOptions())
+            cp_als(tensor, 5)
         with pytest.raises(RankError):
-            cp_als(tensor, 0, AlsOptions())
+            cp_als(tensor, 0)
 
     def test_non_finite_rejected(self):
         tensor = np.zeros((4, 4, 4))
         tensor[0, 0, 0] = np.nan
         with pytest.raises(DataError):
-            cp_als(tensor, 1, AlsOptions())
+            cp_als(tensor, 1)
 
     def test_non_cubical_rejected(self):
         with pytest.raises(ShapeError):
-            cp_als(np.zeros((3, 4, 3)), 1, AlsOptions())
+            cp_als(np.zeros((3, 4, 3)), 1)
 
-    def test_options_validation(self):
+    def test_options_validation(self, monkeypatch):
+        from delaymix import cpd
+
+        tensor = np.random.default_rng(8).standard_normal((5, 5, 5))
         with pytest.raises(ValueError):
-            AlsOptions(max_iters=0)
+            cp_als(tensor, 2, max_iters=0)
         with pytest.raises(ValueError):
-            AlsOptions(tol=0.0)
-        assert AlsOptions().resolved_max_iters == 200
-        warm = CPFactors(np.ones((3, 1)), np.ones((3, 1)), np.ones((3, 1)))
-        assert AlsOptions(init=warm).resolved_max_iters == 50
+            cp_als(tensor, 2, tol=0.0)
+        assert (cpd.COLD_MAX_ITERS, cpd.WARM_MAX_ITERS) == (200, 50)
+        # the caps are read at call time: a cold start runs to the one, a
+        # warm start to the other, and max_iters overrides both
+        monkeypatch.setattr(cpd, "COLD_MAX_ITERS", 2)
+        monkeypatch.setattr(cpd, "WARM_MAX_ITERS", 1)
+        cold, iters, _ = cp_als(tensor, 2, tol=1e-14)
+        assert iters == 2
+        assert cp_als(tensor, 2, init=cold, tol=1e-14)[1] == 1
+        assert cp_als(tensor, 2, max_iters=3, tol=1e-14)[1] == 3
 
     def test_singular_solve_carries_last_factors(self, monkeypatch):
         from delaymix import cpd
@@ -193,7 +197,7 @@ class TestCpAls:
         rng = np.random.default_rng(0)
         tensor = rng.standard_normal((4, 4, 4))
         with pytest.raises(ConvergenceError) as info:
-            cpd.cp_als(tensor, 2, AlsOptions(seed=0))
+            cpd.cp_als(tensor, 2, seed=0)
         assert info.value.factors is not None
         assert info.value.factors.rank == 2
 

@@ -20,7 +20,7 @@ from delaymix import (
 from delaymix.datagen import random_stable_model, random_stable_system
 from delaymix.errors import ConditioningError, EmptyDatabaseError, NumericalError
 from delaymix.filtering import JITTER, _spd_solve
-from delaymix.realization import RealizationOptions, ho_kalman
+from delaymix.realization import ho_kalman
 
 
 def self_generated(rng, model, steps, x0=None):
@@ -318,9 +318,7 @@ class TestForecast:
         rng = np.random.default_rng(18)
         sys = random_stable_system(rng, 1, 1, 1, delay=1)
         embedded = embed_delay(sys)
-        realized = ho_kalman(
-            markov_parameters_delayed(sys, 6), RealizationOptions(s=3)
-        )
+        realized = ho_kalman(markov_parameters_delayed(sys, 6), 3)
         inputs = rng.standard_normal((100, 1))
         sim = simulate_delay_free(embedded, inputs)
         window = Trajectory(sim.outputs[:90], inputs[:90])

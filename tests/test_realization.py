@@ -21,7 +21,7 @@ from delaymix.errors import (
     ShapeError,
 )
 from delaymix.realization import (
-    RealizationOptions,
+    ModelRecord,
     factor_to_markov,
     ho_kalman,
     realize_components,
@@ -111,14 +111,14 @@ class TestHoKalman:
         rng = np.random.default_rng(1)
         model = random_stable_model(rng, 2, 2, 2)
         seq = markov_parameters_free(model, 6)
-        realized = ho_kalman(seq, RealizationOptions(s=3, state_dim=2))
+        realized = ho_kalman(seq, 3, order=2)
         regen = markov_parameters_free(realized, 6)
         assert np.allclose(regen.blocks, seq.blocks, atol=1e-8)
 
     def test_scalar_delayed_auto_order(self):
         sys = TimeDelaySystem(0.5, 1.0, 1.0, delay=2)
         seq = markov_parameters_delayed(sys, 6)
-        realized = ho_kalman(seq, RealizationOptions(s=3))
+        realized = ho_kalman(seq, 3)
         assert realized.state_dim == 3  # k + tau * dc
         regen = markov_parameters_free(realized, 6)
         assert np.allclose(regen.blocks.ravel(), [0, 0, 1, 0.5, 0.25, 0.125], atol=1e-8)
@@ -126,7 +126,7 @@ class TestHoKalman:
     def test_memoryless_identity(self):
         blocks = np.zeros((4, 2, 2))
         blocks[0] = np.eye(2)
-        realized = ho_kalman(MarkovSequence(blocks), RealizationOptions(s=2))
+        realized = ho_kalman(MarkovSequence(blocks), 2)
         cb = realized.output_map @ realized.input_map
         assert np.allclose(cb, np.eye(2), atol=1e-8)
         assert np.allclose(realized.transition, 0.0, atol=1e-8)
@@ -141,7 +141,7 @@ class TestHoKalman:
             model = random_stable_model(rng, n, d, dc)
             seq = markov_parameters_free(model, 6)
             order = min(n, 3 * min(d, dc))
-            realized = ho_kalman(seq, RealizationOptions(s=3, state_dim=order))
+            realized = ho_kalman(seq, 3, order=order)
             regen = markov_parameters_free(realized, 6)
             assert np.allclose(regen.blocks, seq.blocks, atol=1e-8)
 
@@ -151,7 +151,7 @@ class TestHoKalman:
         rng = np.random.default_rng(3)
         sys = random_stable_system(rng, 1, 1, 1, delay=1)
         seq = markov_parameters_delayed(sys, 6)
-        realized = ho_kalman(seq, RealizationOptions(s=3))
+        realized = ho_kalman(seq, 3)
         embedded = embed_delay(sys)
         inputs = rng.standard_normal((40, 1))
         y1 = simulate_delay_free(realized, inputs).outputs
@@ -164,7 +164,7 @@ class TestHoKalman:
         for tau in (1, 2):
             sys = random_stable_system(rng, 1, 2, 2, delay=tau)
             seq = markov_parameters_delayed(sys, 6)
-            realized = ho_kalman(seq, RealizationOptions(s=3))
+            realized = ho_kalman(seq, 3)
             profile = spectral_norm_profile(markov_parameters_free(realized, 6))
             assert np.all(profile[:tau] < 1e-6)
             assert profile[tau] > 1e-6
@@ -174,19 +174,28 @@ class TestHoKalman:
             random_stable_model(np.random.default_rng(5), 2, 1, 1), 4
         )
         with pytest.raises(HorizonError):
-            ho_kalman(seq, RealizationOptions(s=3))
+            ho_kalman(seq, 3)
 
     def test_degenerate_error(self):
         seq = MarkovSequence(np.zeros((6, 1, 1)))
         with pytest.raises(DegenerateSequenceError):
-            ho_kalman(seq, RealizationOptions(s=3))
+            ho_kalman(seq, 3)
 
     def test_fixed_order_beyond_rank_bound(self):
         seq = markov_parameters_free(
             random_stable_model(np.random.default_rng(6), 2, 1, 1), 6
         )
         with pytest.raises(RankError):
-            ho_kalman(seq, RealizationOptions(s=3, state_dim=4))
+            ho_kalman(seq, 3, order=4)
+
+    def test_sizing_validation(self):
+        seq = markov_parameters_free(
+            random_stable_model(np.random.default_rng(6), 2, 1, 1), 6
+        )
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            ho_kalman(seq, 0)
+        with pytest.raises(ValueError, match="state_dim must be positive"):
+            ho_kalman(seq, 3, order=0)
 
 
 class TestRealizeAll:
@@ -197,8 +206,10 @@ class TestRealizeAll:
         truth = markov_parameters_delayed(sys, 6)
         q1, q2, q3 = stacked_component(truth, config, rng)
         factors = CPFactors(q1[:, None], q2[:, None], q3[:, None])
-        realized = realize_components(factors, config, RealizationOptions(s=3))
+        realized = realize_components(factors, config)
         assert len(realized) == 1
+        assert isinstance(realized[0], ModelRecord)
+        assert realized[0].b_scale == 1.0
         regen = markov_parameters_free(realized[0].model, 6)
         scale = regen.blocks[1, 0, 0] / truth.blocks[1, 0, 0]
         assert np.allclose(regen.blocks, scale * truth.blocks, atol=1e-8)
@@ -215,7 +226,7 @@ class TestRealizeAll:
         c1 = stacked_component(seq1, config, rng)
         c3 = stacked_component(seq3, config, rng)
         factors = CPFactors.from_components([c1, c3])
-        realized = realize_components(factors, config, RealizationOptions(s=3))
+        realized = realize_components(factors, config)
         delays = sorted(
             detect_delay(spectral_norm_profile(item.markov)) for item in realized
         )
@@ -226,7 +237,7 @@ class TestRealizeAll:
         dim = config.mode_dim
         zeros = CPFactors(np.zeros((dim, 2)), np.zeros((dim, 2)), np.zeros((dim, 2)))
         with pytest.raises(EmptyDatabaseError):
-            realize_components(zeros, config, RealizationOptions(s=2))
+            realize_components(zeros, config)
 
     def test_degenerate_component_skipped(self, caplog):
         rng = np.random.default_rng(9)
@@ -237,7 +248,7 @@ class TestRealizeAll:
         bad = (np.zeros(dim), np.zeros(dim), np.zeros(dim))
         factors = CPFactors.from_components([bad, good])
         with caplog.at_level("WARNING"):
-            realized = realize_components(factors, config, RealizationOptions(s=3))
+            realized = realize_components(factors, config)
         assert len(realized) == 1
         assert realized[0].component_index == 1
         assert any("skipping component 0" in r.message for r in caplog.records)
