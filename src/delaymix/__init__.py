@@ -21,14 +21,12 @@ from .engine import (
     engine_update,
     load_checkpoint,
     run_horizons,
-    run_stream,
     save_checkpoint,
 )
 from .errors import DelayMixError
 from .filtering import (
     BeliefTrace,
     NoiseSpec,
-    SmoothedTrace,
     forecast,
     kalman_forward,
     rts_smoother,

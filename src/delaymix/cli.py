@@ -1,9 +1,8 @@
-"""Command-line front end: data ingestion, streaming runs, benchmarks.
+"""Command-line front end: data ingestion, streaming runs, validation.
 
 Commands:
     gen       render a scenario file to CSV
     run       stream a CSV or scenario through the engine, emit metrics
-    bench     per-update timing over increasing stream lengths
     validate  grid-search rho x rank on a validation prefix
 """
 
@@ -13,7 +12,6 @@ import argparse
 import csv
 import json
 import os
-import statistics
 import sys
 from dataclasses import dataclass, replace
 
@@ -215,27 +213,15 @@ def write_csv_trajectory(path: str, trajectory: Trajectory) -> None:
             writer.writerow(row)
 
 
-def _load_trajectory(manifest: RunManifest, length: int | None = None) -> Trajectory:
+def _load_trajectory(manifest: RunManifest) -> Trajectory:
     if manifest.scenario_path is not None:
         spec = scenario.load_scenario(manifest.scenario_path)
         if manifest.seed is not None:
             spec = replace(spec, seed=manifest.seed)
-        if length is not None:
-            schedule = tuple((t, r) for t, r in spec.schedule if t < length)
-            spec = replace(spec, length=length, schedule=schedule or ((0, 1),))
         return datagen.generate(spec)
-    trajectory = read_csv_trajectory(
+    return read_csv_trajectory(
         manifest.csv_path, manifest.output_columns, manifest.input_columns
     )
-    if length is not None and len(trajectory) < length:
-        reps = int(np.ceil(length / len(trajectory)))
-        trajectory = Trajectory(
-            np.tile(trajectory.outputs, (reps, 1))[:length],
-            np.tile(trajectory.inputs, (reps, 1))[:length],
-        )
-    elif length is not None:
-        trajectory = trajectory.window(0, length)
-    return trajectory
 
 
 def _config_for(manifest: RunManifest, d: int, dc: int, l_s: int,
@@ -337,48 +323,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    manifest = _manifest_from_args(args)
-    lengths = _comma_list(args.lengths, int, "lengths")
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    l_s = manifest.horizons[0]
-    summary_rows = []
-    detail_rows = []
-    for length in lengths:
-        trajectory = _load_trajectory(manifest, length=length)
-        config = _config_for(manifest, trajectory.output_dim, trajectory.input_dim, l_s)
-        reports, metrics = engine.run_stream(config, trajectory)
-        plain = [r.elapsed for r in reports if not r.adapted]
-        spikes = [r.elapsed for r in reports if r.adapted]
-        summary_rows.append(
-            {
-                "length": length,
-                "updates": len(reports),
-                "adaptations": len(spikes),
-                "median_update_seconds": statistics.median(plain) if plain else float("nan"),
-                "median_adaptation_seconds": statistics.median(spikes) if spikes else float("nan"),
-            }
-        )
-        for idx, report in enumerate(reports):
-            detail_rows.append([length, idx, f"{report.elapsed:.6f}", int(report.adapted)])
-    with open(os.path.join(manifest.out_dir, "bench.csv"), "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(summary_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(summary_rows)
-    with open(
-        os.path.join(manifest.out_dir, "bench_detail.csv"), "w", encoding="utf-8", newline=""
-    ) as f:
-        writer = csv.writer(f)
-        writer.writerow(["length", "update", "elapsed_seconds", "adapted"])
-        writer.writerows(detail_rows)
-    for row in summary_rows:
-        print(
-            f"length={row['length']}: median_update={row['median_update_seconds']:.6f}s "
-            f"({row['updates']} updates, {row['adaptations']} adaptations)"
-        )
-    return 0
-
-
 def best_cell(cells: list[dict]) -> dict:
     """Grid winner: lowest mse, ties broken by smaller rank, then larger rho."""
     scored = [c for c in cells if "mse" in c]
@@ -395,7 +339,7 @@ def cmd_validate(args) -> int:
     trajectory = _load_trajectory(manifest)
     split = max(1, int(len(trajectory) * manifest.val_fraction))
     prefix = trajectory.window(0, split)
-    l_s = manifest.horizons[0]
+    l_s = manifest.horizons[0]  # cells are scored on the first-listed horizon
     cells = []
     for rank in rank_grid:
         for rho in rho_grid:
@@ -403,7 +347,7 @@ def cmd_validate(args) -> int:
                 manifest, trajectory.output_dim, trajectory.input_dim, l_s, rho=rho, rank=rank
             )
             try:
-                _, metrics = engine.run_stream(config, prefix)
+                _, (metrics,), _ = engine.run_horizons(config, prefix, (l_s,))
                 cells.append(
                     {"rho": rho, "rank": rank, "mse": metrics.mse, "mae": metrics.mae}
                 )
@@ -451,11 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint", default=None, help="write the final engine state to this file"
     )
     run.set_defaults(func=cmd_run)
-
-    bench = sub.add_parser("bench", help="timing across stream lengths")
-    common(bench)
-    bench.add_argument("--lengths", required=True, help="comma list of stream lengths")
-    bench.set_defaults(func=cmd_bench)
 
     validate = sub.add_parser("validate", help="grid-search rho x rank")
     common(validate)

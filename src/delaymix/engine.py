@@ -58,9 +58,10 @@ class EngineConfig:
     l_c is the update window length, rho the fit threshold gating model
     adaptation, rank the number of CP components kept in the database.
     seed draws the ALS cold starts; warm_start controls whether later
-    adaptations start from the previous factors instead. l_s is the horizon
-    run_stream scores; it is never read by identification, and
-    engine_update forecasts as many steps as it is given future inputs.
+    adaptations start from the previous factors instead. l_s is range
+    checked and stored in checkpoints, but no stage reads it: engine_update
+    forecasts as many steps as it is given future inputs, and run_horizons
+    scores the horizons it is passed.
     """
 
     moment: MomentConfig
@@ -418,7 +419,7 @@ def run_horizons(
     if total < l_c + longest:
         raise DataError(
             f"trajectory of length {total} is too short for one window; "
-            f"need at least l_c + l_s = {l_c + longest} steps"
+            f"need at least l_c + max(horizons) = {l_c + longest} steps"
         )
     n_windows = (total - min(horizons)) // l_c
     reports: list[UpdateReport] = []
@@ -449,14 +450,6 @@ def run_horizons(
         for h, se, ae in zip(horizons, window_se, window_ae)
     ]
     return reports, summaries, state
-
-
-def run_stream(
-    config: EngineConfig, trajectory: Trajectory
-) -> tuple[list[UpdateReport], MetricsSummary]:
-    """run_horizons scoring the single horizon config.l_s."""
-    reports, (summary,), _ = run_horizons(config, trajectory, (config.l_s,))
-    return reports, summary
 
 
 def state_footprint_bytes(state: EngineState) -> int:

@@ -11,10 +11,6 @@ class ShapeError(DelayMixError, ValueError):
     """An operand has a dimension that does not fit its companions."""
 
 
-class CapacityError(DelayMixError, ValueError):
-    """A requested dense allocation exceeds the configured cap."""
-
-
 class WindowLengthError(DelayMixError, ValueError):
     """A data window is too short for the requested lag structure."""
 

@@ -46,15 +46,7 @@ class BeliefTrace:
     filtered_covs: np.ndarray       # (T, n, n)
     predicted_means: np.ndarray     # (T, n)
     predicted_covs: np.ndarray      # (T, n, n)
-    gains: np.ndarray               # (T, n, d)
     one_step_predictions: np.ndarray  # (T, d)
-
-
-@dataclass(frozen=True)
-class SmoothedTrace:
-    """Backward-pass state estimates; the final mean equals the filtered one."""
-
-    smoothed_means: np.ndarray  # (T, n)
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
@@ -105,7 +97,6 @@ def kalman_forward(
     filtered_covs = np.empty((steps, n, n))
     predicted_means = np.empty((steps, n))
     predicted_covs = np.empty((steps, n, n))
-    gains = np.empty((steps, n, d))
     predictions = np.empty((steps, d))
 
     mean = np.zeros(n)
@@ -130,17 +121,19 @@ def kalman_forward(
                 raise NumericalError(f"non-finite filter state at step {t}", step=t)
             predicted_means[t] = mean_pred
             predicted_covs[t] = cov_pred
-            gains[t] = gain
             filtered_means[t] = mean
             filtered_covs[t] = cov
             predictions[t] = y_pred
     return BeliefTrace(
-        filtered_means, filtered_covs, predicted_means, predicted_covs, gains, predictions
+        filtered_means, filtered_covs, predicted_means, predicted_covs, predictions
     )
 
 
-def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> SmoothedTrace:
-    """Backward pass refining filtered means with future information."""
+def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> np.ndarray:
+    """Backward pass refining filtered means with future information.
+
+    Returns the (T, n) smoothed means; the last equals the last filtered mean.
+    """
     a = model.transition
     steps, n = trace.filtered_means.shape
     smoothed = np.empty((steps, n))
@@ -156,7 +149,7 @@ def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> SmoothedTrace:
         smoothed[t] = trace.filtered_means[t] + gain @ (
             smoothed[t + 1] - trace.predicted_means[t + 1]
         )
-    return SmoothedTrace(smoothed)
+    return smoothed
 
 
 def window_error(window: Trajectory, trace: BeliefTrace) -> float:

@@ -32,15 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    CapacityError,
-    EmptyTensorError,
-    ShapeError,
-    WindowLengthError,
-)
+from .errors import EmptyTensorError, ShapeError, WindowLengthError
 from .syslin import Trajectory
 
-DEFAULT_MODE_CAP = 256
+DEFAULT_MODE_CAP = 256  # largest mode size D engine_init accepts
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,9 @@ class SystemTensor:
         self.config = config
 
 
-def new_tensor(config: MomentConfig, mode_cap: int = DEFAULT_MODE_CAP) -> SystemTensor:
+def new_tensor(config: MomentConfig) -> SystemTensor:
     """Allocate a zero tensor for the given configuration."""
     dim = config.mode_dim
-    if dim > mode_cap:
-        raise CapacityError(
-            f"mode size {dim} exceeds the cap {mode_cap}; reduce s, d or dc"
-        )
     return SystemTensor(np.zeros((dim, dim, dim)), 0.0, config)
 
 

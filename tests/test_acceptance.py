@@ -231,10 +231,8 @@ def test_criterion_6_regime_tracking():
     passes = 0
     for seed in range(10):
         traj = two_regime_stream(seed, length=length, noise=0.01)
-        config = dm.default_config(
-            d=1, dc=1, s=3, rank=2, rho=rho, l_c=l_c, l_s=1, seed=0
-        )
-        reports, _ = dm.run_stream(config, traj)
+        config = dm.default_config(d=1, dc=1, s=3, rank=2, rho=rho, l_c=l_c, seed=0)
+        reports, _, _ = dm.run_horizons(config, traj, (1,))
         adapted_promptly = reports[switch_window].adapted
         post = [r.window_fit for r in reports[switch_window + 1 :]]
         recovered = any(fit < rho for fit in post)
@@ -335,7 +333,7 @@ def test_criterion_9_state_inference_correctness():
         trace = kalman_forward(model, window, noise)
         smooth = rts_smoother(model, trace)
         filt_err = float(np.max(np.abs(trace.filtered_means[5:] - states[5:])))
-        smooth_err = float(np.max(np.abs(smooth.smoothed_means[5:] - states[5:])))
+        smooth_err = float(np.max(np.abs(smooth[5:] - states[5:])))
         eigs = [
             float(np.min(np.linalg.eigvalsh(cov)))
             for covs in (trace.filtered_covs, trace.predicted_covs)
@@ -359,10 +357,9 @@ def test_criterion_10_warm_start_speedup():
             sys = random_stable_system(rng, 2, 2, 2, delay=1, spectral_radius=0.7)
             traj = dm.generate(ScenarioSpec(regimes=(sys,), length=2100, seed=seed))
             config = dm.default_config(
-                d=2, dc=2, s=3, rank=2, rho=1e-15, l_c=42, l_s=1, seed=0,
-                warm_start=warm,
+                d=2, dc=2, s=3, rank=2, rho=1e-15, l_c=42, seed=0, warm_start=warm,
             )
-            reports, _ = dm.run_stream(config, traj)
+            reports, _, _ = dm.run_horizons(config, traj, (1,))
             # the first adaptation has no previous factors either way
             pooled.extend(r.als_iters for r in reports[1:] if r.adapted)
         return float(np.median(pooled))

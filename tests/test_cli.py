@@ -395,7 +395,7 @@ class TestRunCommand:
             ("run", ["--ls", "1,x"], "--ls '1,x'"),
             ("validate", ["--grid-rho", "0.5,a"], "--grid-rho '0.5,a'"),
             ("validate", ["--grid-rank", "2,x"], "--grid-rank '2,x'"),
-            ("bench", ["--lengths", "100,z"], "--lengths '100,z'"),
+            ("validate", ["--val-frac", "0"], "val_fraction=0.0 must lie in (0, 1]"),
             ("run", ["--config", "{"], "not valid JSON"),
             ("run", ["--config", "[1]"], "JSON object"),
             ("run", ["--config", '{"overrides": [1]}'], "JSON object"),
@@ -412,57 +412,6 @@ class TestRunCommand:
         assert main(argv + extra) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
-
-
-class TestBenchCommand:
-    def test_bench_writes_tables(self, tmp_path, scenario_file):
-        out = tmp_path / "bench"
-        code = main(
-            [
-                "bench",
-                "--scenario",
-                str(scenario_file),
-                "--out",
-                str(out),
-                "--lengths",
-                "800,1600",
-                "--lc",
-                "100",
-                "--rank",
-                "2",
-                "--seed",
-                "0",
-            ]
-        )
-        assert code == 0
-        with open(out / "bench.csv") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [int(r["length"]) for r in rows] == [800, 1600]
-        with open(out / "bench_detail.csv") as handle:
-            detail = list(csv.DictReader(handle))
-        assert any(r["adapted"] == "1" for r in detail)
-
-    def test_single_length(self, tmp_path, scenario_file):
-        out = tmp_path / "bench1"
-        code = main(
-            [
-                "bench",
-                "--scenario",
-                str(scenario_file),
-                "--out",
-                str(out),
-                "--lengths",
-                "900",
-                "--lc",
-                "100",
-                "--seed",
-                "0",
-            ]
-        )
-        assert code == 0
-        with open(out / "bench.csv") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 1
 
 
 class TestValidateCommand:

@@ -20,7 +20,7 @@ from delaymix import (
     forecast,
     generate,
     kalman_forward,
-    run_stream,
+    run_horizons,
 )
 from delaymix import engine, filtering
 from delaymix.datagen import ScenarioSpec
@@ -94,6 +94,13 @@ class TestEngineInit:
         with pytest.raises(ConfigError) as info:
             engine_init(config)
         assert len(info.value.violations) >= 4
+
+    def test_dense_cap_refused(self):
+        # mode size 2 * 3 * 8 * 8 = 384 exceeds the dense cap of 256
+        config = default_config(d=8, dc=8, s=3)
+        with pytest.raises(ConfigError) as info:
+            engine_init(config)
+        assert any("dense cap 256" in v for v in info.value.violations)
 
 
 class TestEngineUpdate:
@@ -374,21 +381,22 @@ class TestGateMonotonicity:
         assert all(flags)
 
 
-class TestRunStream:
+class TestRunHorizons:
     def test_too_short(self):
-        traj = single_regime_traj(length=50, seed=11)
-        config = default_config(d=1, dc=1, s=3, l_c=100, l_s=1)
+        config = default_config(d=1, dc=1, s=3, l_c=100)
         with pytest.raises(DataError):
-            run_stream(config, traj)
+            run_horizons(config, single_regime_traj(length=50, seed=11), (1,))
+        # the minimum length is l_c plus the longest horizon, not the first
+        traj = single_regime_traj(length=120, seed=11)
+        with pytest.raises(DataError, match=r"need at least l_c \+ max\(horizons\) = 130"):
+            run_horizons(config, traj, (1, 30))
 
     def test_single_regime_accuracy(self):
         # noise-free stationary stream with a low gate: forecasts sharpen as
         # moments accumulate, reaching the target accuracy on the late part
         traj = single_regime_traj(length=100000, seed=0)
-        config = default_config(
-            d=1, dc=1, s=3, rank=1, rho=1e-3, l_c=500, l_s=1, seed=0
-        )
-        reports, metrics = run_stream(config, traj)
+        config = default_config(d=1, dc=1, s=3, rank=1, rho=1e-3, l_c=500, seed=0)
+        reports, _, _ = run_horizons(config, traj, (1,))
         scaler = Standardizer.fit(traj.outputs[:500], traj.inputs[:500])
         ses = []
         for w, report in enumerate(reports):
@@ -403,8 +411,8 @@ class TestRunStream:
         from delaymix.datagen import persistence_baseline
 
         traj = two_regime_traj(length=6000, seed=1)
-        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=1)
-        reports, metrics = run_stream(config, traj)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100)
+        reports, (metrics,), _ = run_horizons(config, traj, (1,))
         scaler = Standardizer.fit(traj.outputs[:100], traj.inputs[:100])
         se = 0.0
         count = 0
@@ -419,8 +427,8 @@ class TestRunStream:
 
     def test_metrics_shapes(self):
         traj = single_regime_traj(length=1500, seed=12)
-        config = default_config(d=1, dc=1, s=3, rank=1, rho=0.5, l_c=100, l_s=5)
-        reports, metrics = run_stream(config, traj)
+        config = default_config(d=1, dc=1, s=3, rank=1, rho=0.5, l_c=100)
+        reports, (metrics,), _ = run_horizons(config, traj, (5,))
         assert metrics.horizon == 5
         assert metrics.n_points == len(reports) * 5
         assert len(metrics.cumulative_se) == len(reports)
@@ -437,9 +445,9 @@ class TestWarmStart:
             sys = random_stable_system(rng, 2, 2, 2, delay=1, spectral_radius=0.7)
             traj = generate(ScenarioSpec(regimes=(sys,), length=1300, seed=5))
             config = default_config(
-                d=2, dc=2, s=3, rank=2, rho=1e-15, l_c=42, l_s=1, warm_start=warm
+                d=2, dc=2, s=3, rank=2, rho=1e-15, l_c=42, warm_start=warm
             )
-            reports, _ = run_stream(config, traj)
+            reports, _, _ = run_horizons(config, traj, (1,))
             return [r.als_iters for r in reports if r.adapted][1:]
 
         warm_iters = run(True)

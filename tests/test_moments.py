@@ -3,12 +3,7 @@ import pytest
 
 from delaymix import MomentConfig, Trajectory
 from delaymix.datagen import oracle_moment_tensor
-from delaymix.errors import (
-    CapacityError,
-    EmptyTensorError,
-    ShapeError,
-    WindowLengthError,
-)
+from delaymix.errors import EmptyTensorError, ShapeError, WindowLengthError
 from delaymix.moments import accumulate_window, new_tensor, normalized_view
 
 
@@ -31,13 +26,6 @@ class TestConfigAndAllocation:
         assert tensor.data.shape == (6, 6, 6)
         assert tensor.weight == 0.0
         assert np.allclose(tensor.data, 0.0)
-
-    def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
-            new_tensor(MomentConfig(d=8, dc=8, s=3))
-        # explicit cap override allows it
-        tensor = new_tensor(MomentConfig(d=8, dc=8, s=3), mode_cap=400)
-        assert tensor.data.shape == (384, 384, 384)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
