@@ -297,9 +297,12 @@ def cmd_run(args) -> int:
         os.path.join(manifest.out_dir, "profile.csv"), "w", encoding="utf-8", newline=""
     ) as f:
         writer = csv.writer(f)
-        writer.writerow(["update", "elapsed_seconds", "adapted"])
+        writer.writerow(["update", "elapsed_seconds", "adapted", "als_iters", "als_residual"])
         for idx, report in enumerate(reports):
-            writer.writerow([idx, f"{report.elapsed:.6f}", int(report.adapted)])
+            residual = "" if report.als_residual is None else repr(report.als_residual)
+            writer.writerow(
+                [idx, f"{report.elapsed:.6f}", int(report.adapted), report.als_iters, residual]
+            )
 
     with open(
         os.path.join(manifest.out_dir, "markov_profiles.csv"), "w", encoding="utf-8", newline=""

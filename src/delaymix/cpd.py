@@ -69,6 +69,21 @@ def _cold_init(dim: int, rank: int, seed: int) -> CPFactors:
     return CPFactors(*mats)
 
 
+def _khatri_rao(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product: row (i, j) of column r is left[i, r] * right[j, r]."""
+    return (left[:, None, :] * right[None, :, :]).reshape(-1, left.shape[1])
+
+
+def _mttkrp(tensor: np.ndarray, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mode-`mode` MTTKRP (D, R) with the other modes' factors a, b: one GEMM on a view."""
+    dim, rank = a.shape
+    cols = tensor.reshape(dim * dim, dim)  # T[(i, j), k]; its transpose unfolds mode 3
+    if mode == 1:
+        return ((cols @ b).reshape(dim, dim, rank) * a[:, None, :]).sum(axis=0)
+    unfolding = tensor.reshape(dim, dim * dim) if mode == 0 else cols.T
+    return unfolding @ _khatri_rao(a, b)
+
+
 def _solve_normal(gram: np.ndarray, rhs: np.ndarray, sweep_start: tuple) -> np.ndarray:
     """Solve (gram + ridge I) x = rhs for each rhs row, with a rescue ridge.
 
@@ -115,9 +130,12 @@ def cp_als(
     relative residual ||T - reconstruct(factors)|| / ||T||). Deterministic
     given seed and init.
 
-    Each sweep first evaluates the residual in the cheap expanded form
-    ||T||^2 - 2<T, rec> + ||rec||^2 from the mode-3 MTTKRP (Kolda & Bader
-    2009, sec. 3.4). That form cannot resolve a relative residual below
+    Each mode update is one GEMM on a reshape view of the tensor, the
+    unfolding MTTKRP of Kolda & Bader (2009, sec. 3.4); each mode's Gram
+    matrix is formed once per sweep, and the next two solves reuse it.
+    Each sweep then evaluates the residual in the cheap expanded form
+    ||T||^2 - 2<T, rec> + ||rec||^2 from the mode-3 MTTKRP and the three
+    Gram matrices. That form cannot resolve a relative residual below
     about sqrt(eps), so once it reads below DIRECT_RESIDUAL_BELOW (1e-6) the
     residual is computed directly from the dense reconstruction, and that
     value drives both the stopping test and the return value.
@@ -135,7 +153,7 @@ def cp_als(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters is None:
         max_iters = COLD_MAX_ITERS if init is None else WARM_MAX_ITERS
-    tensor = np.asarray(tensor, dtype=np.float64)
+    tensor = np.ascontiguousarray(tensor, dtype=np.float64)  # the unfoldings are views
     if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
         raise ShapeError(f"expected a cubical order-3 tensor, got shape {tensor.shape}")
     dim = tensor.shape[0]
@@ -157,36 +175,29 @@ def cp_als(
         m1, m2, m3 = cold.mode1, cold.mode2, cold.mode3
 
     norm_sq = float(np.sum(tensor * tensor))
-    scale = np.sqrt(norm_sq) if norm_sq > 0.0 else 1.0
-
-    def relative_residual(mttkrp3: np.ndarray) -> float:
-        # ||T - rec||^2 = ||T||^2 - 2 <T, rec> + ||rec||^2 via the mode-3 MTTKRP
-        inner = float(np.sum(mttkrp3 * m3))
-        rec_sq = float(np.sum((m1.T @ m1) * (m2.T @ m2) * (m3.T @ m3)))
-        expanded = float(np.sqrt(max(norm_sq - 2.0 * inner + rec_sq, 0.0))) / scale
-        if expanded >= DIRECT_RESIDUAL_BELOW:
-            return expanded
-        rec = reconstruct(CPFactors(m1, m2, m3))
-        return float(np.linalg.norm(tensor - rec)) / scale
+    scale = float(np.sqrt(norm_sq)) if norm_sq > 0.0 else 1.0
 
     prev = None
     iters = 0
     final = 0.0
+    g2, g3 = m2.T @ m2, m3.T @ m3
     for iteration in range(1, max_iters + 1):
         current = (m1, m2, m3)
-        gram = (m2.T @ m2) * (m3.T @ m3)
-        rhs = np.einsum("abc,br,cr->ra", tensor, m2, m3, optimize=True)
-        m1 = _solve_normal(gram, rhs, current).T
+        m1 = _solve_normal(g2 * g3, _mttkrp(tensor, 0, m2, m3).T, current).T
+        g1 = m1.T @ m1
 
-        gram = (m1.T @ m1) * (m3.T @ m3)
-        rhs = np.einsum("abc,ar,cr->rb", tensor, m1, m3, optimize=True)
-        m2 = _solve_normal(gram, rhs, current).T
+        m2 = _solve_normal(g1 * g3, _mttkrp(tensor, 1, m1, m3).T, current).T
+        g2 = m2.T @ m2
 
-        gram = (m1.T @ m1) * (m2.T @ m2)
-        mttkrp3 = np.einsum("abc,ar,br->cr", tensor, m1, m2, optimize=True)
-        m3 = _solve_normal(gram, mttkrp3.T, current).T
+        mttkrp3 = _mttkrp(tensor, 2, m1, m2)
+        m3 = _solve_normal(g1 * g2, mttkrp3.T, current).T
+        g3 = m3.T @ m3
 
-        rel_res = relative_residual(mttkrp3)
+        # ||T - rec||^2 = ||T||^2 - 2 <T, rec> + ||rec||^2 via the mode-3 MTTKRP
+        res_sq = norm_sq - 2.0 * float(np.sum(mttkrp3 * m3)) + float(np.sum(g1 * g2 * g3))
+        rel_res = float(np.sqrt(max(res_sq, 0.0))) / scale
+        if rel_res < DIRECT_RESIDUAL_BELOW:
+            rel_res = float(np.linalg.norm(tensor - reconstruct(CPFactors(m1, m2, m3)))) / scale
         iters = iteration
         final = rel_res
         if prev is not None and (
@@ -205,9 +216,8 @@ def reconstruct(factors: CPFactors, dim: int | None = None) -> np.ndarray:
     """Dense tensor sum_r q1_r x q2_r x q3_r."""
     if dim is not None and factors.dim != dim:
         raise ShapeError(f"factor length {factors.dim} does not match D={dim}")
-    return np.einsum(
-        "ar,br,cr->abc", factors.mode1, factors.mode2, factors.mode3, optimize=True
-    )
+    dim = factors.dim
+    return (factors.mode1 @ _khatri_rao(factors.mode2, factors.mode3).T).reshape(dim, dim, dim)
 
 
 @dataclass(frozen=True)

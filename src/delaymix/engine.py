@@ -180,6 +180,7 @@ class UpdateReport:
     adapted: bool
     window_fit: float
     als_iters: int
+    als_residual: float | None  # final relative CP residual; None when not adapting
     elapsed: float
     active_regime: int
 
@@ -362,12 +363,12 @@ def engine_update(
         gate_fit = float("inf")
 
     adapted = False
-    als_iters = 0
+    als_iters, als_residual = 0, None
     if not had_models or gate_fit >= cfg.rho:
         adapted = True
         with _stage("model_adaptation"):
             warm = database.last_factors if cfg.warm_start else None
-            factors, als_iters, _ = cp_als(
+            factors, als_iters, als_residual = cp_als(
                 normalized_view(tensor), cfg.rank, seed=cfg.seed, init=warm
             )
             records = [
@@ -393,6 +394,7 @@ def engine_update(
         adapted=adapted,
         window_fit=gate_fit,
         als_iters=als_iters,
+        als_residual=als_residual,
         elapsed=time.perf_counter() - started,
         active_regime=database.active_index,
     )

@@ -174,6 +174,15 @@ class TestRunCommand:
         regimes = {row["regime"] for row in rows}
         assert len(regimes) >= 1
         assert all("normalized_spectral_norm" in row for row in rows)
+        with open(out / "profile.csv") as handle:
+            updates = list(csv.DictReader(handle))
+        assert updates and int(updates[0]["adapted"]) == 1
+        for row in updates:
+            if int(row["adapted"]):
+                assert int(row["als_iters"]) >= 1
+                assert 0.0 <= float(row["als_residual"]) <= 1.0
+            else:
+                assert row["als_iters"] == "0" and row["als_residual"] == ""
 
     def test_rerun_is_byte_identical(self, tmp_path, scenario_file):
         out1 = tmp_path / "r1"

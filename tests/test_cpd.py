@@ -114,6 +114,13 @@ class TestCpAls:
         assert np.array_equal(f1.mode2, f2.mode2)
         assert np.array_equal(f1.mode3, f2.mode3)
 
+    def test_strided_tensor_matches_contiguous_copy(self):
+        tensor = np.random.default_rng(13).standard_normal((6, 6, 6)).transpose(2, 0, 1)
+        f1, i1, r1 = cp_als(tensor, 2, seed=4)
+        f2, i2, r2 = cp_als(tensor.copy(), 2, seed=4)
+        assert (i1, r1) == (i2, r2)
+        assert np.array_equal(f1.mode1, f2.mode1) and np.array_equal(f1.mode3, f2.mode3)
+
     def test_scale_indifference(self):
         rng = np.random.default_rng(5)
         tensor = rng.standard_normal((6, 6, 6))
@@ -202,6 +209,25 @@ class TestCpAls:
         assert info.value.factors.rank == 2
 
 
+class TestMttkrp:
+    # the unfolding GEMMs against the definition sum_{j,k} T[i,j,k] a[j,r] b[k,r]
+    DEFINITIONS = ("abc,br,cr->ar", "abc,ar,cr->br", "abc,ar,br->cr")
+
+    @pytest.mark.parametrize("dim", [4, 6, 32])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_matches_einsum_definition(self, dim, rank, mode):
+        from delaymix.cpd import _mttkrp
+
+        rng = np.random.default_rng(100 * dim + 10 * rank + mode)
+        tensor = rng.standard_normal((dim, dim, dim))
+        a, b = rng.standard_normal((2, dim, rank))
+        fast = _mttkrp(tensor, mode, a, b)
+        slow = np.einsum(self.DEFINITIONS[mode], tensor, a, b)
+        assert fast.shape == (dim, rank)
+        assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
+
+
 class TestReconstruct:
     def test_all_ones(self):
         ones = np.ones((5, 1))
@@ -214,8 +240,15 @@ class TestReconstruct:
         assert np.array_equal(reconstruct(factors), np.zeros((4, 4, 4)))
 
     def test_matches_triple_loop(self):
+        self.check_triple_loop(4, 3)
+
+    @pytest.mark.parametrize("dim, rank", [(3, 3), (5, 1), (6, 2)])
+    def test_matches_triple_loop_other_shapes(self, dim, rank):
+        self.check_triple_loop(dim, rank)
+
+    @staticmethod
+    def check_triple_loop(dim, rank):
         rng = np.random.default_rng(8)
-        dim, rank = 4, 3
         factors = CPFactors(
             rng.standard_normal((dim, rank)),
             rng.standard_normal((dim, rank)),

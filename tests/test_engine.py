@@ -126,6 +126,10 @@ class TestEngineUpdate:
         second = engine_update(state, traj.outputs[100:200], traj.inputs[100:201])
         assert first.adapted and first.als_iters > 0
         assert not second.adapted and second.als_iters == 0
+        # the final ALS residual is reported only by an update that ran ALS
+        assert type(first.als_residual) is float
+        assert np.isfinite(first.als_residual) and 0.0 <= first.als_residual <= 1.0
+        assert second.als_residual is None
 
     def test_regime_switch_triggers_adaptation(self):
         traj = two_regime_traj(length=6000, seed=3)
