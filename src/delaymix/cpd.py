@@ -212,12 +212,10 @@ def cp_als(
     return CPFactors(m1, m2, m3), iters, final
 
 
-def reconstruct(factors: CPFactors, dim: int | None = None) -> np.ndarray:
+def reconstruct(factors: CPFactors) -> np.ndarray:
     """Dense tensor sum_r q1_r x q2_r x q3_r."""
-    if dim is not None and factors.dim != dim:
-        raise ShapeError(f"factor length {factors.dim} does not match D={dim}")
-    dim = factors.dim
-    return (factors.mode1 @ _khatri_rao(factors.mode2, factors.mode3).T).reshape(dim, dim, dim)
+    product = factors.mode1 @ _khatri_rao(factors.mode2, factors.mode3).T
+    return product.reshape((factors.dim,) * 3)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,8 @@ class NumericalError(DelayMixError, ArithmeticError):
 
 
 class ConditioningError(DelayMixError, ArithmeticError):
-    """A matrix stayed non-positive-definite / singular after jitter."""
+    """A covariance stayed non-positive-definite after jitter, or a filter's
+    innovation variance was not positive."""
 
 
 class ConfigError(DelayMixError, ValueError):

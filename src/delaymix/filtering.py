@@ -1,17 +1,18 @@
 """Kalman filtering, RTS smoothing, window scoring and forecasting.
 
-`kalman_forward` is the only forward pass. `window_error` and `forecast`
-read the `BeliefTrace` of a pass already run, and `select_regime` returns the
-winner's trace so the caller can forecast from it without filtering again.
+`kalman_forward` is the only forward pass; it corrects with one output at
+a time. `window_error` and `forecast` read the `BeliefTrace` of a pass
+already run, and `select_regime` returns the winner's trace so the caller
+can forecast from it without filtering again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConditioningError, EmptyDatabaseError, NumericalError
 from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
@@ -52,25 +53,21 @@ class BeliefTrace:
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
     """Solve matrix @ x = rhs for symmetric positive definite matrix.
 
-    Calls LAPACK's Cholesky factorization and solve (potrf/potrs) directly,
-    the same routines scipy's cho_factor/cho_solve dispatch to, without
-    their per-call wrapper checks. A matrix that fails to factor is retried
-    once with JITTER added to its diagonal.
+    A Cholesky factorization tests positive definiteness and `solve` gives
+    the result. A matrix that fails the test is retried once with JITTER
+    added to its diagonal, then raises ConditioningError. `rts_smoother` is
+    the only caller.
     """
     sym = 0.5 * (matrix + matrix.T)
     if not (np.isfinite(sym).all() and np.isfinite(rhs).all()):
         raise NumericalError(f"non-finite {what} at step {step}", step=step)
-    factor, info = dpotrf(sym, lower=1, clean=0)
-    if info != 0:
-        factor, info = dpotrf(sym + JITTER * np.eye(sym.shape[0]), lower=1, clean=0)
-        if info != 0:
-            raise ConditioningError(
-                f"{what} not positive definite after jitter at step {step}"
-            )
-    solution, info = dpotrs(factor, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-    return solution
+    for candidate in (sym, sym + JITTER * np.eye(sym.shape[0])):
+        try:
+            np.linalg.cholesky(candidate)
+        except np.linalg.LinAlgError:
+            continue
+        return np.linalg.solve(candidate, rhs)
+    raise ConditioningError(f"{what} not positive definite after jitter at step {step}")
 
 
 def kalman_forward(
@@ -80,7 +77,10 @@ def kalman_forward(
 
     The zero-mean prior plays the role of the first predicted state, so the
     first one-step prediction is zero; from t >= 1 the prediction uses the
-    previous filtered state and the input at t-1.
+    previous filtered state and the input at t-1. The observation noise is
+    obs_var * I, so each output i corrects alone (Anderson & Moore 1979, ch. 6)
+    with gain P c_i / s, s = c_i P c_i + obs_var >= obs_var > 0 in exact
+    arithmetic; an s <= 0 raises ConditioningError, with no jitter retry.
     """
     a, b, c = model.transition, model.input_map, model.output_map
     n, d = model.state_dim, model.output_dim
@@ -90,8 +90,6 @@ def kalman_forward(
         raise ValueError(f"window outputs have {y.shape[1]} channels, model emits {d}")
     u = window.inputs
     gamma = noise.process_var * np.eye(n)
-    r_obs = noise.obs_var * np.eye(d)
-    eye_n = np.eye(n)
 
     filtered_means = np.empty((steps, n))
     filtered_covs = np.empty((steps, n, n))
@@ -99,23 +97,26 @@ def kalman_forward(
     predicted_covs = np.empty((steps, n, n))
     predictions = np.empty((steps, d))
 
-    mean = np.zeros(n)
-    cov = noise.prior_var * eye_n
+    mean_pred = np.zeros(n)
+    cov_pred = noise.prior_var * np.eye(n)
     # an overflow reaches the finiteness checks as inf and raises NumericalError
     with np.errstate(over="ignore"):
         for t in range(steps):
-            if t == 0:
-                mean_pred = mean
-                cov_pred = cov
-            else:
+            if t > 0:
                 mean_pred = a @ mean + b @ u[t - 1]
                 cov_pred = a @ cov @ a.T + gamma
             cov_pred = 0.5 * (cov_pred + cov_pred.T)
-            innovation_cov = c @ cov_pred @ c.T + r_obs
-            gain = _spd_solve(innovation_cov, c @ cov_pred, "innovation covariance", t).T
-            y_pred = c @ mean_pred
-            mean = mean_pred + gain @ (y[t] - y_pred)
-            cov = (eye_n - gain @ c) @ cov_pred
+            mean, cov = mean_pred, cov_pred
+            for i, c_i in enumerate(c):
+                pc = cov @ c_i
+                s = c_i @ pc + noise.obs_var
+                if not math.isfinite(s):
+                    raise NumericalError(f"non-finite innovation at step {t}", step=t)
+                if s <= 0.0:
+                    raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
+                k = pc / s
+                mean = mean + k * (y[t, i] - c_i @ mean)
+                cov = cov - k[:, None] * pc
             cov = 0.5 * (cov + cov.T)
             if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
                 raise NumericalError(f"non-finite filter state at step {t}", step=t)
@@ -123,7 +124,7 @@ def kalman_forward(
             predicted_covs[t] = cov_pred
             filtered_means[t] = mean
             filtered_covs[t] = cov
-            predictions[t] = y_pred
+            predictions[t] = c @ mean_pred
     return BeliefTrace(
         filtered_means, filtered_covs, predicted_means, predicted_covs, predictions
     )

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import delaymix
 from delaymix import TimeDelaySystem
 from delaymix.cli import main, read_csv_trajectory, write_csv_trajectory
 from delaymix.datagen import ScenarioSpec, generate
@@ -490,3 +495,17 @@ class TestValidateCommand:
         ]
         best = best_cell(cells)
         assert (best["rho"], best["rank"]) == (0.9, 2)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; the tests use scipy as an oracle
+    probe = (
+        "import sys, delaymix, delaymix.cli\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(delaymix.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

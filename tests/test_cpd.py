@@ -254,7 +254,7 @@ class TestReconstruct:
             rng.standard_normal((dim, rank)),
             rng.standard_normal((dim, rank)),
         )
-        fast = reconstruct(factors, dim)
+        fast = reconstruct(factors)
         slow = np.zeros((dim, dim, dim))
         for a in range(dim):
             for b in range(dim):
@@ -266,11 +266,6 @@ class TestReconstruct:
                             * factors.mode3[c, r]
                         )
         assert np.allclose(fast, slow, atol=1e-12)
-
-    def test_dim_mismatch(self):
-        factors = CPFactors(np.ones((4, 1)), np.ones((4, 1)), np.ones((4, 1)))
-        with pytest.raises(ShapeError):
-            reconstruct(factors, 5)
 
 
 class TestAlignComponents:

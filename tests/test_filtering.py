@@ -48,26 +48,53 @@ class TestKalmanForward:
         assert np.allclose(trace.filtered_means[5:], states[5:], atol=1e-6)
 
     def test_zero_data_riccati_recursion(self):
+        # the per-output update against the joint update, written
+        # independently with an explicit inverse, on zero and non-zero data
         rng = np.random.default_rng(1)
-        model = random_stable_model(rng, 2, 2, 1)
         steps = 12
-        window = Trajectory(np.zeros((steps, 2)), np.zeros((steps, 1)))
         noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
-        trace = kalman_forward(model, window, noise)
-        assert np.allclose(trace.filtered_means, 0.0)
-        # standalone covariance recursion, written independently
-        a, c = model.transition, model.output_map
         gamma = 1e-3 * np.eye(2)
-        r_obs = 1e-2 * np.eye(2)
-        cov = 2.0 * np.eye(2)
-        for t in range(steps):
-            pred = cov if t == 0 else a @ cov @ a.T + gamma
-            pred = 0.5 * (pred + pred.T)
-            gain = pred @ c.T @ np.linalg.inv(c @ pred @ c.T + r_obs)
-            cov = (np.eye(2) - gain @ c) @ pred
-            cov = 0.5 * (cov + cov.T)
-            assert np.allclose(trace.predicted_covs[t], pred, atol=1e-12)
-            assert np.allclose(trace.filtered_covs[t], cov, atol=1e-12)
+        for d in (2, 3):
+            model = random_stable_model(rng, 2, d, 1)
+            a, b, c = model.transition, model.input_map, model.output_map
+            r_obs = 1e-2 * np.eye(d)
+            zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 1)))
+            data = Trajectory(
+                rng.standard_normal((steps, d)), rng.standard_normal((steps, 1))
+            )
+            for window in (zero, data):
+                trace = kalman_forward(model, window, noise)
+                mean, cov = np.zeros(2), 2.0 * np.eye(2)
+                for t in range(steps):
+                    if t == 0:
+                        mean_pred, pred = mean, cov
+                    else:
+                        mean_pred = a @ mean + b @ window.inputs[t - 1]
+                        pred = a @ cov @ a.T + gamma
+                    pred = 0.5 * (pred + pred.T)
+                    gain = pred @ c.T @ np.linalg.inv(c @ pred @ c.T + r_obs)
+                    mean = mean_pred + gain @ (window.outputs[t] - c @ mean_pred)
+                    cov = (np.eye(2) - gain @ c) @ pred
+                    cov = 0.5 * (cov + cov.T)
+                    assert np.allclose(trace.predicted_means[t], mean_pred, atol=1e-12)
+                    assert np.allclose(trace.filtered_means[t], mean, atol=1e-12)
+                    assert np.allclose(
+                        trace.one_step_predictions[t], c @ mean_pred, atol=1e-12
+                    )
+                    assert np.allclose(trace.predicted_covs[t], pred, atol=1e-12)
+                    assert np.allclose(trace.filtered_covs[t], cov, atol=1e-12)
+
+    def test_non_positive_innovation_variance_raises(self):
+        # NoiseSpec refuses obs_var <= 0; a duck-typed noise object does not
+        class BadNoise:
+            process_var = 1e-4
+            obs_var = -10.0
+            prior_var = 1.0
+
+        model = DelayFreeModel(0.5, 1.0, 1.0)
+        window = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
+        with pytest.raises(ConditioningError, match="at step 0"):
+            kalman_forward(model, window, BadNoise())
 
     def test_huge_obs_variance_ignores_measurements(self):
         rng = np.random.default_rng(2)
@@ -135,7 +162,7 @@ class TestKalmanForward:
 
 
 class TestSpdSolve:
-    def test_matches_scipy_cholesky_bitwise(self):
+    def test_matches_scipy_cholesky(self):
         rng = np.random.default_rng(21)
         for n in (1, 2, 4):
             root = rng.standard_normal((n, n))
@@ -143,14 +170,16 @@ class TestSpdSolve:
             rhs = rng.standard_normal((n, 3))
             sym = 0.5 * (matrix + matrix.T)
             expected = cho_solve(cho_factor(sym, lower=True), rhs)
-            assert np.array_equal(_spd_solve(matrix, rhs, "m", 0), expected)
+            solution = _spd_solve(matrix, rhs, "m", 0)
+            np.testing.assert_allclose(solution, expected, rtol=1e-12)
 
     def test_singular_matrix_is_solved_with_jitter(self):
         matrix = np.ones((2, 2))
         rhs = np.array([[1.0], [2.0]])
         jittered = matrix + JITTER * np.eye(2)
         expected = cho_solve(cho_factor(jittered, lower=True), rhs)
-        assert np.array_equal(_spd_solve(matrix, rhs, "m", 0), expected)
+        solution = _spd_solve(matrix, rhs, "m", 0)
+        np.testing.assert_allclose(solution, expected, rtol=1e-12)
 
     def test_indefinite_matrix_raises_conditioning_error(self):
         with pytest.raises(ConditioningError, match="at step 4"):
