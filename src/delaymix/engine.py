@@ -42,7 +42,7 @@ from .moments import (
 from .realization import ModelRecord, realize_components
 from .syslin import DelayFreeModel, MarkovSequence, Trajectory, simulate_delay_free
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # The state-inference noise model and the spectral radius realized models
 # are clipped to; both are fixed parts of the pipeline, not settings.
 NOISE = NoiseSpec()
@@ -57,8 +57,8 @@ class EngineConfig:
 
     l_c is the update window length, rho the fit threshold gating model
     adaptation, rank the number of CP components kept in the database.
-    seed draws the ALS cold starts; warm_start controls whether later
-    adaptations start from the previous factors instead. l_s is range
+    seed draws the first adaptation's ALS cold start; every later
+    adaptation starts from the previous factors. l_s is range
     checked and stored in checkpoints, but no stage reads it: engine_update
     forecasts as many steps as it is given future inputs, and run_horizons
     scores the horizons it is passed.
@@ -70,7 +70,6 @@ class EngineConfig:
     l_c: int
     l_s: int
     seed: int = 0
-    warm_start: bool = True
 
 
 def default_config(
@@ -83,7 +82,6 @@ def default_config(
     l_s: int = 1,
     forgetting: float = 1.0,
     seed: int = 0,
-    warm_start: bool = True,
 ) -> EngineConfig:
     """Convenience constructor with spec-consistent defaults."""
     moment = MomentConfig(d=d, dc=dc, s=s, forgetting=forgetting)
@@ -96,7 +94,6 @@ def default_config(
         l_c=l_c,
         l_s=l_s,
         seed=seed,
-        warm_start=warm_start,
     )
 
 
@@ -241,8 +238,6 @@ def _stage(name: str):
     """Attach the sub-stage name to propagated numerical errors."""
     try:
         yield
-    except (ColdStartError, ConfigError, EngineStageError):
-        raise
     except DelayMixError as err:
         raise EngineStageError(name, err) from err
 
@@ -367,9 +362,8 @@ def engine_update(
     if not had_models or gate_fit >= cfg.rho:
         adapted = True
         with _stage("model_adaptation"):
-            warm = database.last_factors if cfg.warm_start else None
             factors, als_iters, als_residual = cp_als(
-                normalized_view(tensor), cfg.rank, seed=cfg.seed, init=warm
+                normalized_view(tensor), cfg.rank, seed=cfg.seed, init=database.last_factors
             )
             records = [
                 _calibrate(record, window)
@@ -520,7 +514,9 @@ def load_checkpoint(path) -> EngineState:
     forecasts, bit for bit, as a run that was never interrupted, and saving
     it again writes the same bytes. The config passes engine_init's checks,
     every array has the shape the config implies, and there are at most
-    rank stored models. The standardizer, the warm-start factors, a positive
+    rank stored models, each naming a distinct CP component and carrying a
+    finite b_scale. Every array value is finite and the standardizer's
+    scales are positive. The standardizer, the warm-start factors, a positive
     tensor weight and at least one model are present exactly when the
     update count is positive, the only states an update can commit; the
     standardizer's sample count is derived, updates * l_c. A file that is
@@ -563,6 +559,8 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
     for (name, shape), size in zip(specs, sizes):
         flat = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
         arrays[name] = flat.reshape(shape).astype(np.float64)
+        if not np.isfinite(arrays[name]).all():
+            raise ParseError(f"{name} holds non-finite values")
         start += 8 * size
 
     config = header["config"]
@@ -573,6 +571,16 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         raise ParseError(
             f"{len(header['records'])} stored models exceed rank {state.config.rank}"
         )
+    indices = set()
+    for i, entry in enumerate(header["records"]):
+        index, scale = entry["component_index"], entry["b_scale"]
+        if type(index) is not int or index not in range(state.config.rank) or index in indices:
+            raise ParseError(
+                f"record {i}'s component_index {index!r} is not a distinct int in range(rank)"
+            )
+        if type(scale) is not float or not math.isfinite(scale):
+            raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite float")
+        indices.add(index)
     updates = header["updates"]
     if type(updates) is not int or updates < 0:
         raise ParseError(f"updates {updates!r} is not a non-negative integer")
@@ -591,6 +599,9 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
     state.updates = updates
     state.tensor = SystemTensor(arrays["tensor"], weight, state.config.moment)
     if updates:
+        for name in ("out_std", "in_std"):
+            if not (arrays[name] > 0.0).all():
+                raise ParseError(f"{name} holds a non-positive scale")
         state.scaler = Standardizer(*(arrays[name] for name in _SCALER_ARRAYS))
         state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
     state.database.records = [

@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import ShapeError
 
+# A spectral-norm profile entry below this fraction of the peak counts as
+# part of the delay.
+DELAY_THRESHOLD = 0.1
+
 
 def _matrix(value, name: str) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(value, dtype=np.float64))
@@ -326,17 +330,15 @@ def spectral_norm_profile(seq: MarkovSequence) -> np.ndarray:
     return norms / peak
 
 
-def detect_delay(profile, rel_threshold: float = 0.1) -> int:
-    """Count leading profile entries strictly below rel_threshold.
+def detect_delay(profile) -> int:
+    """Count leading profile entries strictly below DELAY_THRESHOLD.
 
     Stops at the first entry at or above the threshold. On an estimated
     profile this count is the input delay of the underlying system.
     """
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
     count = 0
     for value in np.asarray(profile, dtype=np.float64).ravel():
-        if value < rel_threshold:
+        if value < DELAY_THRESHOLD:
             count += 1
         else:
             break

@@ -56,7 +56,7 @@ class TestCpAls:
         assert sorted(alignment.permutation.tolist()) == [0, 1]
         assert np.all(alignment.cosines > 0.99)
 
-    def test_warm_start_from_truth_converges_immediately(self):
+    def test_init_at_truth_converges_immediately(self):
         rng = np.random.default_rng(2)
         dim = 7
         truth = CPFactors(

@@ -384,6 +384,33 @@ class TestGateMonotonicity:
             )
         assert all(flags)
 
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    def test_summary_does_not_depend_on_the_gate(self, forgetting):
+        # one engine adapts on every window, the other only on the first; the
+        # moment tensor and the standardizer must not notice the difference
+        traj = two_regime_traj(length=2000, seed=11)
+        states = [
+            engine_init(
+                default_config(
+                    d=1, dc=1, s=3, rank=2, rho=rho, l_c=100, l_s=1, forgetting=forgetting
+                )
+            )
+            for rho in (1e-15, 1e12)
+        ]
+        adapted = [[], []]
+        for w in range(19):
+            o = w * 100
+            for state, flags in zip(states, adapted):
+                report = engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 101])
+                flags.append(report.adapted)
+            always, once = states
+            assert always.tensor.weight == once.tensor.weight
+            assert np.array_equal(always.tensor.data, once.tensor.data)
+            for name in ("out_mean", "out_std", "in_mean", "in_std"):
+                assert np.array_equal(getattr(always.scaler, name), getattr(once.scaler, name))
+        assert all(adapted[0])
+        assert adapted[1] == [True] + [False] * 18
+
 
 class TestRunHorizons:
     def test_too_short(self):
@@ -438,25 +465,6 @@ class TestRunHorizons:
         assert len(metrics.cumulative_se) == len(reports)
         assert metrics.cumulative_se == sorted(metrics.cumulative_se)
         assert metrics.mse == metrics.cumulative_se[-1] / metrics.n_points
-
-
-class TestWarmStart:
-    def test_warm_start_reduces_iterations(self):
-        def run(warm):
-            rng = np.random.default_rng(200)
-            from delaymix.datagen import random_stable_system
-
-            sys = random_stable_system(rng, 2, 2, 2, delay=1, spectral_radius=0.7)
-            traj = generate(ScenarioSpec(regimes=(sys,), length=1300, seed=5))
-            config = default_config(
-                d=2, dc=2, s=3, rank=2, rho=1e-15, l_c=42, warm_start=warm
-            )
-            reports, _, _ = run_horizons(config, traj, (1,))
-            return [r.als_iters for r in reports if r.adapted][1:]
-
-        warm_iters = run(True)
-        cold_iters = run(False)
-        assert np.median(warm_iters) <= 0.5 * np.median(cold_iters)
 
 
 CUT_WINDOWS, CUT_LC = 16, 60
@@ -525,15 +533,11 @@ class TestCheckpoint:
         assert r1.forecast.shape == r2.forecast.shape
 
     def test_config_round_trip(self, tmp_path):
-        config = default_config(
-            d=1, dc=1, s=3, l_c=100, l_s=1, seed=5, warm_start=False, forgetting=0.9
-        )
+        config = default_config(d=1, dc=1, s=3, l_c=100, l_s=1, seed=5, forgetting=0.9)
         path = tmp_path / "c.bin"
         save_checkpoint(engine_init(config), path)
         header, _ = _split_checkpoint(path.read_bytes())
-        assert set(header["config"]) == {
-            "moment", "rank", "rho", "l_c", "l_s", "seed", "warm_start"
-        }
+        assert set(header["config"]) == {"moment", "rank", "rho", "l_c", "l_s", "seed"}
         assert load_checkpoint(path).config == config
 
     def test_damaged_file_raises_parse_error(self, tmp_path):
@@ -553,12 +557,25 @@ class TestCheckpoint:
         def with_tensor_shape(shape):
             return with_header(arrays=[["tensor", shape]] + header["arrays"][1:])
 
+        def with_record(**changes):
+            return with_header(records=[{**header["records"][0], **changes}])
+
+        def with_value(name, value):
+            # the named array's first entry set to value
+            offset = 0
+            for listed, shape in header["arrays"]:
+                if listed == name:
+                    break
+                offset += 8 * math.prod(shape)
+            patch = np.array([value], dtype="<f8").tobytes()
+            return _join_checkpoint(header, payload[:offset] + patch + payload[offset + 8 :])
+
         assert header["arrays"][0] == ["tensor", [6, 6, 6]]
         # cuts inside the version byte, the length prefix, the header and the
-        # array payload, then files of versions 2 to 4 and one trailing byte
+        # array payload, then files of versions 2 to 5 and one trailing byte
         cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4)]
+        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5)]
         variants += [raw + b"\x00"]
         variants += [
             with_tensor_shape([6, 6, -6]),
@@ -575,6 +592,20 @@ class TestCheckpoint:
             with_header(weight=float("nan")),
             with_header(weight=-1.0),
             with_header(weight="1"),
+            # a config key of version 5 that this version no longer has
+            with_header(config={**header["config"], "warm_start": True}),
+            # records that name no CP component or carry no finite gain
+            with_record(component_index=-7, b_scale="x"),
+            with_record(component_index=3.5, b_scale=None),
+            with_record(component_index=1),
+            with_record(component_index=False),
+            with_record(b_scale=float("nan")),
+            with_record(b_scale=1),
+            # non-finite array values and non-positive standardizer scales
+            with_value("tensor", float("nan")),
+            with_value("record0.markov", float("inf")),
+            with_value("out_std", 0.0),
+            with_value("in_std", -1.0),
         ]
         damaged = tmp_path / "damaged.bin"
         for blob in variants:
@@ -583,6 +614,13 @@ class TestCheckpoint:
                 load_checkpoint(damaged)
         # the intact file still loads
         assert load_checkpoint(path).updates == 1
+        # two records naming the same component
+        save_checkpoint(_adapted_state(rank=2), damaged)
+        header, payload = _split_checkpoint(damaged.read_bytes())
+        records = [dict(entry, component_index=0) for entry in header["records"]]
+        damaged.write_bytes(_join_checkpoint({**header, "records": records}, payload))
+        with pytest.raises(ParseError, match="damaged checkpoint .*distinct"):
+            load_checkpoint(damaged)
 
     def test_state_parts_present_exactly_after_an_update(self, tmp_path):
         path = tmp_path / "checkpoint.bin"

@@ -15,6 +15,7 @@ from delaymix import (
 )
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ShapeError
+from delaymix.syslin import DELAY_THRESHOLD
 
 
 def scalar_sys(a=0.5, b=1.0, c=1.0, delay=0):
@@ -247,14 +248,10 @@ class TestDelayReadout:
         for tau in (1, 3):
             sys = random_stable_system(rng, 1, 1, 1, delay=tau)
             prof = spectral_norm_profile(markov_parameters_delayed(sys, 6))
-            assert detect_delay(prof, 0.1) == tau
+            assert detect_delay(prof) == tau
 
     def test_detect_delay_examples(self):
-        assert detect_delay([0, 0, 1, 0.5], 0.1) == 2
-        assert detect_delay([1, 0.5, 0.25], 0.1) == 0
-
-    def test_detect_delay_threshold_domain(self):
-        with pytest.raises(ValueError):
-            detect_delay([0.1, 1.0], 0.0)
-        with pytest.raises(ValueError):
-            detect_delay([0.1, 1.0], 1.0)
+        assert detect_delay([0, 0, 1, 0.5]) == 2
+        assert detect_delay([1, 0.5, 0.25]) == 0
+        # an entry at DELAY_THRESHOLD ends the delay
+        assert detect_delay([0.05, DELAY_THRESHOLD, 1.0]) == 1
