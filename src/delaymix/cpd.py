@@ -84,17 +84,19 @@ def _mttkrp(tensor: np.ndarray, mode: int, a: np.ndarray, b: np.ndarray) -> np.n
     return unfolding @ _khatri_rao(a, b)
 
 
-def _solve_normal(gram: np.ndarray, rhs: np.ndarray, sweep_start: tuple) -> np.ndarray:
+def _solve_normal(
+    gram: np.ndarray, rhs: np.ndarray, eye: np.ndarray, sweep_start: tuple
+) -> np.ndarray:
     """Solve (gram + ridge I) x = rhs for each rhs row, with a rescue ridge.
 
+    eye is the rank x rank identity, built once per `cp_als` call.
     sweep_start holds the (mode1, mode2, mode3) arrays the sweep began from;
     they are the ConvergenceError's factors when the rescue fails too.
     """
-    rank = gram.shape[0]
-    trace = np.trace(gram)
+    trace = gram.trace()
     for eps in (RIDGE_SCALE * trace, 1e-6 * trace + 1e-12):
         try:
-            return np.linalg.solve(gram + eps * np.eye(rank), rhs)
+            return np.linalg.solve(gram + eps * eye, rhs)
         except np.linalg.LinAlgError:
             pass
     raise ConvergenceError(
@@ -180,17 +182,18 @@ def cp_als(
     prev = None
     iters = 0
     final = 0.0
+    eye = np.eye(rank)
     g2, g3 = m2.T @ m2, m3.T @ m3
     for iteration in range(1, max_iters + 1):
         current = (m1, m2, m3)
-        m1 = _solve_normal(g2 * g3, _mttkrp(tensor, 0, m2, m3).T, current).T
+        m1 = _solve_normal(g2 * g3, _mttkrp(tensor, 0, m2, m3).T, eye, current).T
         g1 = m1.T @ m1
 
-        m2 = _solve_normal(g1 * g3, _mttkrp(tensor, 1, m1, m3).T, current).T
+        m2 = _solve_normal(g1 * g3, _mttkrp(tensor, 1, m1, m3).T, eye, current).T
         g2 = m2.T @ m2
 
         mttkrp3 = _mttkrp(tensor, 2, m1, m2)
-        m3 = _solve_normal(g1 * g2, mttkrp3.T, current).T
+        m3 = _solve_normal(g1 * g2, mttkrp3.T, eye, current).T
         g3 = m3.T @ m3
 
         # ||T - rec||^2 = ||T||^2 - 2 <T, rec> + ||rec||^2 via the mode-3 MTTKRP

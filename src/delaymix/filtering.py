@@ -1,9 +1,12 @@
 """Kalman filtering, RTS smoothing, window scoring and forecasting.
 
 `kalman_forward` is the only forward pass; it corrects with one output at
-a time. `window_error` and `forecast` read the `BeliefTrace` of a pass
-already run, and `select_regime` returns the winner's trace so the caller
-can forecast from it without filtering again.
+a time. Its loop tests only each scalar innovation variance for finiteness;
+one scan of the stored filtered means and covariances after the loop finds
+the first step whose state went non-finite. `window_error` and `forecast`
+read the `BeliefTrace` of a pass already run, and `select_regime` returns
+the winner's trace so the caller can forecast from it without filtering
+again.
 """
 
 from __future__ import annotations
@@ -70,6 +73,16 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
     raise ConditioningError(f"{what} not positive definite after jitter at step {step}")
 
 
+def _check_states(filtered_means: np.ndarray, filtered_covs: np.ndarray, steps: int):
+    """Raise NumericalError at the first of steps [0, steps) whose filtered
+    mean or covariance holds a non-finite value."""
+    finite = np.isfinite(filtered_means[:steps]).all(axis=1)
+    finite &= np.isfinite(filtered_covs[:steps]).all(axis=(1, 2))
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise NumericalError(f"non-finite filter state at step {step}", step=step)
+
+
 def kalman_forward(
     model: DelayFreeModel, window: Trajectory, noise: NoiseSpec
 ) -> BeliefTrace:
@@ -81,6 +94,15 @@ def kalman_forward(
     obs_var * I, so each output i corrects alone (Anderson & Moore 1979, ch. 6)
     with gain P c_i / s, s = c_i P c_i + obs_var >= obs_var > 0 in exact
     arithmetic; an s <= 0 raises ConditioningError, with no jitter retry.
+
+    Finiteness is checked in two places. In the loop, each s is tested as
+    it is formed. The filtered means and covariances are tested by one scan
+    of the stored arrays, after the loop and before an s error is raised;
+    it raises NumericalError at the first step whose state is non-finite.
+    An s error is thus raised only when every earlier state is finite, and
+    each failure names the step where the filter first went bad. A
+    non-finite state carries into later steps as NaN or inf, so the loop
+    silences numpy's overflow and invalid-value warnings.
     """
     a, b, c = model.transition, model.input_map, model.output_map
     n, d = model.state_dim, model.output_dim
@@ -88,7 +110,9 @@ def kalman_forward(
     steps = y.shape[0]
     if y.shape[1] != d:
         raise ValueError(f"window outputs have {y.shape[1]} channels, model emits {d}")
-    u = window.inputs
+    a_t = a.T
+    c_rows = list(c)
+    obs_var = noise.obs_var
     gamma = noise.process_var * np.eye(n)
 
     filtered_means = np.empty((steps, n))
@@ -99,32 +123,32 @@ def kalman_forward(
 
     mean_pred = np.zeros(n)
     cov_pred = noise.prior_var * np.eye(n)
-    # an overflow reaches the finiteness checks as inf and raises NumericalError
-    with np.errstate(over="ignore"):
-        for t in range(steps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        drives = [b @ u_t for u_t in window.inputs[: max(steps - 1, 0)]]
+        for t, y_t in enumerate(y.tolist()):
             if t > 0:
-                mean_pred = a @ mean + b @ u[t - 1]
-                cov_pred = a @ cov @ a.T + gamma
+                mean_pred = a @ mean + drives[t - 1]
+                cov_pred = a @ cov @ a_t + gamma
             cov_pred = 0.5 * (cov_pred + cov_pred.T)
             mean, cov = mean_pred, cov_pred
-            for i, c_i in enumerate(c):
+            for c_i, y_ti in zip(c_rows, y_t):
                 pc = cov @ c_i
-                s = c_i @ pc + noise.obs_var
-                if not math.isfinite(s):
-                    raise NumericalError(f"non-finite innovation at step {t}", step=t)
-                if s <= 0.0:
+                s = c_i @ pc + obs_var
+                if not 0.0 < s < math.inf:
+                    _check_states(filtered_means, filtered_covs, t)
+                    if not math.isfinite(s):
+                        raise NumericalError(f"non-finite innovation at step {t}", step=t)
                     raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
                 k = pc / s
-                mean = mean + k * (y[t, i] - c_i @ mean)
+                mean = mean + k * (y_ti - c_i @ mean)
                 cov = cov - k[:, None] * pc
             cov = 0.5 * (cov + cov.T)
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-                raise NumericalError(f"non-finite filter state at step {t}", step=t)
             predicted_means[t] = mean_pred
             predicted_covs[t] = cov_pred
             filtered_means[t] = mean
             filtered_covs[t] = cov
             predictions[t] = c @ mean_pred
+    _check_states(filtered_means, filtered_covs, steps)
     return BeliefTrace(
         filtered_means, filtered_covs, predicted_means, predicted_covs, predictions
     )

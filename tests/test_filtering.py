@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -34,6 +35,64 @@ def self_generated(rng, model, steps, x0=None):
         outputs[t] = model.output_map @ x
         x = model.transition @ x + model.input_map @ inputs[t]
     return Trajectory(outputs, inputs), states
+
+
+def per_step_checked_forward(model, window, noise):
+    """Reference forward pass that tests the filter state for finiteness at
+    the end of every step; `kalman_forward` must match it bitwise."""
+    a, b, c = model.transition, model.input_map, model.output_map
+    n, d = model.state_dim, model.output_dim
+    y, u = window.outputs, window.inputs
+    steps = y.shape[0]
+    gamma = noise.process_var * np.eye(n)
+    filtered_means = np.empty((steps, n))
+    filtered_covs = np.empty((steps, n, n))
+    predicted_means = np.empty((steps, n))
+    predicted_covs = np.empty((steps, n, n))
+    predictions = np.empty((steps, d))
+    mean_pred = np.zeros(n)
+    cov_pred = noise.prior_var * np.eye(n)
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if t > 0:
+                mean_pred = a @ mean + b @ u[t - 1]
+                cov_pred = a @ cov @ a.T + gamma
+            cov_pred = 0.5 * (cov_pred + cov_pred.T)
+            mean, cov = mean_pred, cov_pred
+            for i, c_i in enumerate(c):
+                pc = cov @ c_i
+                s = c_i @ pc + noise.obs_var
+                if not math.isfinite(s):
+                    raise NumericalError(f"non-finite innovation at step {t}", step=t)
+                if s <= 0.0:
+                    raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
+                k = pc / s
+                mean = mean + k * (y[t, i] - c_i @ mean)
+                cov = cov - k[:, None] * pc
+            cov = 0.5 * (cov + cov.T)
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+                raise NumericalError(f"non-finite filter state at step {t}", step=t)
+            predicted_means[t] = mean_pred
+            predicted_covs[t] = cov_pred
+            filtered_means[t] = mean
+            filtered_covs[t] = cov
+            predictions[t] = c @ mean_pred
+    return filtered_means, filtered_covs, predicted_means, predicted_covs, predictions
+
+
+class NegativeObsNoise:
+    """Duck-typed noise that NoiseSpec would refuse: with obs_var < 0 the
+    innovation variance of a scalar model turns negative at step 1."""
+
+    process_var = 1e-4
+    obs_var = -0.5
+    prior_var = 1.0
+
+
+def ones_with(steps, row, value):
+    array = np.ones((steps, 1))
+    array[row] = value
+    return array
 
 
 class TestKalmanForward:
@@ -132,6 +191,62 @@ class TestKalmanForward:
             with pytest.raises(NumericalError) as info:
                 kalman_forward(model, window, NoiseSpec())
         assert info.value.step == 1
+
+    def test_matches_per_step_checked_loop_bitwise(self):
+        rng = np.random.default_rng(6)
+        noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
+        for n in (1, 2, 3, 4):
+            for d in (1, 2, 3):
+                model = random_stable_model(rng, n, d, 2)
+                for steps in (1, 2, 60):
+                    data = Trajectory(
+                        rng.standard_normal((steps, d)), rng.standard_normal((steps, 2))
+                    )
+                    zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 2)))
+                    for window in (zero, data):
+                        trace = kalman_forward(model, window, noise)
+                        expected = per_step_checked_forward(model, window, noise)
+                        actual = (
+                            trace.filtered_means,
+                            trace.filtered_covs,
+                            trace.predicted_means,
+                            trace.predicted_covs,
+                            trace.one_step_predictions,
+                        )
+                        for got, want in zip(actual, expected):
+                            assert np.array_equal(got, want), (n, d, steps)
+
+    @pytest.mark.parametrize(
+        "model, outputs, inputs, noise, step",
+        [
+            # NaN output at the last step
+            (DelayFreeModel(1.0, 1.0, 1.0), ones_with(6, -1, np.nan), np.ones((6, 1)),
+             NoiseSpec(), 5),
+            # the NaN mean of step 0 overflows the covariance into s at step 1
+            (DelayFreeModel(1e200, 1.0, 1.0), ones_with(6, 0, np.nan), np.ones((6, 1)),
+             NoiseSpec(), 0),
+            # the drive overflows at step 3; inf - inf in its correction is NaN
+            (DelayFreeModel(0.5, 1e300, 1.0), np.ones((6, 1)), ones_with(6, 2, 1e300),
+             NoiseSpec(), 3),
+            # s <= 0 at step 1 comes after the NaN mean of step 0
+            (DelayFreeModel(0.5, 1.0, 1.0), ones_with(6, 0, np.nan), np.ones((6, 1)),
+             NegativeObsNoise(), 0),
+        ],
+        ids=["nan-last-output", "nan-then-overflow", "input-overflow", "nan-then-s-negative"],
+    )
+    def test_non_finite_state_reports_first_bad_step(self, model, outputs, inputs, noise, step):
+        window = Trajectory(outputs, inputs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as info:
+                kalman_forward(model, window, noise)
+        assert info.value.step == step
+        assert str(info.value) == f"non-finite filter state at step {step}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalError) as reference:
+                per_step_checked_forward(model, window, noise)
+        assert reference.value.step == step
 
     def test_filter_beats_open_loop(self):
         # one-step predictions with feedback beat open-loop simulation
