@@ -26,9 +26,11 @@ from .engine import (
 from .errors import DelayMixError
 from .filtering import (
     BeliefTrace,
+    MeanTrace,
     NoiseSpec,
     forecast,
     kalman_forward,
+    kalman_replay,
     rts_smoother,
     select_regime,
     window_error,

@@ -30,7 +30,14 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .filtering import NoiseSpec, forecast, kalman_forward, select_regime, window_error
+from .filtering import (
+    NoiseSpec,
+    forecast,
+    kalman_forward,
+    kalman_replay,
+    select_regime,
+    window_error,
+)
 from .moments import (
     DEFAULT_MODE_CAP,
     MomentConfig,
@@ -99,11 +106,21 @@ def default_config(
 
 @dataclass
 class RegimeDatabase:
-    """Current model set, the active choice, and the warm-start factors."""
+    """Current model set, the active choice, and the warm-start factors.
+
+    active_gains holds the active model's Kalman gains over an l_c-step
+    window, shape (l_c, d, n): the gate replays them instead of running the
+    covariance recursion again, which reads only the model. They are
+    derived data, so checkpoints leave them out (load_checkpoint rebuilds
+    them) and state_footprint_bytes does not count them. No other record's
+    gains are kept: an adaptation filters every new record and replaces the
+    database whole.
+    """
 
     records: list[ModelRecord] = field(default_factory=list)
     active_index: int = -1
     last_factors: CPFactors | None = None
+    active_gains: np.ndarray | None = None
 
     def active(self) -> ModelRecord:
         return self.records[self.active_index]
@@ -299,9 +316,11 @@ def engine_update(
     input, and the forecast has one row per future input. Identification
     reads only the first l_c inputs, so the state after the update does not
     depend on how many future inputs were passed, and the first h forecast
-    rows are the h-step forecast. The window is filtered once per model
-    scored: the forecast reuses the gate's pass on the active model, or the
-    winner's pass from selection when the update adapts.
+    rows are the h-step forecast. The gate replays the active model's
+    cached gains over the window (`kalman_replay`), and only an adaptation
+    runs `kalman_forward`, once per new record; the forecast reuses the
+    gate's replay, or the winner's pass from selection when the update
+    adapts, whose gains become the cache.
 
     Every stage computes into locals and the state is assigned once, at the
     end, so an update either commits whole or raises and leaves the state
@@ -352,7 +371,7 @@ def engine_update(
     had_models = bool(database.records)
     if had_models:
         with _stage("fit_scoring"):
-            trace = kalman_forward(database.active().model, window, NOISE)
+            trace = kalman_replay(database.active().model, window, database.active_gains)
             gate_fit = window_error(window, trace)
     else:
         gate_fit = float("inf")
@@ -373,7 +392,10 @@ def engine_update(
                 [record.model for record in records], window, NOISE
             )
             database = RegimeDatabase(
-                records=records, active_index=index, last_factors=factors
+                records=records,
+                active_index=index,
+                last_factors=factors,
+                active_gains=trace.gains,
             )
             if not had_models:
                 gate_fit = best_fit
@@ -449,7 +471,8 @@ def run_horizons(
 
 
 def state_footprint_bytes(state: EngineState) -> int:
-    """Bytes held in the numeric buffers of the streaming state."""
+    """Bytes held in the numeric buffers of the streaming state that a
+    checkpoint stores; the derived active_gains are not counted."""
     return sum(array.nbytes for _, array, _ in _state_arrays(state))
 
 
@@ -519,7 +542,10 @@ def load_checkpoint(path) -> EngineState:
     scales are positive. The standardizer, the warm-start factors, a positive
     tensor weight and at least one model are present exactly when the
     update count is positive, the only states an update can commit; the
-    standardizer's sample count is derived, updates * l_c. A file that is
+    standardizer's sample count is derived, updates * l_c, and so are the
+    active model's gains, rebuilt by one `kalman_forward` pass over a zero
+    window of l_c steps (the covariance recursion reads no data, so they are
+    bitwise the gains the saved run held). A file that is
     not one whole checkpoint of this version (truncated, padded, from
     another version, or with a damaged header or array) or holds a state no
     update can reach raises ParseError.
@@ -630,4 +656,14 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
             raise ParseError(
                 f"{name} has shape {list(array.shape)}, the config implies {list(expected)}"
             )
+    if state.database.records:
+        moment, l_c = state.config.moment, state.config.l_c
+        zero = Trajectory(np.zeros((l_c, moment.d)), np.zeros((l_c, moment.dc)))
+        try:
+            trace = kalman_forward(state.database.active().model, zero, NOISE)
+        except DelayMixError as err:
+            raise ParseError(
+                f"active record {active_index}'s model cannot be filtered: {err}"
+            ) from err
+        state.database.active_gains = trace.gains
     return state

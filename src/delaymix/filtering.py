@@ -1,12 +1,18 @@
 """Kalman filtering, RTS smoothing, window scoring and forecasting.
 
-`kalman_forward` is the only forward pass; it corrects with one output at
-a time. Its loop tests only each scalar innovation variance for finiteness;
-one scan of the stored filtered means and covariances after the loop finds
-the first step whose state went non-finite. `window_error` and `forecast`
-read the `BeliefTrace` of a pass already run, and `select_regime` returns
-the winner's trace so the caller can forecast from it without filtering
-again.
+A filter pass has two parts. The covariance recursion reads the model, the
+noise and the window length, never the window's data; the mean recursion
+reads the data. `kalman_forward` runs both, correcting with one output at a
+time, and keeps every per-step, per-output gain on its `BeliefTrace`.
+`kalman_replay` runs only the mean recursion over such gains, with
+`kalman_forward`'s own operations in the same order, so its means are
+bitwise the ones a full pass on the same window gives. `kalman_forward`'s
+loop tests only each scalar innovation variance for finiteness, and the
+replay's loop tests nothing; one scan of the stored states after each loop
+finds the first step whose state went non-finite. `window_error` and
+`forecast` read the `MeanTrace` of a pass already run, and `select_regime`
+returns the winner's trace so the caller can forecast from it, and keep its
+gains, without filtering again.
 """
 
 from __future__ import annotations
@@ -43,14 +49,23 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class BeliefTrace:
-    """Per-step filter quantities over one window (all length T)."""
+class MeanTrace:
+    """Per-step means of one filter pass over a window (all length T): what
+    `window_error` and `forecast` read."""
 
     filtered_means: np.ndarray      # (T, n)
-    filtered_covs: np.ndarray       # (T, n, n)
     predicted_means: np.ndarray     # (T, n)
-    predicted_covs: np.ndarray      # (T, n, n)
     one_step_predictions: np.ndarray  # (T, d)
+
+
+@dataclass(frozen=True)
+class BeliefTrace(MeanTrace):
+    """A `kalman_forward` pass: the means, the covariances, and the gain
+    k = P c_i / s each output i corrected with at each step."""
+
+    filtered_covs: np.ndarray       # (T, n, n)
+    predicted_covs: np.ndarray      # (T, n, n)
+    gains: np.ndarray               # (T, d, n)
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
@@ -73,11 +88,12 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
     raise ConditioningError(f"{what} not positive definite after jitter at step {step}")
 
 
-def _check_states(filtered_means: np.ndarray, filtered_covs: np.ndarray, steps: int):
-    """Raise NumericalError at the first of steps [0, steps) whose filtered
-    mean or covariance holds a non-finite value."""
-    finite = np.isfinite(filtered_means[:steps]).all(axis=1)
-    finite &= np.isfinite(filtered_covs[:steps]).all(axis=(1, 2))
+def _check_states(steps: int, *states: np.ndarray):
+    """Raise NumericalError at the first of steps [0, steps) at which one of
+    the per-step state arrays holds a non-finite value."""
+    finite = np.ones(steps, dtype=bool)
+    for state in states:
+        finite &= np.isfinite(state[:steps]).all(axis=tuple(range(1, state.ndim)))
     if not finite.all():
         step = int(np.argmin(finite))
         raise NumericalError(f"non-finite filter state at step {step}", step=step)
@@ -94,6 +110,9 @@ def kalman_forward(
     obs_var * I, so each output i corrects alone (Anderson & Moore 1979, ch. 6)
     with gain P c_i / s, s = c_i P c_i + obs_var >= obs_var > 0 in exact
     arithmetic; an s <= 0 raises ConditioningError, with no jitter retry.
+    The gains, covariances and s values depend on the model, the noise and
+    the step count alone, not on the window's values; the trace keeps every
+    gain for `kalman_replay`.
 
     Finiteness is checked in two places. In the loop, each s is tested as
     it is formed. The filtered means and covariances are tested by one scan
@@ -120,6 +139,7 @@ def kalman_forward(
     predicted_means = np.empty((steps, n))
     predicted_covs = np.empty((steps, n, n))
     predictions = np.empty((steps, d))
+    gains = np.empty((steps, d, n))
 
     mean_pred = np.zeros(n)
     cov_pred = noise.prior_var * np.eye(n)
@@ -131,27 +151,76 @@ def kalman_forward(
                 cov_pred = a @ cov @ a_t + gamma
             cov_pred = 0.5 * (cov_pred + cov_pred.T)
             mean, cov = mean_pred, cov_pred
-            for c_i, y_ti in zip(c_rows, y_t):
+            for i, (c_i, y_ti) in enumerate(zip(c_rows, y_t)):
                 pc = cov @ c_i
                 s = c_i @ pc + obs_var
                 if not 0.0 < s < math.inf:
-                    _check_states(filtered_means, filtered_covs, t)
+                    _check_states(t, filtered_means, filtered_covs)
                     if not math.isfinite(s):
                         raise NumericalError(f"non-finite innovation at step {t}", step=t)
                     raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
                 k = pc / s
                 mean = mean + k * (y_ti - c_i @ mean)
                 cov = cov - k[:, None] * pc
+                gains[t, i] = k
             cov = 0.5 * (cov + cov.T)
             predicted_means[t] = mean_pred
             predicted_covs[t] = cov_pred
             filtered_means[t] = mean
             filtered_covs[t] = cov
             predictions[t] = c @ mean_pred
-    _check_states(filtered_means, filtered_covs, steps)
+    _check_states(steps, filtered_means, filtered_covs)
     return BeliefTrace(
-        filtered_means, filtered_covs, predicted_means, predicted_covs, predictions
+        filtered_means=filtered_means,
+        predicted_means=predicted_means,
+        one_step_predictions=predictions,
+        filtered_covs=filtered_covs,
+        predicted_covs=predicted_covs,
+        gains=gains,
     )
+
+
+def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> MeanTrace:
+    """The mean recursion of `kalman_forward` over given gains.
+
+    gains is the `BeliefTrace.gains` of a `kalman_forward` pass of this
+    model, with the same noise, over any window of this one's length: the
+    covariance recursion never reads the data, so the replay runs only the
+    mean operations, in `kalman_forward`'s order, and its means are bitwise
+    that pass's on this window. It allocates no covariance. A non-finite
+    filtered mean raises NumericalError naming the first step that holds
+    one, as `kalman_forward` does.
+    """
+    a, b, c = model.transition, model.input_map, model.output_map
+    n, d = model.state_dim, model.output_dim
+    y = window.outputs
+    steps = y.shape[0]
+    if y.shape[1] != d:
+        raise ValueError(f"window outputs have {y.shape[1]} channels, model emits {d}")
+    if gains.shape != (steps, d, n):
+        raise ValueError(
+            f"gains have shape {gains.shape}, expected {(steps, d, n)} for this model and window"
+        )
+    c_rows = list(c)
+
+    filtered_means = np.empty((steps, n))
+    predicted_means = np.empty((steps, n))
+    predictions = np.empty((steps, d))
+
+    mean_pred = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drives = [b @ u_t for u_t in window.inputs[: max(steps - 1, 0)]]
+        for t, (y_t, k_t) in enumerate(zip(y.tolist(), gains)):
+            if t > 0:
+                mean_pred = a @ mean + drives[t - 1]
+            mean = mean_pred
+            for c_i, y_ti, k in zip(c_rows, y_t, k_t):
+                mean = mean + k * (y_ti - c_i @ mean)
+            predicted_means[t] = mean_pred
+            filtered_means[t] = mean
+            predictions[t] = c @ mean_pred
+    _check_states(steps, filtered_means)
+    return MeanTrace(filtered_means, predicted_means, predictions)
 
 
 def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> np.ndarray:
@@ -177,7 +246,7 @@ def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> np.ndarray:
     return smoothed
 
 
-def window_error(window: Trajectory, trace: BeliefTrace) -> float:
+def window_error(window: Trajectory, trace: MeanTrace) -> float:
     """Mean Euclidean one-step prediction error of a filter trace over the
     window it was run on.
 
@@ -206,16 +275,17 @@ def select_regime(
 
 
 def forecast(
-    model: DelayFreeModel, window: Trajectory, future_inputs, trace: BeliefTrace
+    model: DelayFreeModel, window: Trajectory, future_inputs, trace: MeanTrace
 ) -> np.ndarray:
     """Multi-step prediction anchored at the filter's final state.
 
-    trace is the `kalman_forward` pass of this model on this window. Its
-    filtered mean at the final window index is the state estimate there;
-    an RTS backward pass would return that same vector as its last smoothed
-    mean, so none is run. Advancing it once with the final window input
-    gives the state at the first forecast step, from which the delay-free
-    recursion consumes the future inputs, emitting one output per step.
+    trace is a `kalman_forward` or `kalman_replay` pass of this model on
+    this window. Its filtered mean at the final window index is the state
+    estimate there; an RTS backward pass would return that same vector as
+    its last smoothed mean, so none is run. Advancing it once with the final
+    window input gives the state at the first forecast step, from which the
+    delay-free recursion consumes the future inputs, emitting one output per
+    step.
     """
     steps = window.outputs.shape[0]
     if trace.filtered_means.shape != (steps, model.state_dim):

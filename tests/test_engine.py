@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from delaymix.errors import (
     ShapeError,
 )
 from delaymix.filtering import NoiseSpec
-from delaymix.syslin import Trajectory
+from delaymix.syslin import DelayFreeModel, Trajectory
 
 
 def single_regime_traj(length=2000, seed=0, a=0.6, delay=1, noise=0.0):
@@ -279,32 +280,46 @@ class TestEngineUpdate:
             assert np.array_equal(feed(state, w).forecast, reference[w].forecast)
 
     def test_forecast_pass_through(self):
-        traj = single_regime_traj(length=1000, seed=7)
-        config = default_config(d=1, dc=1, s=3, rank=1, rho=0.5, l_c=100, l_s=4)
+        # every forecast, from a replay of cached gains or from selection's
+        # pass, equals one from a full filter pass of the model it came from
+        traj = two_regime_traj(length=6000, seed=3)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=4)
         state = engine_init(config)
-        report = engine_update(state, traj.outputs[:100], traj.inputs[:104])
-        scaler = state.scaler
-        window = Trajectory(
-            scaler.outputs(traj.outputs[:100]), scaler.inputs(traj.inputs[:100])
-        )
-        model = state.database.active().model
-        expected = forecast(
-            model,
-            window,
-            scaler.inputs(traj.inputs[100:104]),
-            kalman_forward(model, window, NoiseSpec()),
-        )
-        assert np.array_equal(report.forecast, scaler.restore_outputs(expected))
+        kinds = set()
+        for w in range(59):
+            o = w * 100
+            had_models = bool(state.database.records)
+            report = engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 104])
+            kinds.add((report.adapted, had_models))
+            scaler = state.scaler
+            window = Trajectory(
+                scaler.outputs(traj.outputs[o : o + 100]), scaler.inputs(traj.inputs[o : o + 100])
+            )
+            model = state.database.active().model
+            expected = forecast(
+                model,
+                window,
+                scaler.inputs(traj.inputs[o + 100 : o + 104]),
+                kalman_forward(model, window, NoiseSpec()),
+            )
+            assert np.array_equal(report.forecast, scaler.restore_outputs(expected)), w
+        assert kinds == {(True, False), (True, True), (False, True)}
 
     def test_bounded_memory(self):
         traj = single_regime_traj(length=11000, seed=8)
         config = default_config(d=1, dc=1, s=3, rank=2, rho=0.2, l_c=100, l_s=1)
         state = engine_init(config)
         sizes = set()
+        largest_order = config.moment.s * min(config.moment.d, config.moment.dc)
         for w in range(100):
             o = w * 100
             engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 101])
             sizes.add(state_footprint_bytes(state))
+            # the gain cache: the active model's l_c * d * n floats, no more
+            gains = state.database.active_gains
+            n_active = state.database.active().model.state_dim
+            assert gains.shape == (config.l_c, config.moment.d, n_active)
+            assert gains.size <= config.l_c * config.moment.d * largest_order
         # once the database exists the footprint never grows
         assert len(sizes) <= 2
         assert len(state.database.records) <= config.rank
@@ -313,7 +328,7 @@ class TestEngineUpdate:
 class TestFilterPasses:
     def test_one_filter_pass_per_scored_model(self, monkeypatch):
         # every delaymix global bound to a filtering function counts its calls
-        calls = {"kalman_forward": 0, "rts_smoother": 0}
+        calls = {"kalman_forward": 0, "kalman_replay": 0, "rts_smoother": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -338,16 +353,16 @@ class TestFilterPasses:
         for w in range(59):
             o = w * 100
             had_models = bool(state.database.records)
-            before = calls["kalman_forward"]
+            before = dict(calls)
             report = engine_update(
                 state, traj.outputs[o : o + 100], traj.inputs[o : o + 101]
             )
-            passes = calls["kalman_forward"] - before
-            if report.adapted:
-                # the gate on the old active model, then one per new model
-                expected = len(state.database.records) + int(had_models)
-            else:
-                expected = 1
+            # the gate replays the old active model's cached gains; only an
+            # adaptation runs full passes, one per new model
+            replays = calls["kalman_replay"] - before["kalman_replay"]
+            passes = calls["kalman_forward"] - before["kalman_forward"]
+            assert replays == int(had_models), (w, report.adapted)
+            expected = len(state.database.records) if report.adapted else 0
             assert passes == expected, (w, report.adapted)
             kinds.add((report.adapted, had_models))
         assert calls["rts_smoother"] == 0
@@ -508,6 +523,11 @@ class TestCheckpoint:
             restored = load_checkpoint(first)
             save_checkpoint(restored, second)
             assert second.read_bytes() == first.read_bytes()
+        # the rebuilt gain cache is bitwise the one the saved run held
+        if cut:
+            assert np.array_equal(restored.database.active_gains, state.database.active_gains)
+        else:
+            assert restored.database.active_gains is None
         resumed = _feed_windows(restored, traj, range(cut, CUT_WINDOWS))
         for got, want in zip(resumed, reference[cut:]):
             assert got.adapted == want.adapted
@@ -622,6 +642,24 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="damaged checkpoint .*distinct"):
             load_checkpoint(damaged)
 
+    def test_unfilterable_active_model_raises_parse_error(self, tmp_path):
+        # every value is finite, but the covariance recursion of a transition
+        # scaled by 1e200 overflows at step 1, so no update can commit it
+        state = _adapted_state(rank=1)
+        record = state.database.records[0]
+        model = record.model
+        state.database.records[0] = replace(
+            record,
+            model=DelayFreeModel(1e200 * model.transition, model.input_map, model.output_map),
+        )
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        with pytest.raises(
+            ParseError,
+            match="damaged checkpoint .*active record 0's .*non-finite innovation at step 1",
+        ):
+            load_checkpoint(path)
+
     def test_state_parts_present_exactly_after_an_update(self, tmp_path):
         path = tmp_path / "checkpoint.bin"
         state = _adapted_state(rank=1)
@@ -707,6 +745,10 @@ def assert_same_state(got, want):
         assert np.array_equal(mine.markov.blocks, theirs.markov.blocks)
         assert mine.component_index == theirs.component_index
         assert mine.b_scale == theirs.b_scale
+    if want.database.active_gains is None:
+        assert got.database.active_gains is None
+    else:
+        assert np.array_equal(got.database.active_gains, want.database.active_gains)
 
 
 def _without_arrays(header, payload, names):

@@ -12,6 +12,7 @@ from delaymix import (
     embed_delay,
     forecast,
     kalman_forward,
+    kalman_replay,
     markov_parameters_delayed,
     rts_smoother,
     select_regime,
@@ -274,6 +275,64 @@ class TestKalmanForward:
             if filt_mse <= open_mse:
                 wins += 1
         assert wins >= 18
+
+
+class TestKalmanReplay:
+    def test_matches_forward_bitwise(self):
+        # the grid of test_matches_per_step_checked_loop_bitwise
+        rng = np.random.default_rng(6)
+        noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
+        for n in (1, 2, 3, 4):
+            for d in (1, 2, 3):
+                model = random_stable_model(rng, n, d, 2)
+                for steps in (1, 2, 60):
+                    data = Trajectory(
+                        rng.standard_normal((steps, d)), rng.standard_normal((steps, 2))
+                    )
+                    zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 2)))
+                    zero_gains = kalman_forward(model, zero, noise).gains
+                    for window in (zero, data):
+                        trace = kalman_forward(model, window, noise)
+                        assert trace.gains.shape == (steps, d, n)
+                        # the covariance recursion reads no data
+                        assert np.array_equal(trace.gains, zero_gains), (n, d, steps)
+                        replay = kalman_replay(model, window, trace.gains)
+                        for name in (
+                            "one_step_predictions", "filtered_means", "predicted_means"
+                        ):
+                            assert np.array_equal(
+                                getattr(replay, name), getattr(trace, name)
+                            ), (name, n, d, steps)
+
+    @pytest.mark.parametrize(
+        "model, outputs, inputs, step",
+        [
+            (DelayFreeModel(1.0, 1.0, 1.0), ones_with(6, -1, np.nan), np.ones((6, 1)), 5),
+            (DelayFreeModel(0.5, 1e300, 1.0), np.ones((6, 1)), ones_with(6, 2, 1e300), 3),
+        ],
+        ids=["nan-last-output", "input-overflow"],
+    )
+    def test_non_finite_state_reports_first_bad_step(self, model, outputs, inputs, step):
+        # the cases of TestKalmanForward whose covariance recursion succeeds
+        window = Trajectory(outputs, inputs)
+        finite = Trajectory(np.ones((6, 1)), np.ones((6, 1)))
+        gains = kalman_forward(model, finite, NoiseSpec()).gains
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as full:
+                kalman_forward(model, window, NoiseSpec())
+            with pytest.raises(NumericalError) as replay:
+                kalman_replay(model, window, gains)
+        assert replay.value.step == full.value.step == step
+        assert str(replay.value) == str(full.value) == f"non-finite filter state at step {step}"
+
+    def test_gains_of_another_length_refused(self):
+        model = DelayFreeModel(0.5, 1.0, 1.0)
+        short = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
+        gains = kalman_forward(model, short, NoiseSpec()).gains
+        window = Trajectory(np.ones((6, 1)), np.ones((6, 1)))
+        with pytest.raises(ValueError, match="gains have shape"):
+            kalman_replay(model, window, gains)
 
 
 class TestSpdSolve:
