@@ -251,11 +251,11 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     manifest = _manifest_from_args(args)
-    os.makedirs(manifest.out_dir, exist_ok=True)
     trajectory = _load_trajectory(manifest)
     d = trajectory.output_dim
     config = _config_for(manifest, d, trajectory.input_dim, max(manifest.horizons))
     reports, summaries, state = engine.run_horizons(config, trajectory, manifest.horizons)
+    os.makedirs(manifest.out_dir, exist_ok=True)
     # horizon h is scored on the first len(cumulative_se) windows
     scored = {m.horizon: len(m.cumulative_se) for m in summaries}
     adaptations = {h: sum(r.adapted for r in reports[:n]) for h, n in scored.items()}
@@ -330,7 +330,8 @@ def best_cell(cells: list[dict]) -> dict:
     """Grid winner: lowest mse, ties broken by smaller rank, then larger rho."""
     scored = [c for c in cells if "mse" in c]
     if not scored:
-        raise DelayMixError("no grid cell completed; validation prefix may be too short")
+        first = f"; the first failed with: {cells[0]['error']}" if cells else ""
+        raise DelayMixError(f"no grid cell completed{first}")
     return min(scored, key=lambda c: (c["mse"], c["rank"], -c["rho"]))
 
 
@@ -338,7 +339,6 @@ def cmd_validate(args) -> int:
     manifest = _manifest_from_args(args)
     rho_grid = _comma_list(args.grid_rho, float, "grid-rho", DEFAULT_RHO_GRID)
     rank_grid = _comma_list(args.grid_rank, int, "grid-rank", DEFAULT_RANK_GRID)
-    os.makedirs(manifest.out_dir, exist_ok=True)
     trajectory = _load_trajectory(manifest)
     split = max(1, int(len(trajectory) * manifest.val_fraction))
     prefix = trajectory.window(0, split)
@@ -358,6 +358,7 @@ def cmd_validate(args) -> int:
                 cells.append({"rho": rho, "rank": rank, "error": str(err)})
     best = best_cell(cells)
     report = {"cells": cells, "best": {"rho": best["rho"], "rank": best["rank"]}}
+    os.makedirs(manifest.out_dir, exist_ok=True)
     with open(os.path.join(manifest.out_dir, "validate.json"), "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
     print(f"best cell: rho={best['rho']} rank={best['rank']} (mse={best['mse']:.6g})")

@@ -97,6 +97,8 @@ class ScenarioSpec:
             raise ScenarioError(f"length must be positive, got {self.length}")
         if self.obs_noise_std < 0.0:
             raise ScenarioError("obs_noise_std cannot be negative")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "regimes", regimes)
         object.__setattr__(self, "schedule", schedule)
 

@@ -46,16 +46,17 @@ from .moments import (
     new_tensor,
     normalized_view,
 )
-from .realization import ModelRecord, realize_components
-from .syslin import DelayFreeModel, MarkovSequence, Trajectory, simulate_delay_free
+from .realization import ModelRecord, factor_to_markov, realize_components
+from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 # The state-inference noise model and the spectral radius realized models
 # are clipped to; both are fixed parts of the pipeline, not settings.
 NOISE = NoiseSpec()
 STABILITY_MARGIN = 0.999
 _SCALER_ARRAYS = ("out_mean", "out_std", "in_mean", "in_std")
 _FACTOR_ARRAYS = ("mode1", "mode2", "mode3")
+_MODEL_ARRAYS = ("transition", "input_map", "output_map")
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,8 @@ def engine_init(config: EngineConfig) -> EngineState:
         violations.append(f"l_s={config.l_s} must be at least 1")
     if not config.rho > 0.0:
         violations.append(f"rho={config.rho} must be positive")
+    if config.seed < 0:
+        violations.append(f"seed={config.seed} must be non-negative")
     if config.rank < 1:
         violations.append(f"rank={config.rank} must be at least 1")
     if config.rank > moment.mode_dim:
@@ -472,14 +475,15 @@ def run_horizons(
 
 def state_footprint_bytes(state: EngineState) -> int:
     """Bytes held in the numeric buffers of the streaming state that a
-    checkpoint stores; the derived active_gains are not counted."""
+    checkpoint stores; the derived Markov blocks and active_gains are not
+    counted."""
     return sum(array.nbytes for _, array, _ in _state_arrays(state))
 
 
 def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
-    """Every array of the state, named, in checkpoint order, with the shape
-    the config implies for it; a model's state order is its own, read from
-    its transition."""
+    """Every array of the state a checkpoint stores, named, in checkpoint
+    order, with the shape the config implies for it. A record's Markov
+    blocks are not stored: they are derived from the warm-start factors."""
     moment = state.config.moment
     d, dc, dim = moment.d, moment.dc, moment.mode_dim
     arrays = [("tensor", state.tensor.data, (dim, dim, dim))]
@@ -495,14 +499,19 @@ def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray, tuple[int, 
             (name, getattr(factors, name), (dim, state.config.rank)) for name in _FACTOR_ARRAYS
         ]
     for i, record in enumerate(state.database.records):
-        model, n = record.model, record.model.state_dim
-        arrays += [
-            (f"record{i}.transition", model.transition, (n, n)),
-            (f"record{i}.input_map", model.input_map, (n, dc)),
-            (f"record{i}.output_map", model.output_map, (d, n)),
-            (f"record{i}.markov", record.markov.blocks, (moment.k_max, d, dc)),
-        ]
+        arrays += _model_arrays(i, record.model, moment)
     return arrays
+
+
+def _model_arrays(i: int, model: DelayFreeModel, moment: MomentConfig):
+    """Record i's model arrays, named, with the shapes the config implies; a
+    model's state order is its own, read from its transition."""
+    n, d, dc = model.state_dim, moment.d, moment.dc
+    shapes = ((n, n), (n, dc), (d, n))
+    return [
+        (f"record{i}.{name}", getattr(model, name), shape)
+        for name, shape in zip(_MODEL_ARRAYS, shapes)
+    ]
 
 
 def save_checkpoint(state: EngineState, path) -> None:
@@ -541,14 +550,18 @@ def load_checkpoint(path) -> EngineState:
     finite b_scale. Every array value is finite and the standardizer's
     scales are positive. The standardizer, the warm-start factors, a positive
     tensor weight and at least one model are present exactly when the
-    update count is positive, the only states an update can commit; the
-    standardizer's sample count is derived, updates * l_c, and so are the
-    active model's gains, rebuilt by one `kalman_forward` pass over a zero
-    window of l_c steps (the covariance recursion reads no data, so they are
-    bitwise the gains the saved run held). A file that is
-    not one whole checkpoint of this version (truncated, padded, from
-    another version, or with a damaged header or array) or holds a state no
-    update can reach raises ParseError.
+    update count is positive, the only states an update can commit.
+
+    Three things are derived, not stored: the standardizer's sample count,
+    updates * l_c; each record's Markov blocks, `factor_to_markov` of its
+    component of the warm-start factors, which is how adaptation made them,
+    and which must be finite like a stored array; and the active model's
+    gains, rebuilt by one `kalman_forward` pass over a zero window of l_c
+    steps (the covariance recursion reads no data, so they are bitwise the
+    gains the saved run held). A file that is not one whole checkpoint of
+    this version (truncated, padded, from another version, or with a
+    damaged header or array) or holds a state no update can reach raises
+    ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -630,25 +643,18 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
                 raise ParseError(f"{name} holds a non-positive scale")
         state.scaler = Standardizer(*(arrays[name] for name in _SCALER_ARRAYS))
         state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
-    state.database.records = [
-        ModelRecord(
-            model=DelayFreeModel(
-                arrays[f"record{i}.transition"],
-                arrays[f"record{i}.input_map"],
-                arrays[f"record{i}.output_map"],
-            ),
-            markov=MarkovSequence(arrays[f"record{i}.markov"]),
-            component_index=entry["component_index"],
-            b_scale=entry["b_scale"],
-        )
-        for i, entry in enumerate(header["records"])
+    moment = state.config.moment
+    models = [
+        DelayFreeModel(*(arrays[f"record{i}.{name}"] for name in _MODEL_ARRAYS))
+        for i in range(len(header["records"]))
     ]
     active_index = header["active_index"]
-    valid = range(len(state.database.records)) if state.database.records else (-1,)
+    valid = range(len(models)) if models else (-1,)
     if type(active_index) is not int or active_index not in valid:
         raise ParseError(f"active_index {active_index!r} names no stored model")
     state.database.active_index = active_index
     loaded = _state_arrays(state)
+    loaded += [item for i, model in enumerate(models) for item in _model_arrays(i, model, moment)]
     if [name for name, _, _ in loaded] != [name for name, _ in specs]:
         raise ParseError("header's array list does not match the state it describes")
     for name, array, expected in loaded:
@@ -656,8 +662,15 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
             raise ParseError(
                 f"{name} has shape {list(array.shape)}, the config implies {list(expected)}"
             )
+    for i, (model, entry) in enumerate(zip(models, header["records"])):
+        index = entry["component_index"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            markov = factor_to_markov(state.database.last_factors.component(index), moment)
+        if not np.isfinite(markov.blocks).all():
+            raise ParseError(f"record{i}.markov, derived from the factors, holds non-finite values")
+        state.database.records.append(ModelRecord(model, markov, index, entry["b_scale"]))
     if state.database.records:
-        moment, l_c = state.config.moment, state.config.l_c
+        l_c = state.config.l_c
         zero = Trajectory(np.zeros((l_c, moment.d)), np.zeros((l_c, moment.dc)))
         try:
             trace = kalman_forward(state.database.active().model, zero, NOISE)

@@ -1,18 +1,18 @@
 """Kalman filtering, RTS smoothing, window scoring and forecasting.
 
-A filter pass has two parts. The covariance recursion reads the model, the
-noise and the window length, never the window's data; the mean recursion
-reads the data. `kalman_forward` runs both, correcting with one output at a
-time, and keeps every per-step, per-output gain on its `BeliefTrace`.
-`kalman_replay` runs only the mean recursion over such gains, with
-`kalman_forward`'s own operations in the same order, so its means are
-bitwise the ones a full pass on the same window gives. `kalman_forward`'s
-loop tests only each scalar innovation variance for finiteness, and the
-replay's loop tests nothing; one scan of the stored states after each loop
-finds the first step whose state went non-finite. `window_error` and
-`forecast` read the `MeanTrace` of a pass already run, and `select_regime`
-returns the winner's trace so the caller can forecast from it, and keep its
-gains, without filtering again.
+A filter pass has two recursions, each written once. The covariance
+recursion (`_covariance_pass`) is given the model, the noise and a step
+count, never a window, so it cannot read data; it corrects with one output
+at a time and yields every per-step, per-output gain. The mean recursion
+(`_mean_pass`) runs over given gains and reads the data. `kalman_forward`
+runs the first and then the second, and keeps the gains on its
+`BeliefTrace`; `kalman_replay` runs the second alone over gains a full pass
+left, so its means are bitwise that pass's. The covariance loop tests only
+each innovation variance and the mean loop tests nothing; one scan of the
+stored states after the mean recursion finds the first step whose state
+went non-finite. `window_error` and `forecast` read the `MeanTrace` of a
+pass already run, and `select_regime` returns the winner's trace so the
+caller can forecast from it, and keep its gains, without filtering again.
 """
 
 from __future__ import annotations
@@ -99,108 +99,67 @@ def _check_states(steps: int, *states: np.ndarray):
         raise NumericalError(f"non-finite filter state at step {step}", step=step)
 
 
-def kalman_forward(
-    model: DelayFreeModel, window: Trajectory, noise: NoiseSpec
-) -> BeliefTrace:
-    """Forward pass: predict with the dynamics, correct with each output.
+def _covariance_pass(model: DelayFreeModel, steps: int, noise: NoiseSpec):
+    """The covariance recursion over `steps` steps, one output at a time.
 
-    The zero-mean prior plays the role of the first predicted state, so the
-    first one-step prediction is zero; from t >= 1 the prediction uses the
-    previous filtered state and the input at t-1. The observation noise is
-    obs_var * I, so each output i corrects alone (Anderson & Moore 1979, ch. 6)
-    with gain P c_i / s, s = c_i P c_i + obs_var >= obs_var > 0 in exact
-    arithmetic; an s <= 0 raises ConditioningError, with no jitter retry.
-    The gains, covariances and s values depend on the model, the noise and
-    the step count alone, not on the window's values; the trace keeps every
-    gain for `kalman_replay`.
-
-    Finiteness is checked in two places. In the loop, each s is tested as
-    it is formed. The filtered means and covariances are tested by one scan
-    of the stored arrays, after the loop and before an s error is raised;
-    it raises NumericalError at the first step whose state is non-finite.
-    An s error is thus raised only when every earlier state is finite, and
-    each failure names the step where the filter first went bad. A
-    non-finite state carries into later steps as NaN or inf, so the loop
-    silences numpy's overflow and invalid-value warnings.
+    Output i corrects with gain k = P c_i / s, s = c_i P c_i + obs_var.
+    Returns the (steps, d, n) gains, the filtered and predicted (steps, n, n)
+    covariances, the number of whole steps run, and the error of the first
+    s outside (0, inf) or None: a NumericalError for a non-finite s, a
+    ConditioningError for s <= 0. That s ends the pass, leaving its step's
+    rows unwritten. A non-finite covariance carries on as NaN or inf, so
+    numpy's overflow and invalid-value warnings are silenced.
     """
-    a, b, c = model.transition, model.input_map, model.output_map
+    a, c = model.transition, model.output_map
     n, d = model.state_dim, model.output_dim
-    y = window.outputs
-    steps = y.shape[0]
-    if y.shape[1] != d:
-        raise ValueError(f"window outputs have {y.shape[1]} channels, model emits {d}")
     a_t = a.T
     c_rows = list(c)
     obs_var = noise.obs_var
     gamma = noise.process_var * np.eye(n)
 
-    filtered_means = np.empty((steps, n))
     filtered_covs = np.empty((steps, n, n))
-    predicted_means = np.empty((steps, n))
     predicted_covs = np.empty((steps, n, n))
-    predictions = np.empty((steps, d))
     gains = np.empty((steps, d, n))
 
-    mean_pred = np.zeros(n)
     cov_pred = noise.prior_var * np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        drives = [b @ u_t for u_t in window.inputs[: max(steps - 1, 0)]]
-        for t, y_t in enumerate(y.tolist()):
+        for t in range(steps):
             if t > 0:
-                mean_pred = a @ mean + drives[t - 1]
                 cov_pred = a @ cov @ a_t + gamma
             cov_pred = 0.5 * (cov_pred + cov_pred.T)
-            mean, cov = mean_pred, cov_pred
-            for i, (c_i, y_ti) in enumerate(zip(c_rows, y_t)):
+            cov = cov_pred
+            for i, c_i in enumerate(c_rows):
                 pc = cov @ c_i
                 s = c_i @ pc + obs_var
                 if not 0.0 < s < math.inf:
-                    _check_states(t, filtered_means, filtered_covs)
-                    if not math.isfinite(s):
-                        raise NumericalError(f"non-finite innovation at step {t}", step=t)
-                    raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
+                    if math.isfinite(s):
+                        error = ConditioningError(f"innovation variance {s} <= 0 at step {t}")
+                    else:
+                        error = NumericalError(f"non-finite innovation at step {t}", step=t)
+                    return gains, filtered_covs, predicted_covs, t, error
                 k = pc / s
-                mean = mean + k * (y_ti - c_i @ mean)
                 cov = cov - k[:, None] * pc
                 gains[t, i] = k
             cov = 0.5 * (cov + cov.T)
-            predicted_means[t] = mean_pred
             predicted_covs[t] = cov_pred
-            filtered_means[t] = mean
             filtered_covs[t] = cov
-            predictions[t] = c @ mean_pred
-    _check_states(steps, filtered_means, filtered_covs)
-    return BeliefTrace(
-        filtered_means=filtered_means,
-        predicted_means=predicted_means,
-        one_step_predictions=predictions,
-        filtered_covs=filtered_covs,
-        predicted_covs=predicted_covs,
-        gains=gains,
-    )
+    return gains, filtered_covs, predicted_covs, steps, None
 
 
-def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> MeanTrace:
-    """The mean recursion of `kalman_forward` over given gains.
+def _mean_pass(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> MeanTrace:
+    """The mean recursion over the first len(gains) steps of the window.
 
-    gains is the `BeliefTrace.gains` of a `kalman_forward` pass of this
-    model, with the same noise, over any window of this one's length: the
-    covariance recursion never reads the data, so the replay runs only the
-    mean operations, in `kalman_forward`'s order, and its means are bitwise
-    that pass's on this window. It allocates no covariance. A non-finite
-    filtered mean raises NumericalError naming the first step that holds
-    one, as `kalman_forward` does.
+    The zero-mean prior plays the role of the first predicted state, so the
+    first one-step prediction is zero; from t >= 1 the prediction uses the
+    previous filtered state and the input at t-1. Each output i then
+    corrects the mean with gains[t, i]. Only the window's channel count is
+    checked; the callers scan the means it returns.
     """
     a, b, c = model.transition, model.input_map, model.output_map
-    n, d = model.state_dim, model.output_dim
+    steps, n, d = gains.shape[0], model.state_dim, model.output_dim
     y = window.outputs
-    steps = y.shape[0]
     if y.shape[1] != d:
         raise ValueError(f"window outputs have {y.shape[1]} channels, model emits {d}")
-    if gains.shape != (steps, d, n):
-        raise ValueError(
-            f"gains have shape {gains.shape}, expected {(steps, d, n)} for this model and window"
-        )
     c_rows = list(c)
 
     filtered_means = np.empty((steps, n))
@@ -210,7 +169,7 @@ def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) 
     mean_pred = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         drives = [b @ u_t for u_t in window.inputs[: max(steps - 1, 0)]]
-        for t, (y_t, k_t) in enumerate(zip(y.tolist(), gains)):
+        for t, (y_t, k_t) in enumerate(zip(y[:steps].tolist(), gains)):
             if t > 0:
                 mean_pred = a @ mean + drives[t - 1]
             mean = mean_pred
@@ -219,8 +178,53 @@ def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) 
             predicted_means[t] = mean_pred
             filtered_means[t] = mean
             predictions[t] = c @ mean_pred
-    _check_states(steps, filtered_means)
     return MeanTrace(filtered_means, predicted_means, predictions)
+
+
+def kalman_forward(
+    model: DelayFreeModel, window: Trajectory, noise: NoiseSpec
+) -> BeliefTrace:
+    """Forward pass: the covariance recursion, then the mean recursion over
+    its gains, which the trace keeps for `kalman_replay`.
+
+    The observation noise is obs_var * I, so each output corrects alone
+    (Anderson & Moore 1979, ch. 6) and its innovation variance s is at least
+    obs_var > 0 in exact arithmetic. The means are run up to the first s
+    outside (0, inf), if any. One scan of the states up to there raises
+    NumericalError at the first non-finite one; only then is the s error
+    raised, with no jitter retry. Each failure names the step where the
+    filter first went bad.
+    """
+    steps = window.outputs.shape[0]
+    gains, filtered_covs, predicted_covs, stop, error = _covariance_pass(model, steps, noise)
+    means = _mean_pass(model, window, gains[:stop])
+    _check_states(stop, means.filtered_means, filtered_covs)
+    if error is not None:
+        raise error
+    return BeliefTrace(
+        **vars(means), filtered_covs=filtered_covs, predicted_covs=predicted_covs, gains=gains
+    )
+
+
+def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> MeanTrace:
+    """The mean recursion alone, over given gains.
+
+    gains is the `BeliefTrace.gains` of a `kalman_forward` pass of this
+    model, with the same noise, over any window of this one's length: the
+    covariance recursion never reads the data, and both functions run the
+    same mean recursion, so the replay's means are bitwise that pass's on
+    this window. It allocates no covariance. A non-finite filtered mean
+    raises NumericalError naming the first step that holds one, as
+    `kalman_forward` does.
+    """
+    expected = (window.outputs.shape[0], model.output_dim, model.state_dim)
+    if gains.shape != expected:
+        raise ValueError(
+            f"gains have shape {gains.shape}, expected {expected} for this model and window"
+        )
+    trace = _mean_pass(model, window, gains)
+    _check_states(expected[0], trace.filtered_means)
+    return trace
 
 
 def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> np.ndarray:

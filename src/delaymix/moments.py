@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyTensorError, ShapeError, WindowLengthError
+from .errors import ConfigError, EmptyTensorError, ShapeError, WindowLengthError
 from .syslin import Trajectory
 
 DEFAULT_MODE_CAP = 256  # largest mode size D engine_init accepts
@@ -56,11 +56,11 @@ class MomentConfig:
 
     def __post_init__(self):
         if self.d < 1 or self.dc < 1 or self.s < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"d, dc and s must be positive, got d={self.d} dc={self.dc} s={self.s}"
             )
         if not 0.0 < self.forgetting <= 1.0:
-            raise ValueError(f"forgetting must lie in (0, 1], got {self.forgetting}")
+            raise ConfigError(f"forgetting must lie in (0, 1], got {self.forgetting}")
 
     @property
     def k_max(self) -> int:

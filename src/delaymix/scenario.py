@@ -20,6 +20,8 @@ Grammar (line oriented, '#' starts a comment):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .datagen import InputDistribution, ScenarioSpec
@@ -44,6 +46,8 @@ def _parse_matrix(text: str, row: int) -> np.ndarray:
             values = [float(e) for e in entries]
         except ValueError as err:
             raise ParseError(f"bad matrix entry: {err}", row=row) from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError("matrix entries must be finite", row=row)
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -54,6 +58,8 @@ def _parse_matrix(text: str, row: int) -> np.ndarray:
 
 def _parse_input_dist(text: str, row: int) -> InputDistribution:
     parts = text.split()
+    if not parts:
+        raise ParseError("input needs a distribution name", row=row)
     kind = parts[0]
     if kind == "rademacher":
         if len(parts) != 1:
@@ -65,7 +71,11 @@ def _parse_input_dist(text: str, row: int) -> InputDistribution:
         try:
             scale = float(parts[1])
         except ValueError:
-            raise ParseError(f"bad {kind} parameter {parts[1]!r}", row=row) from None
+            scale = math.nan
+        if not 0.0 < scale < math.inf:
+            raise ParseError(
+                f"{kind} parameter {parts[1]!r} must be a positive finite number", row=row
+            )
         return InputDistribution(kind, scale)
     raise ParseError(f"unknown input distribution {kind!r}", row=row)
 
@@ -76,10 +86,13 @@ def _number(entries: dict, key: str, kind, default, what: str | None = None):
         return default
     value, row = entries[key]
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ParseError(f"{what or key} must be {noun}", row=row) from None
+        number = None
+    if number is None or (kind is float and not math.isfinite(number)):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ParseError(f"{what or key} must be {noun}", row=row)
+    return number
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
@@ -137,6 +150,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
             if key not in entry:
                 raise ParseError(f"regime {i} is missing matrix {key}")
         delay = _number(entry, "delay", int, 0, f"regime {i} delay")
+        if delay < 0:
+            raise ParseError(f"regime {i} delay must be non-negative", row=entry["delay"][1])
         systems.append(
             TimeDelaySystem(
                 transition=_parse_matrix(*entry["A"]),

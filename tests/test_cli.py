@@ -84,6 +84,18 @@ C = [1.0 0.0]
             parse_scenario("length = ten\n")
         with pytest.raises(ParseError):
             parse_scenario("length = 100\n[regime]\ndelay = 1\n")  # missing matrices
+        regime = "[regime]\ndelay = {delay}\nA = {a}\nB = [1.0]\nC = [1.0]\n"
+        for top, delay, a, row in (
+            ("input =", 1, "[0.5]", 2),
+            ("input = gaussian -1", 1, "[0.5]", 2),
+            ("obs_noise_std = nan", 1, "[0.5]", 2),
+            ("", 1, "[nan]", 5),
+            ("", 1, "[0.5 0; 0 inf]", 5),
+            ("", -1, "[0.5]", 4),
+        ):
+            text = f"length = 100\n{top}\n" + regime.format(delay=delay, a=a)
+            with pytest.raises(ParseError, match=f"row {row}"):
+                parse_scenario(text)
 
     def test_input_distributions(self):
         for text, kind in (
@@ -137,6 +149,13 @@ class TestGenCommand:
         with open(out) as handle:
             header = handle.readline().strip().split(",")
         assert header == ["t", "y0", "u0", "regime"]
+
+    def test_negative_seed_exits_2(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "stream.csv"
+        argv = ["gen", "--scenario", str(scenario_file), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_seed_override(self, tmp_path, scenario_file):
         out1 = tmp_path / "a.csv"
@@ -239,6 +258,17 @@ class TestRunCommand:
         )
         assert code == 0
         assert (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_negative_seed_on_csv_exits_2(self, tmp_path, scenario_file, capsys, command):
+        csv_path = tmp_path / "stream.csv"
+        main(["gen", "--scenario", str(scenario_file), "--out", str(csv_path)])
+        capsys.readouterr()
+        out = tmp_path / "res"
+        argv = ["--csv", str(csv_path), "--outputs", "y0", "--inputs", "u0", "--out", str(out)]
+        assert main([command, *argv, "--seed", "-1"]) == 2
+        assert "seed=-1 must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overlapping_columns_rejected(self, tmp_path, scenario_file, capsys):
         csv_path = tmp_path / "stream.csv"
@@ -413,6 +443,12 @@ class TestRunCommand:
             ("run", ["--config", "{"], "not valid JSON"),
             ("run", ["--config", "[1]"], "JSON object"),
             ("run", ["--config", '{"overrides": [1]}'], "JSON object"),
+            ("run", ["--s", "0"], "s=0"),
+            ("validate", ["--s", "0"], "s=0"),
+            ("run", ["--forgetting", "2"], "forgetting must lie in (0, 1], got 2.0"),
+            ("validate", ["--forgetting", "2"], "forgetting must lie in (0, 1], got 2.0"),
+            ("run", ["--seed", "-1"], "seed must be non-negative, got -1"),
+            ("validate", ["--seed", "-1"], "seed must be non-negative, got -1"),
         ],
     )
     def test_bad_flag_list_or_manifest_exits_2(

@@ -91,10 +91,12 @@ class TestEngineInit:
             rho=-1.0,
             l_c=5,
             l_s=0,
+            seed=-1,
         )
         with pytest.raises(ConfigError) as info:
             engine_init(config)
-        assert len(info.value.violations) >= 4
+        assert len(info.value.violations) >= 5
+        assert "seed=-1 must be non-negative" in info.value.violations
 
     def test_dense_cap_refused(self):
         # mode size 2 * 3 * 8 * 8 = 384 exceeds the dense cap of 256
@@ -592,10 +594,10 @@ class TestCheckpoint:
 
         assert header["arrays"][0] == ["tensor", [6, 6, 6]]
         # cuts inside the version byte, the length prefix, the header and the
-        # array payload, then files of versions 2 to 5 and one trailing byte
+        # array payload, then files of versions 2 to 6 and one trailing byte
         cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5)]
+        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5, 6)]
         variants += [raw + b"\x00"]
         variants += [
             with_tensor_shape([6, 6, -6]),
@@ -623,9 +625,15 @@ class TestCheckpoint:
             with_record(b_scale=1),
             # non-finite array values and non-positive standardizer scales
             with_value("tensor", float("nan")),
-            with_value("record0.markov", float("inf")),
+            with_value("record0.output_map", float("inf")),
             with_value("out_std", 0.0),
             with_value("in_std", -1.0),
+            # version 6 stored each record's Markov blocks; version 7 derives
+            # them from the warm-start factors, so it refuses a listed array
+            _join_checkpoint(
+                {**header, "arrays": header["arrays"] + [["record0.markov", [6, 1, 1]]]},
+                payload + bytes(8 * 6),
+            ),
         ]
         damaged = tmp_path / "damaged.bin"
         for blob in variants:
@@ -669,7 +677,7 @@ class TestCheckpoint:
         header, payload = _split_checkpoint(path.read_bytes())
         scaler = ("out_mean", "out_std", "in_mean", "in_std")
         factors = ("mode1", "mode2", "mode3")
-        model = [f"record0.{part}" for part in ("transition", "input_map", "output_map", "markov")]
+        model = [f"record0.{part}" for part in ("transition", "input_map", "output_map")]
         variants = [
             # a never-updated state that claims updates
             (dict(empty[0], updates=3), empty[1]),
@@ -692,16 +700,31 @@ class TestCheckpoint:
         save_checkpoint(_adapted_state(rank=1), path)
         header, payload = _split_checkpoint(path.read_bytes())
         assert dict(header["arrays"])["out_mean"] == [1]
+        n = dict(header["arrays"])["record0.transition"][0]
         # each edit keeps the byte count, so only the shape check can refuse it
         for changes in (
             {"out_mean": [2], "out_std": [0]},
             {"in_mean": [0], "in_std": [2]},
-            {"record0.markov": [3, 2, 1]},
+            # a model with two input channels and no output, in the same bytes
+            {"record0.input_map": [n, 2], "record0.output_map": [0, n]},
         ):
             arrays = [[name, changes.get(name, shape)] for name, shape in header["arrays"]]
             path.write_bytes(_join_checkpoint({**header, "arrays": arrays}, payload))
             with pytest.raises(ParseError, match="damaged checkpoint .*the config implies"):
                 load_checkpoint(path)
+
+    def test_non_finite_derived_markov_raises_parse_error(self, tmp_path):
+        # every stored value is finite, but the norms of factors scaled by
+        # 1e200 overflow, so the Markov blocks derived from them are not
+        state = _adapted_state(rank=1)
+        factors = state.database.last_factors
+        state.database.last_factors = replace(
+            factors, mode2=1e200 * factors.mode2, mode3=1e200 * factors.mode3
+        )
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        with pytest.raises(ParseError, match="damaged checkpoint .*record0.markov, derived"):
+            load_checkpoint(path)
 
     def test_rank_checked_against_config(self, tmp_path):
         path = tmp_path / "checkpoint.bin"
