@@ -1,13 +1,11 @@
 """Streaming identification and forecasting for mixtures of time-delay systems."""
 
-from .cpd import Alignment, CPFactors, align_components, cp_als, reconstruct
+from .cpd import CPFactors, cp_als, reconstruct
 from .datagen import (
     InputDistribution,
     ScenarioSpec,
     generate,
-    oracle_moment_tensor,
     persistence_baseline,
-    random_stable_model,
     random_stable_system,
 )
 from .engine import (
@@ -25,13 +23,11 @@ from .engine import (
 )
 from .errors import DelayMixError
 from .filtering import (
-    BeliefTrace,
-    MeanTrace,
+    FilterTrace,
     NoiseSpec,
     forecast,
     kalman_forward,
     kalman_replay,
-    rts_smoother,
     select_regime,
     window_error,
 )
@@ -55,7 +51,6 @@ from .syslin import (
     Trajectory,
     detect_delay,
     embed_delay,
-    embedded_state,
     markov_parameters_delayed,
     markov_parameters_free,
     simulate_delay_free,

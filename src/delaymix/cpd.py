@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, RankError, ShapeError
+from .errors import ConfigError, ConvergenceError, DataError, RankError, ShapeError
 
 COLD_MAX_ITERS = 200
 WARM_MAX_ITERS = 50
@@ -50,13 +49,6 @@ class CPFactors:
 
     def component(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.mode1[:, i], self.mode2[:, i], self.mode3[:, i]
-
-    @classmethod
-    def from_components(cls, triples: Sequence[tuple]) -> "CPFactors":
-        m1 = np.column_stack([np.asarray(t[0], dtype=np.float64) for t in triples])
-        m2 = np.column_stack([np.asarray(t[1], dtype=np.float64) for t in triples])
-        m3 = np.column_stack([np.asarray(t[2], dtype=np.float64) for t in triples])
-        return cls(m1, m2, m3)
 
 
 def _cold_init(dim: int, rank: int, seed: int) -> CPFactors:
@@ -150,9 +142,9 @@ def cp_als(
     residual of an exact low-rank fit at about 1e-10 relative, not 0.
     """
     if max_iters is not None and max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
     if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ConfigError(f"tol must be positive, got {tol}")
     if max_iters is None:
         max_iters = COLD_MAX_ITERS if init is None else WARM_MAX_ITERS
     tensor = np.ascontiguousarray(tensor, dtype=np.float64)  # the unfoldings are views
@@ -220,60 +212,3 @@ def reconstruct(factors: CPFactors) -> np.ndarray:
     product = factors.mode1 @ _khatri_rao(factors.mode2, factors.mode3).T
     return product.reshape((factors.dim,) * 3)
 
-
-@dataclass(frozen=True)
-class Alignment:
-    """Greedy matching of estimated components onto reference components.
-
-    permutation[j] is the estimated component matched to reference component
-    j. scales[j] holds the three per-mode least-squares scalars mapping the
-    estimated vectors onto the reference ones; cosines[j] the per-mode
-    absolute cosine similarities of the matched pair.
-    """
-
-    permutation: np.ndarray
-    scales: np.ndarray
-    cosines: np.ndarray
-
-
-def align_components(estimated: CPFactors, reference: CPFactors) -> Alignment:
-    """Match components by maximum absolute cosine of the mode-1 vectors."""
-    if estimated.dim != reference.dim:
-        raise ShapeError(
-            f"mode sizes differ: estimated {estimated.dim}, reference {reference.dim}"
-        )
-    if estimated.rank != reference.rank:
-        raise ShapeError(
-            f"ranks differ: estimated {estimated.rank}, reference {reference.rank}"
-        )
-    rank = reference.rank
-    est1, ref1 = estimated.mode1, reference.mode1
-    sim = np.zeros((rank, rank))
-    for j in range(rank):
-        for i in range(rank):
-            denom = np.linalg.norm(ref1[:, j]) * np.linalg.norm(est1[:, i])
-            sim[j, i] = (
-                abs(float(ref1[:, j] @ est1[:, i])) / denom if denom > 0.0 else 0.0
-            )
-    permutation = np.full(rank, -1, dtype=np.int64)
-    available = sim.copy()
-    for _ in range(rank):
-        j, i = np.unravel_index(np.argmax(available), available.shape)
-        permutation[j] = i
-        available[j, :] = -1.0
-        available[:, i] = -1.0
-
-    est_modes = (estimated.mode1, estimated.mode2, estimated.mode3)
-    ref_modes = (reference.mode1, reference.mode2, reference.mode3)
-    scales = np.zeros((rank, 3))
-    cosines = np.zeros((rank, 3))
-    for j in range(rank):
-        i = permutation[j]
-        for m in range(3):
-            est = est_modes[m][:, i]
-            ref = ref_modes[m][:, j]
-            denom = float(est @ est)
-            scales[j, m] = float(ref @ est) / denom if denom > 0.0 else 0.0
-            norms = np.linalg.norm(est) * np.linalg.norm(ref)
-            cosines[j, m] = abs(float(ref @ est)) / norms if norms > 0.0 else 0.0
-    return Alignment(permutation, scales, cosines)

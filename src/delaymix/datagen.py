@@ -1,14 +1,14 @@
-"""Synthetic regime-switching streams and brute-force test oracles."""
+"""Synthetic regime-switching streams and the persistence forecast baseline."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioError, ShapeError
-from .moments import MomentConfig
-from .syslin import DelayFreeModel, TimeDelaySystem, Trajectory, simulate_delayed
+from .errors import ConfigError, ScenarioError, WindowLengthError
+from .syslin import TimeDelaySystem, Trajectory, simulate_delayed
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,11 @@ class InputDistribution:
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "rademacher"):
-            raise ValueError(f"unknown input distribution {self.kind!r}")
-        if self.kind != "rademacher" and not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+            raise ScenarioError(f"unknown input distribution {self.kind!r}")
+        if self.kind != "rademacher" and not 0.0 < self.scale < math.inf:
+            raise ScenarioError(
+                f"{self.kind} parameter must be a positive finite number, got {self.scale}"
+            )
 
     @classmethod
     def gaussian(cls, sigma: float) -> "InputDistribution":
@@ -143,48 +145,12 @@ def generate(spec: ScenarioSpec) -> Trajectory:
     return Trajectory(outputs, inputs, labels)
 
 
-def oracle_moment_tensor(window: Trajectory, config: MomentConfig) -> np.ndarray:
-    """Reference moment tensor built by plain nested loops.
-
-    Mathematically identical to moments.accumulate_window starting from a
-    zero tensor, with no shared precomputation or vectorized gathering, so
-    it can serve as an independent oracle.
-    """
-    y = window.outputs
-    length = y.shape[0]
-    u = window.inputs[:length]
-    if y.shape[1] != config.d or u.shape[1] != config.dc:
-        raise ShapeError(
-            f"window channels ({y.shape[1]}, {u.shape[1]}) do not match "
-            f"config ({config.d}, {config.dc})"
-        )
-    k_max, p = config.k_max, config.p
-    dim = config.mode_dim
-    tensor = np.zeros((dim, dim, dim))
-    for k1 in range(1, k_max + 1):
-        for k2 in range(1, k_max + 1):
-            for k3 in range(1, k_max + 1):
-                for tau in range(length):
-                    t3 = tau + k1 + k2 + k3 + 2
-                    if t3 > length - 1:
-                        break
-                    m1 = np.outer(y[tau + k1], u[tau]).ravel()
-                    m2 = np.outer(y[tau + k1 + k2 + 1], u[tau + k1 + 1]).ravel()
-                    m3 = np.outer(y[t3], u[tau + k1 + k2 + 2]).ravel()
-                    cube = np.einsum("a,b,c->abc", m1, m2, m3)
-                    s1 = slice((k1 - 1) * p, k1 * p)
-                    s2 = slice((k2 - 1) * p, k2 * p)
-                    s3 = slice((k3 - 1) * p, k3 * p)
-                    tensor[s1, s2, s3] += cube
-    return tensor
-
-
 def persistence_baseline(window: Trajectory, horizon: int) -> np.ndarray:
     """Repeat the last observed output for every forecast step."""
     if len(window) == 0:
-        raise ValueError("window must contain at least one output")
+        raise WindowLengthError("window must contain at least one output")
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     return np.tile(window.outputs[-1], (horizon, 1))
 
 
@@ -205,16 +171,3 @@ def random_stable_system(
     c = rng.standard_normal((output_dim, state_dim))
     return TimeDelaySystem(a, b, c, delay=delay)
 
-
-def random_stable_model(
-    rng: np.random.Generator,
-    state_dim: int,
-    output_dim: int,
-    input_dim: int,
-    spectral_radius: float = 0.9,
-) -> DelayFreeModel:
-    """Draw a delay-free model with the same rescaling convention."""
-    sys = random_stable_system(
-        rng, state_dim, output_dim, input_dim, delay=0, spectral_radius=spectral_radius
-    )
-    return DelayFreeModel(sys.transition, sys.input_map, sys.output_map)

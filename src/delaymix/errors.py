@@ -56,12 +56,12 @@ class NumericalError(DelayMixError, ArithmeticError):
 
 
 class ConditioningError(DelayMixError, ArithmeticError):
-    """A covariance stayed non-positive-definite after jitter, or a filter's
-    innovation variance was not positive."""
+    """A filter's innovation variance was not positive."""
 
 
 class ConfigError(DelayMixError, ValueError):
-    """Configuration failed validation; lists every violation found."""
+    """A configuration value or argument failed validation; lists every
+    violation found."""
 
     def __init__(self, violations):
         if isinstance(violations, str):

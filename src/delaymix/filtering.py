@@ -1,18 +1,21 @@
-"""Kalman filtering, RTS smoothing, window scoring and forecasting.
+"""Kalman filtering, window scoring and forecasting.
 
 A filter pass has two recursions, each written once. The covariance
 recursion (`_covariance_pass`) is given the model, the noise and a step
 count, never a window, so it cannot read data; it corrects with one output
-at a time and yields every per-step, per-output gain. The mean recursion
-(`_mean_pass`) runs over given gains and reads the data. `kalman_forward`
-runs the first and then the second, and keeps the gains on its
-`BeliefTrace`; `kalman_replay` runs the second alone over gains a full pass
-left, so its means are bitwise that pass's. The covariance loop tests only
-each innovation variance and the mean loop tests nothing; one scan of the
-stored states after the mean recursion finds the first step whose state
-went non-finite. `window_error` and `forecast` read the `MeanTrace` of a
-pass already run, and `select_regime` returns the winner's trace so the
-caller can forecast from it, and keep its gains, without filtering again.
+at a time and yields every per-step, per-output gain, keeping its
+covariance only as a loop local. The mean recursion (`_mean_pass`) runs
+over given gains and reads the data. `kalman_forward` runs the first and
+then the second; `kalman_replay` runs the second alone over gains a full
+pass left, so its means are bitwise that pass's. Both return a
+`FilterTrace`: the means and the gains they were corrected with. The
+covariance loop tests only each innovation variance; every entry of the
+covariance feeds it, so a covariance that goes non-finite fails the next
+one. The mean loop tests nothing; one scan of the filtered means after the
+mean recursion finds the first step whose state went non-finite.
+`window_error` and `forecast` read the trace of a pass already run, and
+`select_regime` returns the winner's trace so the caller can forecast from
+it, and keep its gains, without filtering again.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, EmptyDatabaseError, NumericalError
+from .errors import (
+    ConditioningError,
+    ConfigError,
+    EmptyDatabaseError,
+    NumericalError,
+    ShapeError,
+)
 from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
-
-JITTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,56 +51,27 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("process_var", "obs_var", "prior_var"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
-class MeanTrace:
-    """Per-step means of one filter pass over a window (all length T): what
-    `window_error` and `forecast` read."""
+class FilterTrace:
+    """One filter pass over a window of T steps: the per-step means, which
+    `window_error` and `forecast` read, and the gain k = P c_i / s each
+    output i corrected the mean with at each step, which `kalman_replay`
+    reads."""
 
     filtered_means: np.ndarray      # (T, n)
     predicted_means: np.ndarray     # (T, n)
     one_step_predictions: np.ndarray  # (T, d)
-
-
-@dataclass(frozen=True)
-class BeliefTrace(MeanTrace):
-    """A `kalman_forward` pass: the means, the covariances, and the gain
-    k = P c_i / s each output i corrected with at each step."""
-
-    filtered_covs: np.ndarray       # (T, n, n)
-    predicted_covs: np.ndarray      # (T, n, n)
     gains: np.ndarray               # (T, d, n)
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str, step: int):
-    """Solve matrix @ x = rhs for symmetric positive definite matrix.
-
-    A Cholesky factorization tests positive definiteness and `solve` gives
-    the result. A matrix that fails the test is retried once with JITTER
-    added to its diagonal, then raises ConditioningError. `rts_smoother` is
-    the only caller.
-    """
-    sym = 0.5 * (matrix + matrix.T)
-    if not (np.isfinite(sym).all() and np.isfinite(rhs).all()):
-        raise NumericalError(f"non-finite {what} at step {step}", step=step)
-    for candidate in (sym, sym + JITTER * np.eye(sym.shape[0])):
-        try:
-            np.linalg.cholesky(candidate)
-        except np.linalg.LinAlgError:
-            continue
-        return np.linalg.solve(candidate, rhs)
-    raise ConditioningError(f"{what} not positive definite after jitter at step {step}")
-
-
-def _check_states(steps: int, *states: np.ndarray):
-    """Raise NumericalError at the first of steps [0, steps) at which one of
-    the per-step state arrays holds a non-finite value."""
-    finite = np.ones(steps, dtype=bool)
-    for state in states:
-        finite &= np.isfinite(state[:steps]).all(axis=tuple(range(1, state.ndim)))
+def _check_states(filtered_means: np.ndarray):
+    """Raise NumericalError at the first step whose filtered mean holds a
+    non-finite value."""
+    finite = np.isfinite(filtered_means).all(axis=1)
     if not finite.all():
         step = int(np.argmin(finite))
         raise NumericalError(f"non-finite filter state at step {step}", step=step)
@@ -103,12 +81,12 @@ def _covariance_pass(model: DelayFreeModel, steps: int, noise: NoiseSpec):
     """The covariance recursion over `steps` steps, one output at a time.
 
     Output i corrects with gain k = P c_i / s, s = c_i P c_i + obs_var.
-    Returns the (steps, d, n) gains, the filtered and predicted (steps, n, n)
-    covariances, the number of whole steps run, and the error of the first
-    s outside (0, inf) or None: a NumericalError for a non-finite s, a
-    ConditioningError for s <= 0. That s ends the pass, leaving its step's
-    rows unwritten. A non-finite covariance carries on as NaN or inf, so
-    numpy's overflow and invalid-value warnings are silenced.
+    Returns the gains of the whole steps run, shape (run, d, n), and the
+    error of the first s outside (0, inf) or None: a NumericalError for a
+    non-finite s, a ConditioningError for s <= 0. That s ends the pass, so
+    run < steps exactly when there is an error. A non-finite covariance
+    carries on as NaN or inf into the next step's s, so numpy's overflow and
+    invalid-value warnings are silenced.
     """
     a, c = model.transition, model.output_map
     n, d = model.state_dim, model.output_dim
@@ -117,17 +95,13 @@ def _covariance_pass(model: DelayFreeModel, steps: int, noise: NoiseSpec):
     obs_var = noise.obs_var
     gamma = noise.process_var * np.eye(n)
 
-    filtered_covs = np.empty((steps, n, n))
-    predicted_covs = np.empty((steps, n, n))
     gains = np.empty((steps, d, n))
-
     cov_pred = noise.prior_var * np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             if t > 0:
                 cov_pred = a @ cov @ a_t + gamma
-            cov_pred = 0.5 * (cov_pred + cov_pred.T)
-            cov = cov_pred
+            cov = 0.5 * (cov_pred + cov_pred.T)
             for i, c_i in enumerate(c_rows):
                 pc = cov @ c_i
                 s = c_i @ pc + obs_var
@@ -136,17 +110,15 @@ def _covariance_pass(model: DelayFreeModel, steps: int, noise: NoiseSpec):
                         error = ConditioningError(f"innovation variance {s} <= 0 at step {t}")
                     else:
                         error = NumericalError(f"non-finite innovation at step {t}", step=t)
-                    return gains, filtered_covs, predicted_covs, t, error
+                    return gains[:t], error
                 k = pc / s
                 cov = cov - k[:, None] * pc
                 gains[t, i] = k
             cov = 0.5 * (cov + cov.T)
-            predicted_covs[t] = cov_pred
-            filtered_covs[t] = cov
-    return gains, filtered_covs, predicted_covs, steps, None
+    return gains, None
 
 
-def _mean_pass(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> MeanTrace:
+def _mean_pass(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> FilterTrace:
     """The mean recursion over the first len(gains) steps of the window.
 
     The zero-mean prior plays the role of the first predicted state, so the
@@ -159,7 +131,7 @@ def _mean_pass(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> 
     steps, n, d = gains.shape[0], model.state_dim, model.output_dim
     y = window.outputs
     if y.shape[1] != d:
-        raise ValueError(f"window outputs have {y.shape[1]} channels, model emits {d}")
+        raise ShapeError(f"window outputs have {y.shape[1]} channels, model emits {d}")
     c_rows = list(c)
 
     filtered_means = np.empty((steps, n))
@@ -178,79 +150,53 @@ def _mean_pass(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> 
             predicted_means[t] = mean_pred
             filtered_means[t] = mean
             predictions[t] = c @ mean_pred
-    return MeanTrace(filtered_means, predicted_means, predictions)
+    return FilterTrace(filtered_means, predicted_means, predictions, gains)
 
 
 def kalman_forward(
     model: DelayFreeModel, window: Trajectory, noise: NoiseSpec
-) -> BeliefTrace:
+) -> FilterTrace:
     """Forward pass: the covariance recursion, then the mean recursion over
     its gains, which the trace keeps for `kalman_replay`.
 
     The observation noise is obs_var * I, so each output corrects alone
     (Anderson & Moore 1979, ch. 6) and its innovation variance s is at least
     obs_var > 0 in exact arithmetic. The means are run up to the first s
-    outside (0, inf), if any. One scan of the states up to there raises
+    outside (0, inf), if any. One scan of the means up to there raises
     NumericalError at the first non-finite one; only then is the s error
-    raised, with no jitter retry. Each failure names the step where the
-    filter first went bad.
+    raised. Each failure names the step where the filter first went bad. A
+    covariance that goes non-finite fails the next step's s; at the last
+    step nothing reads it, and the gains and means returned are finite.
     """
-    steps = window.outputs.shape[0]
-    gains, filtered_covs, predicted_covs, stop, error = _covariance_pass(model, steps, noise)
-    means = _mean_pass(model, window, gains[:stop])
-    _check_states(stop, means.filtered_means, filtered_covs)
+    gains, error = _covariance_pass(model, window.outputs.shape[0], noise)
+    trace = _mean_pass(model, window, gains)
+    _check_states(trace.filtered_means)
     if error is not None:
         raise error
-    return BeliefTrace(
-        **vars(means), filtered_covs=filtered_covs, predicted_covs=predicted_covs, gains=gains
-    )
-
-
-def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> MeanTrace:
-    """The mean recursion alone, over given gains.
-
-    gains is the `BeliefTrace.gains` of a `kalman_forward` pass of this
-    model, with the same noise, over any window of this one's length: the
-    covariance recursion never reads the data, and both functions run the
-    same mean recursion, so the replay's means are bitwise that pass's on
-    this window. It allocates no covariance. A non-finite filtered mean
-    raises NumericalError naming the first step that holds one, as
-    `kalman_forward` does.
-    """
-    expected = (window.outputs.shape[0], model.output_dim, model.state_dim)
-    if gains.shape != expected:
-        raise ValueError(
-            f"gains have shape {gains.shape}, expected {expected} for this model and window"
-        )
-    trace = _mean_pass(model, window, gains)
-    _check_states(expected[0], trace.filtered_means)
     return trace
 
 
-def rts_smoother(model: DelayFreeModel, trace: BeliefTrace) -> np.ndarray:
-    """Backward pass refining filtered means with future information.
+def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> FilterTrace:
+    """The mean recursion alone, over given gains; the trace carries them.
 
-    Returns the (T, n) smoothed means; the last equals the last filtered mean.
+    gains is the `FilterTrace.gains` of a `kalman_forward` pass of this
+    model, with the same noise, over any window of this one's length: the
+    covariance recursion never reads the data, and both functions run the
+    same mean recursion, so the replay's means are bitwise that pass's on
+    this window. A non-finite filtered mean raises NumericalError naming
+    the first step that holds one, as `kalman_forward` does.
     """
-    a = model.transition
-    steps, n = trace.filtered_means.shape
-    smoothed = np.empty((steps, n))
-    smoothed[-1] = trace.filtered_means[-1]
-    for t in range(steps - 2, -1, -1):
-        # V(t) = P(t) A^T inv(P_pred(t+1)), computed via an SPD solve
-        gain = _spd_solve(
-            trace.predicted_covs[t + 1],
-            a @ trace.filtered_covs[t],
-            "predicted covariance",
-            t + 1,
-        ).T
-        smoothed[t] = trace.filtered_means[t] + gain @ (
-            smoothed[t + 1] - trace.predicted_means[t + 1]
+    expected = (window.outputs.shape[0], model.output_dim, model.state_dim)
+    if gains.shape != expected:
+        raise ShapeError(
+            f"gains have shape {gains.shape}, expected {expected} for this model and window"
         )
-    return smoothed
+    trace = _mean_pass(model, window, gains)
+    _check_states(trace.filtered_means)
+    return trace
 
 
-def window_error(window: Trajectory, trace: MeanTrace) -> float:
+def window_error(window: Trajectory, trace: FilterTrace) -> float:
     """Mean Euclidean one-step prediction error of a filter trace over the
     window it was run on.
 
@@ -263,7 +209,7 @@ def window_error(window: Trajectory, trace: MeanTrace) -> float:
 
 def select_regime(
     database: Sequence[DelayFreeModel], window: Trajectory, noise: NoiseSpec
-) -> tuple[int, float, BeliefTrace]:
+) -> tuple[int, float, FilterTrace]:
     """Index, window error and filter trace of the model with the lowest
     window error; ties keep the lowest index.
 
@@ -279,21 +225,20 @@ def select_regime(
 
 
 def forecast(
-    model: DelayFreeModel, window: Trajectory, future_inputs, trace: MeanTrace
+    model: DelayFreeModel, window: Trajectory, future_inputs, trace: FilterTrace
 ) -> np.ndarray:
     """Multi-step prediction anchored at the filter's final state.
 
     trace is a `kalman_forward` or `kalman_replay` pass of this model on
     this window. Its filtered mean at the final window index is the state
-    estimate there; an RTS backward pass would return that same vector as
-    its last smoothed mean, so none is run. Advancing it once with the final
-    window input gives the state at the first forecast step, from which the
-    delay-free recursion consumes the future inputs, emitting one output per
-    step.
+    estimate there, and it already conditions on every output of the
+    window. Advancing it once with the final window input gives the state
+    at the first forecast step, from which the delay-free recursion consumes
+    the future inputs, emitting one output per step.
     """
     steps = window.outputs.shape[0]
     if trace.filtered_means.shape != (steps, model.state_dim):
-        raise ValueError(
+        raise ShapeError(
             f"trace holds filtered means of shape {trace.filtered_means.shape}, "
             f"expected {(steps, model.state_dim)} for this model and window"
         )

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateSequenceError,
     EmptyDatabaseError,
     HorizonError,
@@ -72,9 +73,9 @@ def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFre
     input-output behavior is pinned down; state coordinates are arbitrary.
     """
     if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+        raise ConfigError(f"s must be >= 1, got {s}")
     if order is not None and order < 1:
-        raise ValueError(f"state_dim must be positive, got {order}")
+        raise RankError(f"order must be positive, got {order}")
     if seq.horizon < 2 * s:
         raise HorizonError(
             f"sequence horizon {seq.horizon} is too short for s={s}; need at least {2 * s}"

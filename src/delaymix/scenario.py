@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .datagen import InputDistribution, ScenarioSpec
-from .errors import ParseError
+from .errors import DelayMixError, ParseError
 from .syslin import TimeDelaySystem
 
 
@@ -71,12 +71,11 @@ def _parse_input_dist(text: str, row: int) -> InputDistribution:
         try:
             scale = float(parts[1])
         except ValueError:
-            scale = math.nan
-        if not 0.0 < scale < math.inf:
-            raise ParseError(
-                f"{kind} parameter {parts[1]!r} must be a positive finite number", row=row
-            )
-        return InputDistribution(kind, scale)
+            raise ParseError(f"{kind} parameter {parts[1]!r} is not a number", row=row) from None
+        try:
+            return InputDistribution(kind, scale)
+        except DelayMixError as err:
+            raise ParseError(str(err), row=row) from None
     raise ParseError(f"unknown input distribution {kind!r}", row=row)
 
 
@@ -98,7 +97,7 @@ def _number(entries: dict, key: str, kind, default, what: str | None = None):
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse scenario text into a ScenarioSpec."""
     top: dict[str, tuple[str, int]] = {}
-    regimes: list[dict] = []
+    regimes: list[tuple[int, dict]] = []  # (header row, key -> (value, row))
     schedule: list[tuple[int, int]] = []
     section = None  # None | "regime" | "schedule"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -108,7 +107,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if line.startswith("["):
             if line == "[regime]":
                 section = "regime"
-                regimes.append({})
+                regimes.append((lineno, {}))
             elif line == "[schedule]":
                 section = "schedule"
             else:
@@ -129,7 +128,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ParseError("expected 'key = value'", row=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         if section == "regime":
-            regimes[-1][key] = (value, lineno)
+            regimes[-1][1][key] = (value, lineno)
         else:
             top[key] = (value, lineno)
 
@@ -145,21 +144,18 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if not regimes:
         raise ParseError("at least one [regime] section is required")
     systems = []
-    for i, entry in enumerate(regimes, start=1):
+    for i, (header_row, entry) in enumerate(regimes, start=1):
         for key in ("A", "B", "C"):
             if key not in entry:
                 raise ParseError(f"regime {i} is missing matrix {key}")
         delay = _number(entry, "delay", int, 0, f"regime {i} delay")
-        if delay < 0:
-            raise ParseError(f"regime {i} delay must be non-negative", row=entry["delay"][1])
-        systems.append(
-            TimeDelaySystem(
-                transition=_parse_matrix(*entry["A"]),
-                input_map=_parse_matrix(*entry["B"]),
-                output_map=_parse_matrix(*entry["C"]),
-                delay=delay,
-            )
-        )
+        matrices = [_parse_matrix(*entry[key]) for key in ("A", "B", "C")]
+        try:
+            systems.append(TimeDelaySystem(*matrices, delay=delay))
+        except DelayMixError as err:
+            # an error can involve several of the section's keys, so it
+            # names the section's header row
+            raise ParseError(f"regime {i}: {err}", row=header_row) from None
     if not schedule:
         schedule = [(0, 1)]
     return ScenarioSpec(

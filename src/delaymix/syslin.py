@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 # A spectral-norm profile entry below this fraction of the peak counts as
 # part of the delay.
@@ -115,7 +115,7 @@ class TimeDelaySystem(_StateSpace):
     def __post_init__(self):
         super().__post_init__()
         if int(self.delay) != self.delay or self.delay < 0:
-            raise ValueError(f"delay must be a non-negative integer, got {self.delay}")
+            raise ConfigError(f"delay must be a non-negative integer, got {self.delay}")
         object.__setattr__(self, "delay", int(self.delay))
 
     def is_stable(self) -> bool:
@@ -248,7 +248,7 @@ def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
     u_seq = _input_array(inputs, model.input_dim, "inputs")
     steps = u_seq.shape[0]
     if steps < 1:
-        raise ValueError("inputs must contain at least one step")
+        raise ShapeError("inputs must contain at least one step")
     x = _state_vector(x0, model.state_dim, "x0")
     a, b, c = model.transition, model.input_map, model.output_map
     y_seq = np.empty((steps, model.output_dim))
@@ -261,7 +261,7 @@ def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
 def markov_parameters_delayed(sys: TimeDelaySystem, horizon: int) -> MarkovSequence:
     """Impulse response of a delayed system: tau zero blocks, then C A^(j-tau-1) B."""
     if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
     blocks = np.zeros((horizon, sys.output_dim, sys.input_dim))
     if horizon > sys.delay:
         free = markov_parameters_free(_delay_free_part(sys), horizon - sys.delay)
@@ -272,7 +272,7 @@ def markov_parameters_delayed(sys: TimeDelaySystem, horizon: int) -> MarkovSeque
 def markov_parameters_free(model: DelayFreeModel, horizon: int) -> MarkovSequence:
     """Impulse response of a delay-free model: blocks C A^(j-1) B."""
     if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
     blocks = np.zeros((horizon, model.output_dim, model.input_dim))
     power = np.eye(model.state_dim)
     for j in range(1, horizon + 1):
@@ -306,14 +306,6 @@ def embed_delay(sys: TimeDelaySystem) -> DelayFreeModel:
     c_aug = np.zeros((d, n))
     c_aug[:, :k] = sys.output_map
     return DelayFreeModel(a_aug, b_aug, c_aug)
-
-
-def embedded_state(sys: TimeDelaySystem, x0=None, prehistory=None) -> np.ndarray:
-    """Initial augmented state matching simulate_delayed(sys, ., x0, prehistory)."""
-    x = _state_vector(x0, sys.state_dim, "x0")
-    if sys.delay == 0:
-        return x
-    return np.concatenate([x, _prehistory(sys, prehistory).ravel()])
 
 
 def spectral_norm_profile(seq: MarkovSequence) -> np.ndarray:

@@ -91,7 +91,8 @@ C = [1.0 0.0]
             ("obs_noise_std = nan", 1, "[0.5]", 2),
             ("", 1, "[nan]", 5),
             ("", 1, "[0.5 0; 0 inf]", 5),
-            ("", -1, "[0.5]", 4),
+            ("", -1, "[0.5]", 3),
+            ("", 1, "[0.5 0.1]", 3),
         ):
             text = f"length = 100\n{top}\n" + regime.format(delay=delay, a=a)
             with pytest.raises(ParseError, match=f"row {row}"):
@@ -534,7 +535,7 @@ class TestValidateCommand:
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency; the tests use scipy as an oracle
+    # numpy is the only runtime dependency
     probe = (
         "import sys, delaymix, delaymix.cli\n"
         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"

@@ -3,11 +3,11 @@ import pytest
 
 from delaymix.cpd import (
     CPFactors,
-    align_components,
     cp_als,
     reconstruct,
 )
 from delaymix.errors import DataError, RankError, ShapeError
+from oracles import align_components
 
 
 def rank_one(a, b, c):

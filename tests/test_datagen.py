@@ -6,11 +6,11 @@ from delaymix.datagen import (
     InputDistribution,
     ScenarioSpec,
     generate,
-    oracle_moment_tensor,
     persistence_baseline,
     random_stable_system,
 )
 from delaymix.errors import ScenarioError
+from oracles import oracle_moment_tensor
 
 
 def two_regime_spec(length=400, seed=0, noise=0.0):

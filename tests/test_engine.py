@@ -330,7 +330,7 @@ class TestEngineUpdate:
 class TestFilterPasses:
     def test_one_filter_pass_per_scored_model(self, monkeypatch):
         # every delaymix global bound to a filtering function counts its calls
-        calls = {"kalman_forward": 0, "kalman_replay": 0, "rts_smoother": 0}
+        calls = {"kalman_forward": 0, "kalman_replay": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -367,7 +367,6 @@ class TestFilterPasses:
             expected = len(state.database.records) if report.adapted else 0
             assert passes == expected, (w, report.adapted)
             kinds.add((report.adapted, had_models))
-        assert calls["rts_smoother"] == 0
         assert kinds == {(True, False), (True, True), (False, True)}
 
 

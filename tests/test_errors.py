@@ -1,0 +1,66 @@
+import math
+
+import numpy as np
+import pytest
+
+from delaymix import (
+    DelayFreeModel,
+    InputDistribution,
+    MarkovSequence,
+    NoiseSpec,
+    TimeDelaySystem,
+    Trajectory,
+    cp_als,
+    forecast,
+    ho_kalman,
+    kalman_forward,
+    kalman_replay,
+    markov_parameters_delayed,
+    markov_parameters_free,
+    persistence_baseline,
+    simulate_delay_free,
+)
+from delaymix.errors import DelayMixError
+
+MODEL = DelayFreeModel(0.5, 1.0, 1.0)
+WINDOW = Trajectory(np.ones((4, 1)), np.ones((4, 1)))
+SHORT = Trajectory(np.ones((3, 1)), np.ones((3, 1)))
+SEQUENCE = MarkovSequence(np.ones(4))
+TENSOR = np.ones((2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: InputDistribution("poisson"),
+        lambda: InputDistribution.gaussian(-1.0),
+        lambda: InputDistribution.uniform(math.inf),
+        lambda: TimeDelaySystem(0.5, 1.0, 1.0, delay=-1),
+        lambda: NoiseSpec(obs_var=0.0),
+        lambda: NoiseSpec(process_var=math.inf),
+        lambda: ho_kalman(SEQUENCE, 0),
+        lambda: ho_kalman(SEQUENCE, 1, order=0),
+        lambda: simulate_delay_free(MODEL, np.zeros((0, 1))),
+        lambda: markov_parameters_free(MODEL, 0),
+        lambda: markov_parameters_delayed(TimeDelaySystem(0.5, 1.0, 1.0), 0),
+        lambda: kalman_forward(MODEL, Trajectory(np.ones((4, 2)), np.ones((4, 1))), NoiseSpec()),
+        lambda: kalman_replay(MODEL, WINDOW, np.ones((3, 1, 1))),
+        lambda: forecast(MODEL, WINDOW, np.ones((2, 1)), kalman_forward(MODEL, SHORT, NoiseSpec())),
+        lambda: cp_als(TENSOR, 1, max_iters=0),
+        lambda: cp_als(TENSOR, 1, tol=0.0),
+        lambda: persistence_baseline(Trajectory(np.ones((0, 1)), np.ones((0, 1))), 1),
+        lambda: persistence_baseline(WINDOW, 0),
+    ],
+    ids=[
+        "input-kind", "input-scale-negative", "input-scale-inf", "delay", "noise", "noise-inf",
+        "hankel-size", "realization-order", "empty-inputs", "markov-horizon",
+        "delayed-markov-horizon", "window-channels", "replay-gains", "forecast-trace",
+        "als-max-iters", "als-tol", "persistence-window", "persistence-horizon",
+    ],
+)
+def test_bad_argument_raises_a_delaymix_value_error(call):
+    # a DelayMixError reaches the CLI's error line; ValueError keeps the
+    # callers that catch it working
+    with pytest.raises(DelayMixError) as info:
+        call()
+    assert isinstance(info.value, ValueError)

@@ -1,9 +1,7 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from delaymix import (
     DelayFreeModel,
@@ -14,15 +12,14 @@ from delaymix import (
     kalman_forward,
     kalman_replay,
     markov_parameters_delayed,
-    rts_smoother,
     select_regime,
     simulate_delay_free,
     window_error,
 )
-from delaymix.datagen import random_stable_model, random_stable_system
+from delaymix.datagen import random_stable_system
 from delaymix.errors import ConditioningError, EmptyDatabaseError, NumericalError
-from delaymix.filtering import JITTER, _spd_solve
 from delaymix.realization import ho_kalman
+from oracles import per_step_checked_forward, random_stable_model
 
 
 def self_generated(rng, model, steps, x0=None):
@@ -36,49 +33,6 @@ def self_generated(rng, model, steps, x0=None):
         outputs[t] = model.output_map @ x
         x = model.transition @ x + model.input_map @ inputs[t]
     return Trajectory(outputs, inputs), states
-
-
-def per_step_checked_forward(model, window, noise):
-    """Reference forward pass that tests the filter state for finiteness at
-    the end of every step; `kalman_forward` must match it bitwise."""
-    a, b, c = model.transition, model.input_map, model.output_map
-    n, d = model.state_dim, model.output_dim
-    y, u = window.outputs, window.inputs
-    steps = y.shape[0]
-    gamma = noise.process_var * np.eye(n)
-    filtered_means = np.empty((steps, n))
-    filtered_covs = np.empty((steps, n, n))
-    predicted_means = np.empty((steps, n))
-    predicted_covs = np.empty((steps, n, n))
-    predictions = np.empty((steps, d))
-    mean_pred = np.zeros(n)
-    cov_pred = noise.prior_var * np.eye(n)
-    with np.errstate(over="ignore"):
-        for t in range(steps):
-            if t > 0:
-                mean_pred = a @ mean + b @ u[t - 1]
-                cov_pred = a @ cov @ a.T + gamma
-            cov_pred = 0.5 * (cov_pred + cov_pred.T)
-            mean, cov = mean_pred, cov_pred
-            for i, c_i in enumerate(c):
-                pc = cov @ c_i
-                s = c_i @ pc + noise.obs_var
-                if not math.isfinite(s):
-                    raise NumericalError(f"non-finite innovation at step {t}", step=t)
-                if s <= 0.0:
-                    raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
-                k = pc / s
-                mean = mean + k * (y[t, i] - c_i @ mean)
-                cov = cov - k[:, None] * pc
-            cov = 0.5 * (cov + cov.T)
-            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-                raise NumericalError(f"non-finite filter state at step {t}", step=t)
-            predicted_means[t] = mean_pred
-            predicted_covs[t] = cov_pred
-            filtered_means[t] = mean
-            filtered_covs[t] = cov
-            predictions[t] = c @ mean_pred
-    return filtered_means, filtered_covs, predicted_means, predicted_covs, predictions
 
 
 class NegativeObsNoise:
@@ -124,6 +78,10 @@ class TestKalmanForward:
             )
             for window in (zero, data):
                 trace = kalman_forward(model, window, noise)
+                _, filtered_covs, _, predicted_covs, _, gains = per_step_checked_forward(
+                    model, window, noise
+                )
+                assert np.array_equal(trace.gains, gains)
                 mean, cov = np.zeros(2), 2.0 * np.eye(2)
                 for t in range(steps):
                     if t == 0:
@@ -141,8 +99,8 @@ class TestKalmanForward:
                     assert np.allclose(
                         trace.one_step_predictions[t], c @ mean_pred, atol=1e-12
                     )
-                    assert np.allclose(trace.predicted_covs[t], pred, atol=1e-12)
-                    assert np.allclose(trace.filtered_covs[t], cov, atol=1e-12)
+                    assert np.allclose(predicted_covs[t], pred, atol=1e-12)
+                    assert np.allclose(filtered_covs[t], cov, atol=1e-12)
 
     def test_non_positive_innovation_variance_raises(self):
         # NoiseSpec refuses obs_var <= 0; a duck-typed noise object does not
@@ -169,7 +127,11 @@ class TestKalmanForward:
         model = random_stable_model(rng, 3, 2, 2)
         window, _ = self_generated(rng, model, 30)
         trace = kalman_forward(model, window, NoiseSpec())
-        for covs in (trace.filtered_covs, trace.predicted_covs):
+        _, filtered_covs, _, predicted_covs, _, gains = per_step_checked_forward(
+            model, window, NoiseSpec()
+        )
+        assert np.array_equal(trace.gains, gains)
+        for covs in (filtered_covs, predicted_covs):
             for cov in covs:
                 assert np.allclose(cov, cov.T)
                 assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
@@ -206,14 +168,16 @@ class TestKalmanForward:
                     zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 2)))
                     for window in (zero, data):
                         trace = kalman_forward(model, window, noise)
-                        expected = per_step_checked_forward(model, window, noise)
+                        filtered, _, predicted, _, predictions, gains = (
+                            per_step_checked_forward(model, window, noise)
+                        )
                         actual = (
                             trace.filtered_means,
-                            trace.filtered_covs,
                             trace.predicted_means,
-                            trace.predicted_covs,
                             trace.one_step_predictions,
+                            trace.gains,
                         )
+                        expected = (filtered, predicted, predictions, gains)
                         for got, want in zip(actual, expected):
                             assert np.array_equal(got, want), (n, d, steps)
 
@@ -248,6 +212,70 @@ class TestKalmanForward:
             with pytest.raises(NumericalError) as reference:
                 per_step_checked_forward(model, window, noise)
         assert reference.value.step == step
+
+    def test_non_finite_covariance_fails_the_next_innovation(self):
+        # the duplicated output's variance cancels to about obs_var, so the
+        # filtered covariance of step 1 overflows while every innovation
+        # variance up to there stays finite; nothing reads that covariance
+        # in a 2-step window, and step 2's innovation reads it in a longer one
+        model = DelayFreeModel([[3e75, -2e75], [-2e75, 3e75]], np.ones((2, 1)), [[1.0, 0.0]] * 2)
+        noise = NoiseSpec(obs_var=1e-12, prior_var=1e93)
+        short = Trajectory(np.ones((2, 2)), np.ones((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = kalman_forward(model, short, noise)
+            filtered, filtered_covs, _, _, _, gains = per_step_checked_forward(model, short, noise)
+            assert not np.isfinite(filtered_covs[1]).all()
+            assert np.isfinite(trace.gains).all() and np.isfinite(trace.filtered_means).all()
+            assert np.array_equal(trace.gains, gains)
+            assert np.array_equal(trace.filtered_means, filtered)
+            longer = Trajectory(np.ones((3, 2)), np.ones((3, 1)))
+            with pytest.raises(NumericalError, match="non-finite innovation at step 2"):
+                kalman_forward(model, longer, noise)
+
+    def test_extreme_magnitudes_raise_or_stay_finite(self):
+        # every input ends in a filter error or in all-finite gains and
+        # means, and agrees with the per-step reference either way
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for case in range(2000):
+            if case % 2:
+                n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+                a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 160)
+                c = rng.standard_normal((d, n))
+                obs_var, prior_var = 10.0 ** rng.uniform(-13, 2), 10.0 ** rng.uniform(-2, 300)
+            else:
+                # small-integer matrices cancel exactly, which leaves some
+                # innovation variances at about obs_var
+                n, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+                a = rng.integers(-3, 4, (n, n)) * 10.0 ** rng.integers(0, 161)
+                c = rng.integers(-2, 3, (d, n)).astype(float)
+                obs_var, prior_var = 10.0 ** rng.uniform(-13, -11), 10.0 ** rng.uniform(51, 178)
+            model = DelayFreeModel(a, rng.standard_normal((n, 1)), c)
+            noise = NoiseSpec(10.0 ** rng.uniform(-12, 2), obs_var, prior_var)
+            steps = int(rng.integers(1, 4))
+            window = Trajectory(rng.standard_normal((steps, d)), rng.standard_normal((steps, 1)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    trace = kalman_forward(model, window, noise)
+                except (NumericalError, ConditioningError) as err:
+                    with pytest.raises(type(err)) as reference:
+                        per_step_checked_forward(model, window, noise)
+                    assert str(reference.value) == str(err), case
+                    outcomes.add(type(err))
+                    continue
+            assert np.isfinite(trace.gains).all() and np.isfinite(trace.filtered_means).all()
+            filtered, _, predicted, _, predictions, gains = per_step_checked_forward(
+                model, window, noise
+            )
+            actual = (
+                trace.filtered_means, trace.predicted_means, trace.one_step_predictions, trace.gains
+            )
+            for got, want in zip(actual, (filtered, predicted, predictions, gains)):
+                assert np.array_equal(got, want), case
+            outcomes.add(None)
+        assert outcomes == {None, NumericalError, ConditioningError}
 
     def test_filter_beats_open_loop(self):
         # one-step predictions with feedback beat open-loop simulation
@@ -333,69 +361,6 @@ class TestKalmanReplay:
         window = Trajectory(np.ones((6, 1)), np.ones((6, 1)))
         with pytest.raises(ValueError, match="gains have shape"):
             kalman_replay(model, window, gains)
-
-
-class TestSpdSolve:
-    def test_matches_scipy_cholesky(self):
-        rng = np.random.default_rng(21)
-        for n in (1, 2, 4):
-            root = rng.standard_normal((n, n))
-            matrix = root @ root.T + 0.1 * np.eye(n)
-            rhs = rng.standard_normal((n, 3))
-            sym = 0.5 * (matrix + matrix.T)
-            expected = cho_solve(cho_factor(sym, lower=True), rhs)
-            solution = _spd_solve(matrix, rhs, "m", 0)
-            np.testing.assert_allclose(solution, expected, rtol=1e-12)
-
-    def test_singular_matrix_is_solved_with_jitter(self):
-        matrix = np.ones((2, 2))
-        rhs = np.array([[1.0], [2.0]])
-        jittered = matrix + JITTER * np.eye(2)
-        expected = cho_solve(cho_factor(jittered, lower=True), rhs)
-        solution = _spd_solve(matrix, rhs, "m", 0)
-        np.testing.assert_allclose(solution, expected, rtol=1e-12)
-
-    def test_indefinite_matrix_raises_conditioning_error(self):
-        with pytest.raises(ConditioningError, match="at step 4"):
-            _spd_solve(-np.eye(2), np.ones((2, 1)), "m", 4)
-
-    def test_non_finite_input_raises_numerical_error(self):
-        for matrix, rhs in (
-            (np.array([[np.nan]]), np.ones((1, 1))),
-            (np.ones((1, 1)), np.array([[np.inf]])),
-        ):
-            with pytest.raises(NumericalError) as info:
-                _spd_solve(matrix, rhs, "m", 2)
-            assert info.value.step == 2
-
-
-class TestRtsSmoother:
-    def test_single_step_window(self):
-        rng = np.random.default_rng(5)
-        model = random_stable_model(rng, 2, 1, 1)
-        window = Trajectory(np.ones((1, 1)), np.ones((1, 1)))
-        trace = kalman_forward(model, window, NoiseSpec())
-        smooth = rts_smoother(model, trace)
-        assert np.allclose(smooth[0], trace.filtered_means[0])
-
-    def test_final_step_equals_filtered(self):
-        rng = np.random.default_rng(6)
-        model = random_stable_model(rng, 2, 2, 2)
-        window, _ = self_generated(rng, model, 20)
-        trace = kalman_forward(model, window, NoiseSpec())
-        smooth = rts_smoother(model, trace)
-        assert np.array_equal(smooth[-1], trace.filtered_means[-1])
-
-    def test_recovers_true_states_including_early_steps(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((2, 2))
-        a *= 0.6 / np.max(np.abs(np.linalg.eigvals(a)))
-        model = DelayFreeModel(a, rng.standard_normal((2, 1)), np.eye(2))
-        window, states = self_generated(rng, model, 40)
-        noise = NoiseSpec(process_var=1e-10, obs_var=1e-12)
-        trace = kalman_forward(model, window, noise)
-        smooth = rts_smoother(model, trace)
-        assert np.allclose(smooth, states, atol=1e-6)
 
 
 class TestWindowError:
@@ -530,8 +495,8 @@ class TestForecast:
         assert np.allclose(f1, f2, atol=1e-6)
 
     def test_anchor_is_the_smoothed_final_state(self):
-        # the forecast runs no RTS pass; anchoring on the smoothed final
-        # mean instead gives bitwise the same outputs
+        # the smoothed mean at the final step is the filtered one, which
+        # already conditions on the whole window: the forecast advances it
         rng = np.random.default_rng(19)
         noise = NoiseSpec()
         for n in range(1, 5):
@@ -540,7 +505,7 @@ class TestForecast:
                 window, _ = self_generated(rng, model, 25)
                 future = rng.standard_normal((6, 2))
                 trace = kalman_forward(model, window, noise)
-                anchor = rts_smoother(model, trace)[-1]
+                anchor = trace.filtered_means[-1]
                 a, b, c = model.transition, model.input_map, model.output_map
                 state = a @ anchor + b @ window.inputs[-1]
                 expected = np.empty((6, d))

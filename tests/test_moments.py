@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from delaymix import MomentConfig, Trajectory
-from delaymix.datagen import oracle_moment_tensor
 from delaymix.errors import EmptyTensorError, ShapeError, WindowLengthError
 from delaymix.moments import accumulate_window, new_tensor, normalized_view
+from oracles import oracle_moment_tensor
 
 
 def random_window(rng, config, extra=0):

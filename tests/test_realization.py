@@ -12,7 +12,7 @@ from delaymix import (
     spectral_norm_profile,
 )
 from delaymix.cpd import CPFactors
-from delaymix.datagen import random_stable_model, random_stable_system
+from delaymix.datagen import random_stable_system
 from delaymix.errors import (
     DegenerateSequenceError,
     EmptyDatabaseError,
@@ -27,6 +27,7 @@ from delaymix.realization import (
     realize_components,
 )
 from delaymix.syslin import MarkovSequence
+from oracles import factors_from_components, random_stable_model
 
 
 def stacked_component(seq, config, rng=None):
@@ -194,7 +195,7 @@ class TestHoKalman:
         )
         with pytest.raises(ValueError, match="s must be >= 1"):
             ho_kalman(seq, 0)
-        with pytest.raises(ValueError, match="state_dim must be positive"):
+        with pytest.raises(ValueError, match="order must be positive"):
             ho_kalman(seq, 3, order=0)
 
 
@@ -225,7 +226,7 @@ class TestRealizeAll:
         )
         c1 = stacked_component(seq1, config, rng)
         c3 = stacked_component(seq3, config, rng)
-        factors = CPFactors.from_components([c1, c3])
+        factors = factors_from_components([c1, c3])
         realized = realize_components(factors, config)
         delays = sorted(
             detect_delay(spectral_norm_profile(item.markov)) for item in realized
@@ -246,7 +247,7 @@ class TestRealizeAll:
         good = stacked_component(seq, config, rng)
         dim = config.mode_dim
         bad = (np.zeros(dim), np.zeros(dim), np.zeros(dim))
-        factors = CPFactors.from_components([bad, good])
+        factors = factors_from_components([bad, good])
         with caplog.at_level("WARNING"):
             realized = realize_components(factors, config)
         assert len(realized) == 1

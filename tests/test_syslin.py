@@ -6,7 +6,6 @@ from delaymix import (
     TimeDelaySystem,
     detect_delay,
     embed_delay,
-    embedded_state,
     markov_parameters_delayed,
     markov_parameters_free,
     simulate_delay_free,
@@ -16,6 +15,7 @@ from delaymix import (
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ShapeError
 from delaymix.syslin import DELAY_THRESHOLD
+from oracles import embedded_state
 
 
 def scalar_sys(a=0.5, b=1.0, c=1.0, delay=0):
