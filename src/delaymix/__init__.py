@@ -25,9 +25,9 @@ from .errors import DelayMixError
 from .filtering import (
     FilterTrace,
     NoiseSpec,
+    filter_window,
     forecast,
     kalman_forward,
-    kalman_replay,
     select_regime,
     window_error,
 )

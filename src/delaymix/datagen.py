@@ -75,32 +75,33 @@ class ScenarioSpec:
     def __post_init__(self):
         regimes = tuple(self.regimes)
         if not regimes:
-            raise ScenarioError("at least one regime is required")
+            raise ScenarioError("at least one regime is required", "regimes")
         d = regimes[0].output_dim
         dc = regimes[0].input_dim
         for i, regime in enumerate(regimes):
             if regime.output_dim != d or regime.input_dim != dc:
                 raise ScenarioError(
                     f"regime {i + 1} has dims ({regime.output_dim}, {regime.input_dim}), "
-                    f"expected ({d}, {dc}) shared by all regimes"
+                    f"expected ({d}, {dc}) shared by all regimes",
+                    "regimes", i,
                 )
         schedule = tuple((int(t), int(r)) for t, r in self.schedule)
         if not schedule or schedule[0][0] != 0:
-            raise ScenarioError("schedule must start at time 0")
-        times = [t for t, _ in schedule]
-        if times != sorted(times):
-            raise ScenarioError("schedule change points must be sorted")
-        for t, r in schedule:
+            raise ScenarioError("schedule must start at time 0", "schedule", 0)
+        for j in range(1, len(schedule)):
+            if schedule[j][0] < schedule[j - 1][0]:
+                raise ScenarioError("schedule change points must be sorted", "schedule", j)
+        for j, (t, r) in enumerate(schedule):
             if not 1 <= r <= len(regimes):
-                raise ScenarioError(f"schedule refers to unknown regime {r}")
+                raise ScenarioError(f"schedule refers to unknown regime {r}", "schedule", j)
             if not 0 <= t < self.length:
-                raise ScenarioError(f"change point {t} lies outside the stream")
+                raise ScenarioError(f"change point {t} lies outside the stream", "schedule", j)
         if self.length < 1:
-            raise ScenarioError(f"length must be positive, got {self.length}")
+            raise ScenarioError(f"length must be positive, got {self.length}", "length")
         if self.obs_noise_std < 0.0:
-            raise ScenarioError("obs_noise_std cannot be negative")
+            raise ScenarioError("obs_noise_std cannot be negative", "obs_noise_std")
         if self.seed < 0:
-            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}", "seed")
         object.__setattr__(self, "regimes", regimes)
         object.__setattr__(self, "schedule", schedule)
 

@@ -32,9 +32,9 @@ from .errors import (
 )
 from .filtering import (
     NoiseSpec,
+    filter_window,
     forecast,
     kalman_forward,
-    kalman_replay,
     select_regime,
     window_error,
 )
@@ -109,19 +109,20 @@ def default_config(
 class RegimeDatabase:
     """Current model set, the active choice, and the warm-start factors.
 
-    active_gains holds the active model's Kalman gains over an l_c-step
-    window, shape (l_c, d, n): the gate replays them instead of running the
-    covariance recursion again, which reads only the model. They are
-    derived data, so checkpoints leave them out (load_checkpoint rebuilds
-    them) and state_footprint_bytes does not count them. No other record's
-    gains are kept: an adaptation filters every new record and replaces the
+    active_map is the active model's filter map over an l_c-step window
+    (`filtering.kalman_forward`), shape (l_c*d + n, l_c*(d+dc)): the gate
+    and the forecast anchor are one product of it with the window. It was
+    built in one batch with every record's map, and it is derived data, so
+    checkpoints leave it out (load_checkpoint rebuilds the same batch) and
+    state_footprint_bytes does not count it. No other record's map is kept:
+    an adaptation builds the maps of every new record and replaces the
     database whole.
     """
 
     records: list[ModelRecord] = field(default_factory=list)
     active_index: int = -1
     last_factors: CPFactors | None = None
-    active_gains: np.ndarray | None = None
+    active_map: np.ndarray | None = None
 
     def active(self) -> ModelRecord:
         return self.records[self.active_index]
@@ -319,11 +320,12 @@ def engine_update(
     input, and the forecast has one row per future input. Identification
     reads only the first l_c inputs, so the state after the update does not
     depend on how many future inputs were passed, and the first h forecast
-    rows are the h-step forecast. The gate replays the active model's
-    cached gains over the window (`kalman_replay`), and only an adaptation
-    runs `kalman_forward`, once per new record; the forecast reuses the
-    gate's replay, or the winner's pass from selection when the update
-    adapts, whose gains become the cache.
+    rows are the h-step forecast. The gate applies the active model's
+    cached filter map to the window (`filter_window`), one matrix-vector
+    product that also gives the forecast's anchor. Only an adaptation runs
+    `kalman_forward`, once, building every new record's map in one batch;
+    selection applies each, and the winner's map becomes the cache and
+    anchors the forecast.
 
     Every stage computes into locals and the state is assigned once, at the
     end, so an update either commits whole or raises and leaves the state
@@ -374,7 +376,7 @@ def engine_update(
     had_models = bool(database.records)
     if had_models:
         with _stage("fit_scoring"):
-            trace = kalman_replay(database.active().model, window, database.active_gains)
+            trace = filter_window(database.active().model, database.active_map, window)
             gate_fit = window_error(window, trace)
     else:
         gate_fit = float("inf")
@@ -398,7 +400,7 @@ def engine_update(
                 records=records,
                 active_index=index,
                 last_factors=factors,
-                active_gains=trace.gains,
+                active_map=trace.filter_map,
             )
             if not had_models:
                 gate_fit = best_fit
@@ -475,7 +477,7 @@ def run_horizons(
 
 def state_footprint_bytes(state: EngineState) -> int:
     """Bytes held in the numeric buffers of the streaming state that a
-    checkpoint stores; the derived Markov blocks and active_gains are not
+    checkpoint stores; the derived Markov blocks and active_map are not
     counted."""
     return sum(array.nbytes for _, array, _ in _state_arrays(state))
 
@@ -556,9 +558,10 @@ def load_checkpoint(path) -> EngineState:
     updates * l_c; each record's Markov blocks, `factor_to_markov` of its
     component of the warm-start factors, which is how adaptation made them,
     and which must be finite like a stored array; and the active model's
-    gains, rebuilt by one `kalman_forward` pass over a zero window of l_c
-    steps (the covariance recursion reads no data, so they are bitwise the
-    gains the saved run held). A file that is not one whole checkpoint of
+    filter map, taken from one `kalman_forward` batch of every record's
+    model, in record order. That is the batch selection built, so the map
+    is bitwise the one the saved run held; a model built alone can differ
+    in the last bits. A file that is not one whole checkpoint of
     this version (truncated, padded, from another version, or with a
     damaged header or array) or holds a state no update can reach raises
     ParseError.
@@ -669,14 +672,10 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         if not np.isfinite(markov.blocks).all():
             raise ParseError(f"record{i}.markov, derived from the factors, holds non-finite values")
         state.database.records.append(ModelRecord(model, markov, index, entry["b_scale"]))
-    if state.database.records:
-        l_c = state.config.l_c
-        zero = Trajectory(np.zeros((l_c, moment.d)), np.zeros((l_c, moment.dc)))
+    if models:
         try:
-            trace = kalman_forward(state.database.active().model, zero, NOISE)
+            maps = kalman_forward(models, state.config.l_c, NOISE)
         except DelayMixError as err:
-            raise ParseError(
-                f"active record {active_index}'s model cannot be filtered: {err}"
-            ) from err
-        state.database.active_gains = trace.gains
+            raise ParseError(f"the stored models cannot be filtered: {err}") from err
+        state.database.active_map = maps[active_index].copy()
     return state

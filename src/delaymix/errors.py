@@ -56,7 +56,8 @@ class NumericalError(DelayMixError, ArithmeticError):
 
 
 class ConditioningError(DelayMixError, ArithmeticError):
-    """A filter's innovation variance was not positive."""
+    """A filter's innovation variance was not positive, or its map cancelled
+    past what float64 holds."""
 
 
 class ConfigError(DelayMixError, ValueError):
@@ -75,7 +76,14 @@ class ColdStartError(DelayMixError, RuntimeError):
 
 
 class ScenarioError(DelayMixError, ValueError):
-    """Scenario specification is unusable (e.g. unstable regime)."""
+    """Scenario specification is unusable (e.g. unstable regime); carries
+    the ScenarioSpec field at fault, and the entry of regimes or schedule,
+    when known."""
+
+    def __init__(self, message: str, field: str | None = None, index: int | None = None):
+        super().__init__(message)
+        self.field = field
+        self.index = index
 
 
 class EngineStageError(DelayMixError, RuntimeError):

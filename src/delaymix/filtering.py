@@ -1,27 +1,30 @@
-"""Kalman filtering, window scoring and forecasting.
+"""Kalman filtering as a linear map, window scoring and forecasting.
 
-A filter pass has two recursions, each written once. The covariance
-recursion (`_covariance_pass`) is given the model, the noise and a step
-count, never a window, so it cannot read data; it corrects with one output
-at a time and yields every per-step, per-output gain, keeping its
-covariance only as a loop local. The mean recursion (`_mean_pass`) runs
-over given gains and reads the data. `kalman_forward` runs the first and
-then the second; `kalman_replay` runs the second alone over gains a full
-pass left, so its means are bitwise that pass's. Both return a
-`FilterTrace`: the means and the gains they were corrected with. The
-covariance loop tests only each innovation variance; every entry of the
-covariance feeds it, so a covariance that goes non-finite fails the next
-one. The mean loop tests nothing; one scan of the filtered means after the
-mean recursion finds the first step whose state went non-finite.
-`window_error` and `forecast` read the trace of a pass already run, and
-`select_regime` returns the winner's trace so the caller can forecast from
-it, and keep its gains, without filtering again.
+With a zero prior mean, the filter over a window of T steps is linear in the
+window. Stack the window as z = [y_0, u_0, y_1, u_1, ...], of length
+T·(d+dc); then the one-step predictions and the last filtered mean are
+M @ z for a matrix M, the model's filter map, that depends only on the
+model, the noise and T (Anderson & Moore 1979, ch. 4 and 6). Its first T·d
+rows give the predictions, step by step, and its last n rows the final
+filtered mean.
+
+`kalman_forward` builds the maps of a list of models in one loop over the
+steps, with the models on a leading axis. It runs the covariance recursion
+one output at a time and carries the filtered mean as a map of z. After the
+loop, one scan of the innovation variances raises at the first one outside
+(0, inf), and one of the steps' cancellation refuses a map whose entries
+float64 cannot hold. `filter_window` applies one map to a window, one
+matrix-vector product, and raises at the first step whose result is not
+finite.
+`window_error` and `forecast` read what it returns, and `select_regime`
+returns the winner's, with a copy of its map, so the caller can forecast
+from it and keep the map without building it again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +37,11 @@ from .errors import (
     ShapeError,
 )
 from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
+
+# A build step whose largest entry is smaller than the largest term it sums
+# by more than this factor keeps fewer than 42 of float64's 52 bits, and
+# `kalman_forward` refuses the map. The engine's maps stay near 2^7.
+MAX_CANCELLATION = 2.0**10
 
 
 @dataclass(frozen=True)
@@ -57,143 +65,185 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class FilterTrace:
-    """One filter pass over a window of T steps: the per-step means, which
-    `window_error` and `forecast` read, and the gain k = P c_i / s each
-    output i corrected the mean with at each step, which `kalman_replay`
-    reads."""
+    """One model's filter map applied to a window of T steps: the one-step
+    predictions, which `window_error` reads, and the filtered mean at the
+    last step, which `forecast` advances."""
 
-    filtered_means: np.ndarray      # (T, n)
-    predicted_means: np.ndarray     # (T, n)
+    filter_map: np.ndarray            # (T*d + n, T*(d+dc))
     one_step_predictions: np.ndarray  # (T, d)
-    gains: np.ndarray               # (T, d, n)
-
-
-def _check_states(filtered_means: np.ndarray):
-    """Raise NumericalError at the first step whose filtered mean holds a
-    non-finite value."""
-    finite = np.isfinite(filtered_means).all(axis=1)
-    if not finite.all():
-        step = int(np.argmin(finite))
-        raise NumericalError(f"non-finite filter state at step {step}", step=step)
-
-
-def _covariance_pass(model: DelayFreeModel, steps: int, noise: NoiseSpec):
-    """The covariance recursion over `steps` steps, one output at a time.
-
-    Output i corrects with gain k = P c_i / s, s = c_i P c_i + obs_var.
-    Returns the gains of the whole steps run, shape (run, d, n), and the
-    error of the first s outside (0, inf) or None: a NumericalError for a
-    non-finite s, a ConditioningError for s <= 0. That s ends the pass, so
-    run < steps exactly when there is an error. A non-finite covariance
-    carries on as NaN or inf into the next step's s, so numpy's overflow and
-    invalid-value warnings are silenced.
-    """
-    a, c = model.transition, model.output_map
-    n, d = model.state_dim, model.output_dim
-    a_t = a.T
-    c_rows = list(c)
-    obs_var = noise.obs_var
-    gamma = noise.process_var * np.eye(n)
-
-    gains = np.empty((steps, d, n))
-    cov_pred = noise.prior_var * np.eye(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            if t > 0:
-                cov_pred = a @ cov @ a_t + gamma
-            cov = 0.5 * (cov_pred + cov_pred.T)
-            for i, c_i in enumerate(c_rows):
-                pc = cov @ c_i
-                s = c_i @ pc + obs_var
-                if not 0.0 < s < math.inf:
-                    if math.isfinite(s):
-                        error = ConditioningError(f"innovation variance {s} <= 0 at step {t}")
-                    else:
-                        error = NumericalError(f"non-finite innovation at step {t}", step=t)
-                    return gains[:t], error
-                k = pc / s
-                cov = cov - k[:, None] * pc
-                gains[t, i] = k
-            cov = 0.5 * (cov + cov.T)
-    return gains, None
-
-
-def _mean_pass(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> FilterTrace:
-    """The mean recursion over the first len(gains) steps of the window.
-
-    The zero-mean prior plays the role of the first predicted state, so the
-    first one-step prediction is zero; from t >= 1 the prediction uses the
-    previous filtered state and the input at t-1. Each output i then
-    corrects the mean with gains[t, i]. Only the window's channel count is
-    checked; the callers scan the means it returns.
-    """
-    a, b, c = model.transition, model.input_map, model.output_map
-    steps, n, d = gains.shape[0], model.state_dim, model.output_dim
-    y = window.outputs
-    if y.shape[1] != d:
-        raise ShapeError(f"window outputs have {y.shape[1]} channels, model emits {d}")
-    c_rows = list(c)
-
-    filtered_means = np.empty((steps, n))
-    predicted_means = np.empty((steps, n))
-    predictions = np.empty((steps, d))
-
-    mean_pred = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        drives = [b @ u_t for u_t in window.inputs[: max(steps - 1, 0)]]
-        for t, (y_t, k_t) in enumerate(zip(y[:steps].tolist(), gains)):
-            if t > 0:
-                mean_pred = a @ mean + drives[t - 1]
-            mean = mean_pred
-            for c_i, y_ti, k in zip(c_rows, y_t, k_t):
-                mean = mean + k * (y_ti - c_i @ mean)
-            predicted_means[t] = mean_pred
-            filtered_means[t] = mean
-            predictions[t] = c @ mean_pred
-    return FilterTrace(filtered_means, predicted_means, predictions, gains)
+    final_mean: np.ndarray            # (n,)
 
 
 def kalman_forward(
-    model: DelayFreeModel, window: Trajectory, noise: NoiseSpec
-) -> FilterTrace:
-    """Forward pass: the covariance recursion, then the mean recursion over
-    its gains, which the trace keeps for `kalman_replay`.
+    models: Sequence[DelayFreeModel], steps: int, noise: NoiseSpec
+) -> list[np.ndarray]:
+    """The filter maps of the models over windows of `steps` steps, built in
+    one pass.
 
-    The observation noise is obs_var * I, so each output corrects alone
-    (Anderson & Moore 1979, ch. 6) and its innovation variance s is at least
-    obs_var > 0 in exact arithmetic. The means are run up to the first s
-    outside (0, inf), if any. One scan of the means up to there raises
-    NumericalError at the first non-finite one; only then is the s error
-    raised. Each failure names the step where the filter first went bad. A
-    covariance that goes non-finite fails the next step's s; at the last
-    step nothing reads it, and the gains and means returned are finite.
+    The models share their output and input dims. Each is zero-padded to
+    the largest order among them; the padded states stay uncoupled and get
+    exactly zero gains, so their rows of the mean map stay zero. Each step
+    predicts the covariance and the mean map X (X <- A X, plus B in the
+    columns of u_{t-1}), stores the prediction rows C X, then corrects with
+    one output at a time: k = P c_i / s, s = c_i P c_i + obs_var, so
+    X -= k (c_i X) and k goes into the column of y_{t,i} (Anderson & Moore
+    1979, ch. 6). Model r's map is a view of rows :T*d + n_r of its slice of
+    the batch. The maps of a batch are not bitwise those of each model built
+    alone, so a caller that must reproduce a map rebuilds the same batch.
+
+    s is at least obs_var > 0 in exact arithmetic. The first s outside
+    (0, inf), of the lowest-indexed model that has one, raises
+    ConditioningError for s <= 0 or NumericalError for a non-finite s, each
+    naming its step. A covariance that goes non-finite carries on as NaN or
+    inf into the next step's s, so numpy's overflow and invalid-value
+    warnings are silenced.
+
+    An entry summed from terms far larger than itself holds only their
+    rounding, and a map built from such entries disagrees with the per-step
+    filter in its leading digits. So each step's largest entry is held
+    against a bound on the largest term the step sums: a_norm max|X| +
+    max|B| from predicting, plus max|k| max|c_i X| from each correction,
+    with c_i X bounded by prediction row i and the corrections before it.
+    The prediction rows' terms, C times that bound on the predicted map, are
+    held against the largest prediction, as `window_error` reads the rows
+    together. When s is in range everywhere, the first step of the
+    lowest-indexed model whose ratio exceeds MAX_CANCELLATION raises
+    ConditioningError naming the step.
     """
-    gains, error = _covariance_pass(model, window.outputs.shape[0], noise)
-    trace = _mean_pass(model, window, gains)
-    _check_states(trace.filtered_means)
-    if error is not None:
-        raise error
-    return trace
+    if len({(model.output_dim, model.input_dim) for model in models}) != 1:
+        raise ShapeError("kalman_forward needs one or more models of equal output and input dims")
+    if steps < 1:
+        raise ShapeError(f"a filter map needs at least one step, got {steps}")
+    d, dc = models[0].output_dim, models[0].input_dim
+    n = max(model.state_dim for model in models)
+    count, width = len(models), d + dc
+    a = np.zeros((count, n, n))
+    b = np.zeros((count, n, dc))
+    c = np.zeros((count, d, n))
+    for r, model in enumerate(models):
+        k = model.state_dim
+        a[r, :k, :k] = model.transition
+        b[r, :k] = model.input_map
+        c[r, :, :k] = model.output_map
+    a_t = a.transpose(0, 2, 1)
+    c_cols = [c[:, i, :, None] for i in range(d)]
+    c_rows = [c[:, i, None, :] for i in range(d)]
+    gamma = noise.process_var * np.eye(n)
+    obs_var = noise.obs_var
 
+    # bounds on the largest term each product sums: |A X| <= a_norm max|X|
+    a_norm = np.abs(a).sum(axis=2).max(axis=1)
+    b_max = np.abs(b).max(axis=(1, 2), initial=0.0)
+    c_norm = np.abs(c).sum(axis=2).max(axis=1)
 
-def kalman_replay(model: DelayFreeModel, window: Trajectory, gains: np.ndarray) -> FilterTrace:
-    """The mean recursion alone, over given gains; the trace carries them.
-
-    gains is the `FilterTrace.gains` of a `kalman_forward` pass of this
-    model, with the same noise, over any window of this one's length: the
-    covariance recursion never reads the data, and both functions run the
-    same mean recursion, so the replay's means are bitwise that pass's on
-    this window. A non-finite filtered mean raises NumericalError naming
-    the first step that holds one, as `kalman_forward` does.
-    """
-    expected = (window.outputs.shape[0], model.output_dim, model.state_dim)
-    if gains.shape != expected:
-        raise ShapeError(
-            f"gains have shape {gains.shape}, expected {expected} for this model and window"
+    maps = np.zeros((count, steps * d + n, steps * width))
+    mean = maps[:, steps * d :]
+    innovations = np.empty((steps, d, count))
+    gains = np.empty((steps, d, count, n))
+    # the largest entry of the map after each step
+    top = np.empty((steps, count))
+    cov_pred = np.broadcast_to(noise.prior_var * np.eye(n), (count, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            # the mean of step t reads z up to y_t
+            x = mean[:, :, : t * width + d]
+            if t > 0:
+                cov_pred = a @ cov @ a_t + gamma
+                x[...] = a @ x
+                x[:, :, t * width - dc : t * width] += b
+            cov = 0.5 * (cov_pred + cov_pred.transpose(0, 2, 1))
+            maps[:, t * d : (t + 1) * d, : t * width + d] = c @ x
+            for i, (c_col, c_row) in enumerate(zip(c_cols, c_rows)):
+                pc = cov @ c_col
+                # s and k are written into their records in place
+                s = np.add(c_row @ pc, obs_var, out=innovations[t, i, :, None, None])
+                k = np.divide(pc, s, out=gains[t, i, :, :, None])
+                cov = cov - k * pc.transpose(0, 2, 1)
+                x -= k * (c_row @ x)
+                x[:, :, t * width + i] += k[:, :, 0]
+            cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+            top[t] = np.abs(x).max(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # bounds on the largest term each step sums, as the docstring says:
+        # predicted bounds the predicted map, c_x[i] the row c_i X that
+        # correction i reads
+        block = maps[:, : steps * d]
+        rows = np.maximum(block.max(axis=2), -block.min(axis=2))
+        rows = rows.reshape(count, steps, d).transpose(1, 2, 0)
+        k_max = np.abs(gains).max(axis=3)
+        c_k = np.abs(gains.transpose(0, 2, 1, 3) @ c.transpose(0, 2, 1)).transpose(0, 3, 2, 1)
+        predicted = np.zeros((steps, count))
+        predicted[1:] = a_norm * top[:-1] + b_max
+        terms = predicted.copy()
+        c_x = np.empty((d, steps, count))
+        for i in range(d):
+            # correction j < i changed c_i X by c_i k_j (e_{y_tj} - c_j X)
+            c_x[i] = rows[:, i] + sum(c_k[:, i, j] * (c_x[j] + 1.0) for j in range(i))
+            terms += k_max[:, i] * c_x[i]
+        cancellation = np.stack(
+            [terms / top, c_norm * predicted / rows.max(axis=(0, 1))], axis=1
         )
-    trace = _mean_pass(model, window, gains)
-    _check_states(trace.filtered_means)
-    return trace
+    valid = (innovations > 0.0) & (innovations < math.inf)
+    if not valid.all():
+        r = int(np.argmin(valid.all(axis=(0, 1))))
+        first = int(np.argmin(valid[:, :, r].ravel()))
+        t, s = first // d, float(innovations[:, :, r].flat[first])
+        if math.isfinite(s):
+            raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
+        raise NumericalError(f"non-finite innovation at step {t}", step=t)
+    # 0/0 is NaN, a step with no terms, and passes
+    lost = cancellation > MAX_CANCELLATION
+    if lost.any():
+        r = int(np.argmax(lost.any(axis=(0, 1))))
+        t = int(np.argmax(lost[:, :, r].any(axis=1)))
+        ratio = float(cancellation[t, :, r].max())
+        raise ConditioningError(
+            f"filter map cancels at step {t}: its terms reach {ratio:.3g} times its largest entry"
+        )
+    return [maps[r, : steps * d + model.state_dim] for r, model in enumerate(models)]
+
+
+def filter_window(
+    model: DelayFreeModel, filter_map: np.ndarray, window: Trajectory
+) -> FilterTrace:
+    """The model's filter over the window: its map times the stacked window.
+
+    filter_map is this model's map from `kalman_forward` for windows of
+    this length. Every value of the window must be finite, u_{T-1} too,
+    which the map multiplies by zero: 0 * NaN is NaN, so one non-finite
+    value makes every result non-finite. A non-finite result raises
+    NumericalError naming the first step of the window that holds a
+    non-finite value, or else the first step whose prediction is
+    non-finite, or else the last step, whose filtered mean is.
+    """
+    y = window.outputs
+    steps, d, n = y.shape[0], model.output_dim, model.state_dim
+    if y.shape[1] != d or window.input_dim != model.input_dim:
+        raise ShapeError(
+            f"window has {y.shape[1]} output and {window.input_dim} input channels, "
+            f"the model {d} and {model.input_dim}"
+        )
+    expected = (steps * d + n, steps * (d + model.input_dim))
+    if filter_map.shape != expected:
+        raise ShapeError(
+            f"filter map has shape {filter_map.shape}, expected {expected} "
+            "for this model and window"
+        )
+    z = np.concatenate([y, window.inputs[:steps]], axis=1).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = filter_map @ z
+    predictions, final_mean = result[: steps * d].reshape(steps, d), result[steps * d :]
+    if not np.isfinite(result).all():
+        data = np.isfinite(z.reshape(steps, -1)).all(axis=1)
+        if not data.all():
+            step = int(np.argmin(data))
+            raise NumericalError(f"non-finite window value at step {step}", step=step)
+        finite = np.isfinite(predictions).all(axis=1)
+        if not finite.all():
+            step = int(np.argmin(finite))
+            raise NumericalError(f"non-finite prediction at step {step}", step=step)
+        raise NumericalError(f"non-finite filter state at step {steps - 1}", step=steps - 1)
+    return FilterTrace(filter_map, predictions, final_mean)
 
 
 def window_error(window: Trajectory, trace: FilterTrace) -> float:
@@ -213,15 +263,20 @@ def select_regime(
     """Index, window error and filter trace of the model with the lowest
     window error; ties keep the lowest index.
 
-    Each model is filtered once; the returned trace lets the caller
-    forecast from the winner without another pass.
+    Every model's map comes from one `kalman_forward` batch, and each is
+    applied to the window once. The returned trace holds a copy of the
+    winner's map, so the batch can be freed, and lets the caller forecast
+    from the winner without filtering again.
     """
     if len(database) == 0:
         raise EmptyDatabaseError("cannot select a regime from an empty model database")
-    traces = [kalman_forward(model, window, noise) for model in database]
+    maps = kalman_forward(database, window.outputs.shape[0], noise)
+    traces = [
+        filter_window(model, filter_map, window) for model, filter_map in zip(database, maps)
+    ]
     errors = [window_error(window, trace) for trace in traces]
     best = int(np.argmin(errors))
-    return best, float(errors[best]), traces[best]
+    return best, float(errors[best]), replace(traces[best], filter_map=maps[best].copy())
 
 
 def forecast(
@@ -229,19 +284,21 @@ def forecast(
 ) -> np.ndarray:
     """Multi-step prediction anchored at the filter's final state.
 
-    trace is a `kalman_forward` or `kalman_replay` pass of this model on
-    this window. Its filtered mean at the final window index is the state
-    estimate there, and it already conditions on every output of the
-    window. Advancing it once with the final window input gives the state
-    at the first forecast step, from which the delay-free recursion consumes
-    the future inputs, emitting one output per step.
+    trace is this model's `filter_window` on this window. Its final mean is
+    the state estimate at the last window index, and it already conditions
+    on every output of the window. Advancing it once with the final window
+    input gives the state at the first forecast step, from which the
+    delay-free recursion consumes the future inputs, emitting one output per
+    step.
     """
     steps = window.outputs.shape[0]
-    if trace.filtered_means.shape != (steps, model.state_dim):
+    shapes = (trace.one_step_predictions.shape, trace.final_mean.shape)
+    if shapes != ((steps, model.output_dim), (model.state_dim,)):
         raise ShapeError(
-            f"trace holds filtered means of shape {trace.filtered_means.shape}, "
-            f"expected {(steps, model.state_dim)} for this model and window"
+            f"trace holds predictions of shape {shapes[0]} and a final mean of shape "
+            f"{shapes[1]}, expected {((steps, model.output_dim), (model.state_dim,))} "
+            f"for this model and window"
         )
     a, b = model.transition, model.input_map
-    state = a @ trace.filtered_means[-1] + b @ window.inputs[steps - 1]
+    state = a @ trace.final_mean + b @ window.inputs[steps - 1]
     return simulate_delay_free(model, future_inputs, x0=state).outputs

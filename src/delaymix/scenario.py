@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .datagen import InputDistribution, ScenarioSpec
-from .errors import DelayMixError, ParseError
+from .errors import DelayMixError, ParseError, ScenarioError
 from .syslin import TimeDelaySystem
 
 
@@ -99,6 +99,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     top: dict[str, tuple[str, int]] = {}
     regimes: list[tuple[int, dict]] = []  # (header row, key -> (value, row))
     schedule: list[tuple[int, int]] = []
+    schedule_rows: list[int] = []
     section = None  # None | "regime" | "schedule"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -123,6 +124,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 schedule.append((int(parts[0]), int(parts[1])))
             except ValueError:
                 raise ParseError("schedule entries must be integers", row=lineno) from None
+            schedule_rows.append(lineno)
             continue
         if "=" not in line:
             raise ParseError("expected 'key = value'", row=lineno)
@@ -158,14 +160,25 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ParseError(f"regime {i}: {err}", row=header_row) from None
     if not schedule:
         schedule = [(0, 1)]
-    return ScenarioSpec(
-        regimes=tuple(systems),
-        length=length,
-        schedule=tuple(schedule),
-        input_dist=dist,
-        obs_noise_std=noise,
-        seed=seed,
-    )
+    try:
+        return ScenarioSpec(
+            regimes=tuple(systems),
+            length=length,
+            schedule=tuple(schedule),
+            input_dist=dist,
+            obs_noise_std=noise,
+            seed=seed,
+        )
+    except ScenarioError as err:
+        # the row of the regime's header, the schedule line or the key at
+        # fault; a default schedule has none
+        if err.field == "regimes":
+            row = regimes[err.index][0]
+        elif err.field == "schedule":
+            row = schedule_rows[err.index] if schedule_rows else None
+        else:
+            row = top[err.field][1] if err.field in top else None
+        raise ParseError(str(err), row=row) from None
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -1,5 +1,5 @@
-"""Reference implementations the tests compare the package against, and
-the helpers that build their inputs.
+"""Reference implementations the tests compare the package against, the
+helpers that build their inputs, and the tolerance of the comparison.
 
 Each oracle is written apart from the code it checks, as plain loops with
 no shared precomputation.
@@ -15,8 +15,27 @@ import numpy as np
 from delaymix.cpd import CPFactors
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ConditioningError, NumericalError, ShapeError
+from delaymix.filtering import filter_window, kalman_forward
 from delaymix.moments import MomentConfig
 from delaymix.syslin import DelayFreeModel, TimeDelaySystem, Trajectory, embed_delay
+
+# The filter map sums the window's terms in another order than the per-step
+# recursion, so the two agree to a tolerance, not bitwise.
+FILTER_RTOL = 1e-12
+
+
+def assert_close(got, want, rtol=FILTER_RTOL):
+    """got equals want to rtol relative to want's largest magnitude: a
+    one-step prediction can cancel to near zero, and its own relative error
+    then says nothing about the filter."""
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+def filter_alone(model, window, noise):
+    """The model's filter map, built in a batch of its own, applied to the
+    window."""
+    [filter_map] = kalman_forward([model], window.outputs.shape[0], noise)
+    return filter_window(model, filter_map, window)
 
 
 def random_stable_model(
@@ -82,8 +101,10 @@ def oracle_moment_tensor(window: Trajectory, config: MomentConfig) -> np.ndarray
 
 def per_step_checked_forward(model, window, noise):
     """Reference forward pass in one loop, testing the innovation variance of
-    every output and the filtered mean at the end of every step;
-    `kalman_forward` must match it bitwise, in its results and its errors.
+    every output and the filtered mean at the end of every step. The filter
+    map's one-step predictions and final mean must match it to
+    FILTER_RTOL, and a map build must raise its error on a zero window,
+    where only the covariance recursion can fail.
 
     Returns the filtered means, filtered covariances, predicted means,
     predicted covariances, one-step predictions and gains. A non-finite

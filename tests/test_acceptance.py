@@ -12,7 +12,7 @@ import delaymix as dm
 from delaymix.cpd import CPFactors, cp_als, reconstruct
 from delaymix.datagen import ScenarioSpec, persistence_baseline, random_stable_system
 from delaymix.engine import Standardizer, engine_init, engine_update, state_footprint_bytes
-from delaymix.filtering import NoiseSpec, kalman_forward
+from delaymix.filtering import NoiseSpec
 from delaymix.moments import MomentConfig, accumulate_window, new_tensor, normalized_view
 from delaymix.realization import ho_kalman
 from delaymix.syslin import (
@@ -26,7 +26,9 @@ from delaymix.syslin import (
     spectral_norm_profile,
 )
 from oracles import (
+    FILTER_RTOL,
     align_components,
+    filter_alone,
     oracle_moment_tensor,
     per_step_checked_forward,
     random_stable_model,
@@ -330,24 +332,33 @@ def test_criterion_9_state_inference_correctness():
             x = model.transition @ x + model.input_map @ inputs[t]
         window = Trajectory(outputs, inputs)
         noise = NoiseSpec(process_var=1e-9, obs_var=1e-12)
-        trace = kalman_forward(model, window, noise)
-        _, filtered_covs, _, predicted_covs, _, gains = per_step_checked_forward(
+        trace = filter_alone(model, window, noise)
+        filtered, filtered_covs, _, predicted_covs, predictions, _ = per_step_checked_forward(
             model, window, noise
         )
-        filt_err = float(np.max(np.abs(trace.filtered_means[5:] - states[5:])))
-        # the package keeps no covariance: its gains are bitwise the
+        # with C = I the one-step predictions are the predicted states
+        filt_err = max(
+            float(np.max(np.abs(trace.one_step_predictions[6:] - states[6:]))),
+            float(np.max(np.abs(trace.final_mean - states[-1]))),
+        )
+        # the package keeps no covariance: its results match the
         # reference's, whose covariances must stay PSD
         eigs = [
             float(np.min(np.linalg.eigvalsh(cov)))
             for covs in (filtered_covs, predicted_covs)
             for cov in covs
         ]
-        same_gains = np.array_equal(trace.gains, gains)
-        ok = ok and filt_err < 1e-6 and min(eigs) >= -1e-9 and same_gains
+        same_results = all(
+            np.allclose(got, want, rtol=FILTER_RTOL, atol=FILTER_RTOL * np.abs(want).max())
+            for got, want in (
+                (trace.one_step_predictions, predictions), (trace.final_mean, filtered[-1])
+            )
+        )
+        ok = ok and filt_err < 1e-6 and min(eigs) >= -1e-9 and same_results
         detail.append(f"{filt_err:.1e}")
     report(
         9,
-        "filter tracks true states, its gains come from PSD covariances",
+        "filter tracks true states and matches a reference with PSD covariances",
         ok,
         f"worst errors {', '.join(detail)}",
     )

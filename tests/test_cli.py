@@ -98,6 +98,27 @@ C = [1.0 0.0]
             with pytest.raises(ParseError, match=f"row {row}"):
                 parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "top, schedule, message, row",
+        [
+            ("obs_noise_std = -1", "", "obs_noise_std cannot be negative", 2),
+            ("", "[schedule]\n0 1\n50 3\n", "schedule refers to unknown regime 3", 11),
+            ("", "[schedule]\n0 1\n80 1\n50 1\n", "schedule change points must be sorted", 12),
+            ("", "[schedule]\n5 1\n", "schedule must start at time 0", 10),
+            ("seed = -2", "", "seed must be non-negative", 2),
+            ("", "[regime]\nA = [0.5]\nB = [1.0]\nC = [1.0; 1.0]\n", "regime 2 has dims", 9),
+        ],
+        ids=["noise", "unknown-regime", "unsorted", "late-start", "seed", "regime-dims"],
+    )
+    def test_spec_errors_carry_rows(self, top, schedule, message, row):
+        # ScenarioSpec refuses these values; the parser names the line
+        text = (
+            f"length = 100\n{top}\n[regime]\ndelay = 1\nA = [0.5]\nB = [1.0]\nC = [1.0]\n\n"
+            + schedule
+        )
+        with pytest.raises(ParseError, match=rf"^{message}.* \(row {row}\)$"):
+            parse_scenario(text)
+
     def test_input_distributions(self):
         for text, kind in (
             ("gaussian 0.5", "gaussian"),

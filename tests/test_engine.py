@@ -18,9 +18,9 @@ from delaymix import (
     default_config,
     engine_init,
     engine_update,
+    filter_window,
     forecast,
     generate,
-    kalman_forward,
     run_horizons,
 )
 from delaymix import engine, filtering
@@ -41,8 +41,9 @@ from delaymix.errors import (
     ParseError,
     ShapeError,
 )
-from delaymix.filtering import NoiseSpec
+from delaymix.filtering import FilterTrace, NoiseSpec
 from delaymix.syslin import DelayFreeModel, Trajectory
+from oracles import assert_close, per_step_checked_forward
 
 
 def single_regime_traj(length=2000, seed=0, a=0.6, delay=1, noise=0.0):
@@ -282,8 +283,9 @@ class TestEngineUpdate:
             assert np.array_equal(feed(state, w).forecast, reference[w].forecast)
 
     def test_forecast_pass_through(self):
-        # every forecast, from a replay of cached gains or from selection's
-        # pass, equals one from a full filter pass of the model it came from
+        # every forecast, from the gate or from selection, is bitwise the one
+        # the cached map gives again, and matches one anchored at the
+        # per-step reference filter of the model it came from
         traj = two_regime_traj(length=6000, seed=3)
         config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=4)
         state = engine_init(config)
@@ -298,13 +300,13 @@ class TestEngineUpdate:
                 scaler.outputs(traj.outputs[o : o + 100]), scaler.inputs(traj.inputs[o : o + 100])
             )
             model = state.database.active().model
-            expected = forecast(
-                model,
-                window,
-                scaler.inputs(traj.inputs[o + 100 : o + 104]),
-                kalman_forward(model, window, NoiseSpec()),
-            )
+            future = scaler.inputs(traj.inputs[o + 100 : o + 104])
+            cached = filter_window(model, state.database.active_map, window)
+            expected = forecast(model, window, future, cached)
             assert np.array_equal(report.forecast, scaler.restore_outputs(expected)), w
+            filtered, _, _, _, predictions, _ = per_step_checked_forward(model, window, NoiseSpec())
+            reference = FilterTrace(None, predictions, filtered[-1])
+            assert_close(expected, forecast(model, window, future, reference))
         assert kinds == {(True, False), (True, True), (False, True)}
 
     def test_bounded_memory(self):
@@ -317,11 +319,13 @@ class TestEngineUpdate:
             o = w * 100
             engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 101])
             sizes.add(state_footprint_bytes(state))
-            # the gain cache: the active model's l_c * d * n floats, no more
-            gains = state.database.active_gains
+            # the map cache: the active model's map and no other record's
+            active_map = state.database.active_map
             n_active = state.database.active().model.state_dim
-            assert gains.shape == (config.l_c, config.moment.d, n_active)
-            assert gains.size <= config.l_c * config.moment.d * largest_order
+            d, dc = config.moment.d, config.moment.dc
+            assert active_map.shape == (config.l_c * d + n_active, config.l_c * (d + dc))
+            assert active_map.base is None
+            assert active_map.size <= (config.l_c * d + largest_order) * config.l_c * (d + dc)
         # once the database exists the footprint never grows
         assert len(sizes) <= 2
         assert len(state.database.records) <= config.rank
@@ -330,7 +334,7 @@ class TestEngineUpdate:
 class TestFilterPasses:
     def test_one_filter_pass_per_scored_model(self, monkeypatch):
         # every delaymix global bound to a filtering function counts its calls
-        calls = {"kalman_forward": 0, "kalman_replay": 0}
+        calls = {"kalman_forward": 0, "filter_window": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -359,13 +363,14 @@ class TestFilterPasses:
             report = engine_update(
                 state, traj.outputs[o : o + 100], traj.inputs[o : o + 101]
             )
-            # the gate replays the old active model's cached gains; only an
-            # adaptation runs full passes, one per new model
-            replays = calls["kalman_replay"] - before["kalman_replay"]
-            passes = calls["kalman_forward"] - before["kalman_forward"]
-            assert replays == int(had_models), (w, report.adapted)
-            expected = len(state.database.records) if report.adapted else 0
-            assert passes == expected, (w, report.adapted)
+            # the gate applies the old active model's cached map; only an
+            # adaptation builds maps, every new model's in one batch, and
+            # applies each once
+            applied = calls["filter_window"] - before["filter_window"]
+            builds = calls["kalman_forward"] - before["kalman_forward"]
+            new_models = len(state.database.records) if report.adapted else 0
+            assert applied == int(had_models) + new_models, (w, report.adapted)
+            assert builds == int(report.adapted), (w, report.adapted)
             kinds.add((report.adapted, had_models))
         assert kinds == {(True, False), (True, True), (False, True)}
 
@@ -524,11 +529,11 @@ class TestCheckpoint:
             restored = load_checkpoint(first)
             save_checkpoint(restored, second)
             assert second.read_bytes() == first.read_bytes()
-        # the rebuilt gain cache is bitwise the one the saved run held
+        # the rebuilt map cache is bitwise the one the saved run held
         if cut:
-            assert np.array_equal(restored.database.active_gains, state.database.active_gains)
+            assert np.array_equal(restored.database.active_map, state.database.active_map)
         else:
-            assert restored.database.active_gains is None
+            assert restored.database.active_map is None
         resumed = _feed_windows(restored, traj, range(cut, CUT_WINDOWS))
         for got, want in zip(resumed, reference[cut:]):
             assert got.adapted == want.adapted
@@ -663,7 +668,7 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         with pytest.raises(
             ParseError,
-            match="damaged checkpoint .*active record 0's .*non-finite innovation at step 1",
+            match="damaged checkpoint .*models cannot be filtered: non-finite innovation at step 1",
         ):
             load_checkpoint(path)
 
@@ -767,10 +772,10 @@ def assert_same_state(got, want):
         assert np.array_equal(mine.markov.blocks, theirs.markov.blocks)
         assert mine.component_index == theirs.component_index
         assert mine.b_scale == theirs.b_scale
-    if want.database.active_gains is None:
-        assert got.database.active_gains is None
+    if want.database.active_map is None:
+        assert got.database.active_map is None
     else:
-        assert np.array_equal(got.database.active_gains, want.database.active_gains)
+        assert np.array_equal(got.database.active_map, want.database.active_map)
 
 
 def _without_arrays(header, payload, names):

@@ -11,10 +11,10 @@ from delaymix import (
     TimeDelaySystem,
     Trajectory,
     cp_als,
+    filter_window,
     forecast,
     ho_kalman,
     kalman_forward,
-    kalman_replay,
     markov_parameters_delayed,
     markov_parameters_free,
     persistence_baseline,
@@ -25,6 +25,8 @@ from delaymix.errors import DelayMixError
 MODEL = DelayFreeModel(0.5, 1.0, 1.0)
 WINDOW = Trajectory(np.ones((4, 1)), np.ones((4, 1)))
 SHORT = Trajectory(np.ones((3, 1)), np.ones((3, 1)))
+[MAP] = kalman_forward([MODEL], 4, NoiseSpec())
+[SHORT_MAP] = kalman_forward([MODEL], 3, NoiseSpec())
 SEQUENCE = MarkovSequence(np.ones(4))
 TENSOR = np.ones((2, 2, 2))
 
@@ -43,9 +45,12 @@ TENSOR = np.ones((2, 2, 2))
         lambda: simulate_delay_free(MODEL, np.zeros((0, 1))),
         lambda: markov_parameters_free(MODEL, 0),
         lambda: markov_parameters_delayed(TimeDelaySystem(0.5, 1.0, 1.0), 0),
-        lambda: kalman_forward(MODEL, Trajectory(np.ones((4, 2)), np.ones((4, 1))), NoiseSpec()),
-        lambda: kalman_replay(MODEL, WINDOW, np.ones((3, 1, 1))),
-        lambda: forecast(MODEL, WINDOW, np.ones((2, 1)), kalman_forward(MODEL, SHORT, NoiseSpec())),
+        lambda: filter_window(MODEL, MAP, Trajectory(np.ones((4, 2)), np.ones((4, 1)))),
+        lambda: filter_window(MODEL, np.ones((3, 6)), WINDOW),
+        lambda: forecast(MODEL, WINDOW, np.ones((2, 1)), filter_window(MODEL, SHORT_MAP, SHORT)),
+        lambda: kalman_forward([], 4, NoiseSpec()),
+        lambda: kalman_forward([MODEL, DelayFreeModel(0.5, 1.0, [[1.0], [1.0]])], 4, NoiseSpec()),
+        lambda: kalman_forward([MODEL], 0, NoiseSpec()),
         lambda: cp_als(TENSOR, 1, max_iters=0),
         lambda: cp_als(TENSOR, 1, tol=0.0),
         lambda: persistence_baseline(Trajectory(np.ones((0, 1)), np.ones((0, 1))), 1),
@@ -54,7 +59,8 @@ TENSOR = np.ones((2, 2, 2))
     ids=[
         "input-kind", "input-scale-negative", "input-scale-inf", "delay", "noise", "noise-inf",
         "hankel-size", "realization-order", "empty-inputs", "markov-horizon",
-        "delayed-markov-horizon", "window-channels", "replay-gains", "forecast-trace",
+        "delayed-markov-horizon", "window-channels", "map-shape", "forecast-trace",
+        "map-no-models", "map-mixed-dims", "map-no-steps",
         "als-max-iters", "als-tol", "persistence-window", "persistence-horizon",
     ],
 )

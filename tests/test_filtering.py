@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from delaymix import (
     DelayFreeModel,
+    MomentConfig,
     NoiseSpec,
     Trajectory,
     embed_delay,
+    filter_window,
     forecast,
     kalman_forward,
-    kalman_replay,
     markov_parameters_delayed,
     select_regime,
     simulate_delay_free,
@@ -19,7 +21,7 @@ from delaymix import (
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ConditioningError, EmptyDatabaseError, NumericalError
 from delaymix.realization import ho_kalman
-from oracles import per_step_checked_forward, random_stable_model
+from oracles import assert_close, filter_alone, per_step_checked_forward, random_stable_model
 
 
 def self_generated(rng, model, steps, x0=None):
@@ -50,6 +52,13 @@ def ones_with(steps, row, value):
     return array
 
 
+def assert_matches_reference(trace, model, window, noise):
+    """The map's predictions and final mean match the per-step reference."""
+    filtered, _, _, _, predictions, _ = per_step_checked_forward(model, window, noise)
+    assert_close(trace.one_step_predictions, predictions)
+    assert_close(trace.final_mean, filtered[-1])
+
+
 class TestKalmanForward:
     def test_tracks_true_states_with_identity_output(self):
         rng = np.random.default_rng(0)
@@ -58,8 +67,10 @@ class TestKalmanForward:
         model = DelayFreeModel(a, rng.standard_normal((3, 2)), np.eye(3))
         window, states = self_generated(rng, model, 40)
         noise = NoiseSpec(process_var=1e-8, obs_var=1e-12)
-        trace = kalman_forward(model, window, noise)
-        assert np.allclose(trace.filtered_means[5:], states[5:], atol=1e-6)
+        trace = filter_alone(model, window, noise)
+        # with C = I the one-step predictions are the predicted states
+        assert np.allclose(trace.one_step_predictions[6:], states[6:], atol=1e-6)
+        assert np.allclose(trace.final_mean, states[-1], atol=1e-6)
 
     def test_zero_data_riccati_recursion(self):
         # the per-output update against the joint update, written
@@ -77,11 +88,11 @@ class TestKalmanForward:
                 rng.standard_normal((steps, d)), rng.standard_normal((steps, 1))
             )
             for window in (zero, data):
-                trace = kalman_forward(model, window, noise)
-                _, filtered_covs, _, predicted_covs, _, gains = per_step_checked_forward(
-                    model, window, noise
+                trace = filter_alone(model, window, noise)
+                assert_matches_reference(trace, model, window, noise)
+                filtered, filtered_covs, predicted, predicted_covs, _, _ = (
+                    per_step_checked_forward(model, window, noise)
                 )
-                assert np.array_equal(trace.gains, gains)
                 mean, cov = np.zeros(2), 2.0 * np.eye(2)
                 for t in range(steps):
                     if t == 0:
@@ -94,13 +105,14 @@ class TestKalmanForward:
                     mean = mean_pred + gain @ (window.outputs[t] - c @ mean_pred)
                     cov = (np.eye(2) - gain @ c) @ pred
                     cov = 0.5 * (cov + cov.T)
-                    assert np.allclose(trace.predicted_means[t], mean_pred, atol=1e-12)
-                    assert np.allclose(trace.filtered_means[t], mean, atol=1e-12)
+                    assert np.allclose(predicted[t], mean_pred, atol=1e-12)
+                    assert np.allclose(filtered[t], mean, atol=1e-12)
                     assert np.allclose(
                         trace.one_step_predictions[t], c @ mean_pred, atol=1e-12
                     )
                     assert np.allclose(predicted_covs[t], pred, atol=1e-12)
                     assert np.allclose(filtered_covs[t], cov, atol=1e-12)
+                assert np.allclose(trace.final_mean, mean, atol=1e-12)
 
     def test_non_positive_innovation_variance_raises(self):
         # NoiseSpec refuses obs_var <= 0; a duck-typed noise object does not
@@ -109,28 +121,37 @@ class TestKalmanForward:
             obs_var = -10.0
             prior_var = 1.0
 
+        # the build reads no window; a failing record names its own step
         model = DelayFreeModel(0.5, 1.0, 1.0)
-        window = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
         with pytest.raises(ConditioningError, match="at step 0"):
-            kalman_forward(model, window, BadNoise())
+            kalman_forward([model], 5, BadNoise())
+        two_outputs = DelayFreeModel(np.eye(2), np.ones((2, 1)), [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ConditioningError, match="at step 0"):
+            kalman_forward([two_outputs, two_outputs], 5, BadNoise())
 
     def test_huge_obs_variance_ignores_measurements(self):
         rng = np.random.default_rng(2)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 15)
         noise = NoiseSpec(obs_var=1e12)
-        trace = kalman_forward(model, window, noise)
-        assert np.allclose(trace.filtered_means, trace.predicted_means, atol=1e-6)
+        [filter_map] = kalman_forward([model], 15, noise)
+        # the columns of the outputs y_t in z = [y_0, u_0, y_1, u_1, ...]
+        assert np.abs(filter_map[:, 0::2]).max() < 1e-6
+        trace = filter_window(model, filter_map, window)
+        open_loop = simulate_delay_free(model, window.inputs).outputs
+        assert np.allclose(trace.one_step_predictions, open_loop, atol=1e-6)
 
     def test_covariances_stay_psd(self):
         rng = np.random.default_rng(3)
         model = random_stable_model(rng, 3, 2, 2)
         window, _ = self_generated(rng, model, 30)
-        trace = kalman_forward(model, window, NoiseSpec())
-        _, filtered_covs, _, predicted_covs, _, gains = per_step_checked_forward(
+        # the package keeps no covariance: its results match the reference's,
+        # whose covariances must stay PSD
+        trace = filter_alone(model, window, NoiseSpec())
+        assert_matches_reference(trace, model, window, NoiseSpec())
+        _, filtered_covs, _, predicted_covs, _, _ = per_step_checked_forward(
             model, window, NoiseSpec()
         )
-        assert np.array_equal(trace.gains, gains)
         for covs in (filtered_covs, predicted_covs):
             for cov in covs:
                 assert np.allclose(cov, cov.T)
@@ -141,103 +162,156 @@ class TestKalmanForward:
         outputs = np.ones((5, 1))
         outputs[3] = np.nan
         window = Trajectory(outputs, np.ones((5, 1)))
-        with pytest.raises(NumericalError) as info:
-            kalman_forward(model, window, NoiseSpec())
+        [filter_map] = kalman_forward([model], 5, NoiseSpec())
+        with pytest.raises(NumericalError, match="non-finite window value at step 3") as info:
+            filter_window(model, filter_map, window)
         assert info.value.step == 3
+        # the map multiplies the last input by zero, and 0 * NaN is NaN
+        inputs = np.ones((5, 1))
+        inputs[4] = np.nan
+        with pytest.raises(NumericalError, match="non-finite window value at step 4"):
+            filter_window(model, filter_map, Trajectory(np.ones((5, 1)), inputs))
 
     def test_non_finite_covariance_detected_with_step(self):
         # the predicted covariance overflows to inf at step 1
         model = DelayFreeModel(1e200, 1.0, 1.0)
-        window = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError) as info:
-                kalman_forward(model, window, NoiseSpec())
+            with pytest.raises(NumericalError, match="non-finite innovation at step 1") as info:
+                kalman_forward([DelayFreeModel(0.5, 1.0, 1.0), model], 5, NoiseSpec())
         assert info.value.step == 1
 
-    def test_matches_per_step_checked_loop_bitwise(self):
+    def test_matches_per_step_checked_loop(self):
+        # orders 1..6 padded in one batch, for every output and input count,
+        # at window lengths from the shortest the engine runs to 80 steps
         rng = np.random.default_rng(6)
         noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
-        for n in (1, 2, 3, 4):
-            for d in (1, 2, 3):
-                model = random_stable_model(rng, n, d, 2)
-                for steps in (1, 2, 60):
+        for d in (1, 2, 3):
+            for dc in (1, 2):
+                for steps in (MomentConfig(d=d, dc=dc, s=1).min_window, 41, 80):
+                    orders = rng.permutation(np.arange(1, 7))
+                    models = [random_stable_model(rng, int(n), d, dc) for n in orders]
+                    maps = kalman_forward(models, steps, noise)
                     data = Trajectory(
-                        rng.standard_normal((steps, d)), rng.standard_normal((steps, 2))
+                        rng.standard_normal((steps, d)), rng.standard_normal((steps, dc))
                     )
-                    zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 2)))
-                    for window in (zero, data):
-                        trace = kalman_forward(model, window, noise)
-                        filtered, _, predicted, _, predictions, gains = (
-                            per_step_checked_forward(model, window, noise)
-                        )
-                        actual = (
-                            trace.filtered_means,
-                            trace.predicted_means,
-                            trace.one_step_predictions,
-                            trace.gains,
-                        )
-                        expected = (filtered, predicted, predictions, gains)
-                        for got, want in zip(actual, expected):
-                            assert np.array_equal(got, want), (n, d, steps)
+                    zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, dc)))
+                    for model, filter_map in zip(models, maps):
+                        n = model.state_dim
+                        assert filter_map.shape == (steps * d + n, steps * (d + dc))
+                        for window in (zero, data):
+                            trace = filter_window(model, filter_map, window)
+                            assert_matches_reference(trace, model, window, noise)
+
+    def test_batch_matches_single_builds(self):
+        # padding a record to the batch's largest order changes its map only
+        # in the summation order; the padded states get exactly zero gains,
+        # so their rows of the batch stay zero
+        rng = np.random.default_rng(7)
+        noise = NoiseSpec()
+        steps = 30
+        for d, dc in ((1, 1), (2, 2), (3, 1)):
+            models = [random_stable_model(rng, n, d, dc) for n in (2, 5, 1, 3)]
+            maps = kalman_forward(models, steps, noise)
+            batch = maps[0].base
+            assert batch.shape == (4, steps * d + 5, steps * (d + dc))
+            for r, (model, filter_map) in enumerate(zip(models, maps)):
+                assert not batch[r, steps * d + model.state_dim :].any()
+                [alone] = kalman_forward([model], steps, noise)
+                assert filter_map.shape == alone.shape
+                assert_close(filter_map, alone)
 
     @pytest.mark.parametrize(
-        "model, outputs, inputs, noise, step",
+        "model, outputs, inputs, noise, error, message, step",
         [
             # NaN output at the last step
             (DelayFreeModel(1.0, 1.0, 1.0), ones_with(6, -1, np.nan), np.ones((6, 1)),
-             NoiseSpec(), 5),
-            # the NaN mean of step 0 overflows the covariance into s at step 1
+             NoiseSpec(), NumericalError, "non-finite window value at step 5", 5),
+            # the covariance overflows into s at step 1; the build reads no
+            # data, so the NaN output of step 0 is never reached
             (DelayFreeModel(1e200, 1.0, 1.0), ones_with(6, 0, np.nan), np.ones((6, 1)),
-             NoiseSpec(), 0),
-            # the drive overflows at step 3; inf - inf in its correction is NaN
+             NoiseSpec(), NumericalError, "non-finite innovation at step 1", 1),
+            # the drive of step 2 overflows the prediction of step 3
             (DelayFreeModel(0.5, 1e300, 1.0), np.ones((6, 1)), ones_with(6, 2, 1e300),
-             NoiseSpec(), 3),
-            # s <= 0 at step 1 comes after the NaN mean of step 0
+             NoiseSpec(), NumericalError, "non-finite prediction at step 3", 3),
+            # s <= 0 at step 1 fails the build before the NaN output is read
             (DelayFreeModel(0.5, 1.0, 1.0), ones_with(6, 0, np.nan), np.ones((6, 1)),
-             NegativeObsNoise(), 0),
+             NegativeObsNoise(), ConditioningError, "innovation variance .* <= 0 at step 1", 1),
         ],
         ids=["nan-last-output", "nan-then-overflow", "input-overflow", "nan-then-s-negative"],
     )
-    def test_non_finite_state_reports_first_bad_step(self, model, outputs, inputs, noise, step):
+    def test_non_finite_state_reports_first_bad_step(
+        self, model, outputs, inputs, noise, error, message, step
+    ):
         window = Trajectory(outputs, inputs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError) as info:
-                kalman_forward(model, window, noise)
-        assert info.value.step == step
-        assert str(info.value) == f"non-finite filter state at step {step}"
+            with pytest.raises(error, match=message) as info:
+                [filter_map] = kalman_forward([model], 6, noise)
+                filter_window(model, filter_map, window)
+        if error is NumericalError:
+            assert info.value.step == step
+        # a build error is the reference's on a zero window, where only the
+        # covariance recursion can fail; an error of the window's own data
+        # is the reference's on the window
+        if "innovation" in message:
+            window = Trajectory(np.zeros_like(outputs), np.zeros_like(inputs))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(NumericalError) as reference:
+            with pytest.raises(error) as reference:
                 per_step_checked_forward(model, window, noise)
-        assert reference.value.step == step
+        if error is NumericalError:
+            assert reference.value.step == step
 
     def test_non_finite_covariance_fails_the_next_innovation(self):
-        # the duplicated output's variance cancels to about obs_var, so the
-        # filtered covariance of step 1 overflows while every innovation
-        # variance up to there stays finite; nothing reads that covariance
-        # in a 2-step window, and step 2's innovation reads it in a longer one
+        # the duplicated output's variance cancels to about obs_var, so its
+        # gain at step 1 is about 8e239 and the filtered covariance of step 1
+        # overflows while every innovation variance up to there stays
+        # finite. A 2-step map reads no later innovation; it is refused for
+        # its cancellation, which leaves the reference's final mean at about
+        # -8e239 from y = 1. Step 2's innovation reads the covariance in a
+        # longer map, and the innovation scan reports before cancellation.
         model = DelayFreeModel([[3e75, -2e75], [-2e75, 3e75]], np.ones((2, 1)), [[1.0, 0.0]] * 2)
         noise = NoiseSpec(obs_var=1e-12, prior_var=1e93)
         short = Trajectory(np.ones((2, 2)), np.ones((2, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = kalman_forward(model, short, noise)
-            filtered, filtered_covs, _, _, _, gains = per_step_checked_forward(model, short, noise)
+            with pytest.raises(ConditioningError, match="filter map cancels at step 1"):
+                kalman_forward([model], 2, noise)
+            filtered, filtered_covs, _, _, _, _ = per_step_checked_forward(model, short, noise)
             assert not np.isfinite(filtered_covs[1]).all()
-            assert np.isfinite(trace.gains).all() and np.isfinite(trace.filtered_means).all()
-            assert np.array_equal(trace.gains, gains)
-            assert np.array_equal(trace.filtered_means, filtered)
-            longer = Trajectory(np.ones((3, 2)), np.ones((3, 1)))
+            assert np.abs(filtered[1]).max() > 1e200
             with pytest.raises(NumericalError, match="non-finite innovation at step 2"):
-                kalman_forward(model, longer, noise)
+                kalman_forward([model], 3, noise)
+
+    def test_cancelling_map_refused(self):
+        # with obs_var far under the predicted variance s, a correction
+        # leaves obs_var/s of the predicted map, the difference of two terms
+        # about as large as that map; with a transition of 1e6 the map keeps
+        # about 9 digits and is refused, naming the step
+        window = Trajectory(np.ones((4, 1)), np.ones((4, 1)))
+        noise = NoiseSpec(obs_var=1e-12)
+        message = "filter map cancels at step 1: its terms reach 2e\\+06"
+        with pytest.raises(ConditioningError, match=message):
+            kalman_forward([DelayFreeModel(1e6, 1.0, 1.0)], 4, noise)
+        # a stable transition cancels nothing, and the map matches the reference
+        model = DelayFreeModel(0.9, 1.0, 1.0)
+        assert_matches_reference(filter_alone(model, window, noise), model, window, noise)
+        # a refused record refuses its whole batch
+        with pytest.raises(ConditioningError, match="at step 1"):
+            kalman_forward([model, DelayFreeModel(1e6, 1.0, 1.0)], 4, noise)
 
     def test_extreme_magnitudes_raise_or_stay_finite(self):
-        # every input ends in a filter error or in all-finite gains and
-        # means, and agrees with the per-step reference either way
+        # every input ends in a filter error, in a map refused for its
+        # cancellation, or in all-finite results that match the per-step
+        # reference. A build error is the reference's on a zero window,
+        # where only the covariance recursion can fail, and an error
+        # applying the map is one of the reference's state errors. Refused
+        # maps are ones that disagree with the reference: without the
+        # refusal, 243 of the 1092 finite results differ from it by more
+        # than FILTER_RTOL, and 112 by more than half their size
         rng = np.random.default_rng(23)
-        outcomes = set()
+        outcomes = collections.Counter()
         for case in range(2000):
             if case % 2:
                 n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -258,24 +332,31 @@ class TestKalmanForward:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    trace = kalman_forward(model, window, noise)
+                    [filter_map] = kalman_forward([model], steps, noise)
                 except (NumericalError, ConditioningError) as err:
+                    if str(err).startswith("filter map cancels"):
+                        outcomes["cancels"] += 1
+                        continue
+                    zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 1)))
                     with pytest.raises(type(err)) as reference:
-                        per_step_checked_forward(model, window, noise)
+                        per_step_checked_forward(model, zero, noise)
                     assert str(reference.value) == str(err), case
-                    outcomes.add(type(err))
+                    outcomes[type(err)] += 1
                     continue
-            assert np.isfinite(trace.gains).all() and np.isfinite(trace.filtered_means).all()
-            filtered, _, predicted, _, predictions, gains = per_step_checked_forward(
-                model, window, noise
-            )
-            actual = (
-                trace.filtered_means, trace.predicted_means, trace.one_step_predictions, trace.gains
-            )
-            for got, want in zip(actual, (filtered, predicted, predictions, gains)):
-                assert np.array_equal(got, want), case
-            outcomes.add(None)
-        assert outcomes == {None, NumericalError, ConditioningError}
+                try:
+                    trace = filter_window(model, filter_map, window)
+                except NumericalError:
+                    with pytest.raises(NumericalError, match="non-finite filter state"):
+                        per_step_checked_forward(model, window, noise)
+                    outcomes["apply"] += 1
+                    continue
+            assert np.isfinite(trace.one_step_predictions).all(), case
+            assert np.isfinite(trace.final_mean).all(), case
+            assert_matches_reference(trace, model, window, noise)
+            outcomes[None] += 1
+        assert set(outcomes) == {None, NumericalError, ConditioningError, "apply", "cancels"}
+        # the refusal stays the exception: 825 maps are compared, 269 refused
+        assert outcomes[None] > 3 * outcomes["cancels"]
 
     def test_filter_beats_open_loop(self):
         # one-step predictions with feedback beat open-loop simulation
@@ -296,7 +377,7 @@ class TestKalmanForward:
                 )
             window = Trajectory(outputs, inputs)
             noise = NoiseSpec(process_var=1e-4, obs_var=1e-2)
-            trace = kalman_forward(model, window, noise)
+            trace = filter_alone(model, window, noise)
             filt_mse = np.mean((outputs - trace.one_step_predictions) ** 2)
             open_loop = simulate_delay_free(model, inputs).outputs
             open_mse = np.mean((outputs - open_loop) ** 2)
@@ -305,62 +386,54 @@ class TestKalmanForward:
         assert wins >= 18
 
 
-class TestKalmanReplay:
-    def test_matches_forward_bitwise(self):
-        # the grid of test_matches_per_step_checked_loop_bitwise
+class TestFilterWindow:
+    def test_matches_reference_filter(self):
+        # one map serves every window of its length
         rng = np.random.default_rng(6)
         noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
         for n in (1, 2, 3, 4):
             for d in (1, 2, 3):
                 model = random_stable_model(rng, n, d, 2)
                 for steps in (1, 2, 60):
-                    data = Trajectory(
-                        rng.standard_normal((steps, d)), rng.standard_normal((steps, 2))
-                    )
-                    zero = Trajectory(np.zeros((steps, d)), np.zeros((steps, 2)))
-                    zero_gains = kalman_forward(model, zero, noise).gains
-                    for window in (zero, data):
-                        trace = kalman_forward(model, window, noise)
-                        assert trace.gains.shape == (steps, d, n)
-                        # the covariance recursion reads no data
-                        assert np.array_equal(trace.gains, zero_gains), (n, d, steps)
-                        replay = kalman_replay(model, window, trace.gains)
-                        for name in (
-                            "one_step_predictions", "filtered_means", "predicted_means"
-                        ):
-                            assert np.array_equal(
-                                getattr(replay, name), getattr(trace, name)
-                            ), (name, n, d, steps)
+                    [filter_map] = kalman_forward([model], steps, noise)
+                    for _ in range(3):
+                        window = Trajectory(
+                            rng.standard_normal((steps, d)), rng.standard_normal((steps, 2))
+                        )
+                        trace = filter_window(model, filter_map, window)
+                        assert trace.filter_map is filter_map
+                        assert_matches_reference(trace, model, window, noise)
 
     @pytest.mark.parametrize(
-        "model, outputs, inputs, step",
+        "model, outputs, inputs, message, step",
         [
-            (DelayFreeModel(1.0, 1.0, 1.0), ones_with(6, -1, np.nan), np.ones((6, 1)), 5),
-            (DelayFreeModel(0.5, 1e300, 1.0), np.ones((6, 1)), ones_with(6, 2, 1e300), 3),
+            (DelayFreeModel(1.0, 1.0, 1.0), ones_with(6, -1, np.nan), np.ones((6, 1)),
+             "non-finite window value", 5),
+            (DelayFreeModel(0.5, 1e300, 1.0), np.ones((6, 1)), ones_with(6, 2, 1e300),
+             "non-finite prediction", 3),
+            # C B = 1 keeps the prediction of the overflowing drive finite
+            (DelayFreeModel(0.5, 1e300, 1e-300), np.ones((6, 1)), ones_with(6, 4, 1e300),
+             "non-finite filter state", 5),
         ],
-        ids=["nan-last-output", "input-overflow"],
+        ids=["nan-last-output", "input-overflow", "final-state-overflow"],
     )
-    def test_non_finite_state_reports_first_bad_step(self, model, outputs, inputs, step):
-        # the cases of TestKalmanForward whose covariance recursion succeeds
-        window = Trajectory(outputs, inputs)
-        finite = Trajectory(np.ones((6, 1)), np.ones((6, 1)))
-        gains = kalman_forward(model, finite, NoiseSpec()).gains
+    def test_non_finite_state_reports_first_bad_step(self, model, outputs, inputs, message, step):
+        # the map of a model that filters a finite window fails on this one
+        [filter_map] = kalman_forward([model], 6, NoiseSpec())
+        finite = filter_window(model, filter_map, Trajectory(np.ones((6, 1)), np.ones((6, 1))))
+        assert np.isfinite(finite.final_mean).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError) as full:
-                kalman_forward(model, window, NoiseSpec())
-            with pytest.raises(NumericalError) as replay:
-                kalman_replay(model, window, gains)
-        assert replay.value.step == full.value.step == step
-        assert str(replay.value) == str(full.value) == f"non-finite filter state at step {step}"
+            with pytest.raises(NumericalError, match=f"^{message} at step {step}$") as info:
+                filter_window(model, filter_map, Trajectory(outputs, inputs))
+        assert info.value.step == step
 
-    def test_gains_of_another_length_refused(self):
+    def test_map_of_another_length_refused(self):
         model = DelayFreeModel(0.5, 1.0, 1.0)
-        short = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
-        gains = kalman_forward(model, short, NoiseSpec()).gains
+        [filter_map] = kalman_forward([model], 5, NoiseSpec())
         window = Trajectory(np.ones((6, 1)), np.ones((6, 1)))
-        with pytest.raises(ValueError, match="gains have shape"):
-            kalman_replay(model, window, gains)
+        with pytest.raises(ValueError, match="filter map has shape"):
+            filter_window(model, filter_map, window)
 
 
 class TestWindowError:
@@ -369,7 +442,7 @@ class TestWindowError:
         model = random_stable_model(rng, 2, 2, 2, spectral_radius=0.7)
         window, _ = self_generated(rng, model, 50)
         noise = NoiseSpec(process_var=1e-10, obs_var=1e-10)
-        trace = kalman_forward(model, window, noise)
+        trace = filter_alone(model, window, noise)
         errors = np.linalg.norm(window.outputs - trace.one_step_predictions, axis=1)
         assert errors[5:].mean() < 1e-6
 
@@ -378,7 +451,7 @@ class TestWindowError:
         steps = 30
         outputs = np.ones((steps, 1))
         window = Trajectory(outputs, np.zeros((steps, 1)))
-        trace = kalman_forward(model, window, NoiseSpec())
+        trace = filter_alone(model, window, NoiseSpec())
         assert window_error(window, trace) == pytest.approx(1.0)
 
     def test_wrong_regime_scores_worse(self):
@@ -389,8 +462,8 @@ class TestWindowError:
         model_b = embed_delay(sys_b)
         window, _ = self_generated(rng, model_b, 60)
         noise = NoiseSpec()
-        assert window_error(window, kalman_forward(model_b, window, noise)) < window_error(
-            window, kalman_forward(model_a, window, noise)
+        assert window_error(window, filter_alone(model_b, window, noise)) < window_error(
+            window, filter_alone(model_a, window, noise)
         )
 
 
@@ -410,10 +483,16 @@ class TestSelectRegime:
         window, _ = self_generated(rng, model_b, 50)
         index, error, trace = select_regime([model_a, model_b], window, NoiseSpec())
         assert index == 1
-        # the returned trace is the winner's own filter pass
-        winner = kalman_forward(model_b, window, NoiseSpec())
-        assert np.array_equal(trace.filtered_means, winner.filtered_means)
-        assert error == window_error(window, winner)
+        # the returned trace is the winner's, with a copy of its map from
+        # the batch: the map the engine caches gives it again
+        maps = kalman_forward([model_a, model_b], 50, NoiseSpec())
+        assert np.array_equal(trace.filter_map, maps[1])
+        assert trace.filter_map.base is None
+        assert error == window_error(window, trace)
+        again = filter_window(model_b, trace.filter_map, window)
+        assert_close(again.one_step_predictions, trace.one_step_predictions)
+        assert_close(again.final_mean, trace.final_mean)
+        assert_close(trace.final_mean, filter_alone(model_b, window, NoiseSpec()).final_mean)
 
     def test_tie_break_lowest_index(self):
         rng = np.random.default_rng(12)
@@ -447,7 +526,7 @@ class TestForecast:
         sim = simulate_delay_free(model, inputs)
         window = Trajectory(sim.outputs[:60], inputs[:60])
         noise = NoiseSpec(process_var=1e-10, obs_var=1e-10)
-        trace = kalman_forward(model, window, noise)
+        trace = filter_alone(model, window, noise)
         predicted = forecast(model, window, inputs[60:61], trace)
         assert np.allclose(predicted[0], sim.outputs[60], atol=1e-5)
 
@@ -455,7 +534,7 @@ class TestForecast:
         rng = np.random.default_rng(15)
         model = random_stable_model(rng, 2, 1, 1)
         window = Trajectory(np.zeros((20, 1)), np.zeros((20, 1)))
-        trace = kalman_forward(model, window, NoiseSpec())
+        trace = filter_alone(model, window, NoiseSpec())
         predicted = forecast(model, window, np.zeros((5, 1)), trace)
         assert np.allclose(predicted, 0.0)
 
@@ -464,7 +543,7 @@ class TestForecast:
         model = random_stable_model(rng, 3, 2, 2)
         window, _ = self_generated(rng, model, 40)
         future = rng.standard_normal((7, 2))
-        trace = kalman_forward(model, window, NoiseSpec())
+        trace = filter_alone(model, window, NoiseSpec())
         full = forecast(model, window, future, trace)
         head = forecast(model, window, future[:3], trace)
         assert np.allclose(full[:3], head, atol=0)
@@ -473,7 +552,7 @@ class TestForecast:
         rng = np.random.default_rng(17)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 30)
-        trace = kalman_forward(model, window, NoiseSpec())
+        trace = filter_alone(model, window, NoiseSpec())
         for horizon in (1, 10, 30):
             future = rng.standard_normal((horizon, 1))
             predicted = forecast(model, window, future, trace)
@@ -490,13 +569,14 @@ class TestForecast:
         sim = simulate_delay_free(embedded, inputs)
         window = Trajectory(sim.outputs[:90], inputs[:90])
         noise = NoiseSpec(process_var=1e-12, obs_var=1e-10)
-        f1 = forecast(embedded, window, inputs[90:], kalman_forward(embedded, window, noise))
-        f2 = forecast(realized, window, inputs[90:], kalman_forward(realized, window, noise))
+        f1 = forecast(embedded, window, inputs[90:], filter_alone(embedded, window, noise))
+        f2 = forecast(realized, window, inputs[90:], filter_alone(realized, window, noise))
         assert np.allclose(f1, f2, atol=1e-6)
 
     def test_anchor_is_the_smoothed_final_state(self):
         # the smoothed mean at the final step is the filtered one, which
-        # already conditions on the whole window: the forecast advances it
+        # already conditions on the whole window: the forecast advances the
+        # map's final mean, which matches the per-step reference
         rng = np.random.default_rng(19)
         noise = NoiseSpec()
         for n in range(1, 5):
@@ -504,8 +584,9 @@ class TestForecast:
                 model = random_stable_model(rng, n, d, 2)
                 window, _ = self_generated(rng, model, 25)
                 future = rng.standard_normal((6, 2))
-                trace = kalman_forward(model, window, noise)
-                anchor = trace.filtered_means[-1]
+                trace = filter_alone(model, window, noise)
+                anchor = trace.final_mean
+                assert_close(anchor, per_step_checked_forward(model, window, noise)[0][-1])
                 a, b, c = model.transition, model.input_map, model.output_map
                 state = a @ anchor + b @ window.inputs[-1]
                 expected = np.empty((6, d))
@@ -522,6 +603,6 @@ class TestForecast:
         future = rng.standard_normal((4, 1))
         noise = NoiseSpec()
         short = Trajectory(window.outputs[:10], window.inputs[:10])
-        short_trace = kalman_forward(model, short, noise)
+        short_trace = filter_alone(model, short, noise)
         with pytest.raises(ValueError):
             forecast(model, window, future, short_trace)
