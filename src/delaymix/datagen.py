@@ -73,6 +73,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.length < 1:
+            raise ScenarioError(f"length must be positive, got {self.length}", "length")
         regimes = tuple(self.regimes)
         if not regimes:
             raise ScenarioError("at least one regime is required", "regimes")
@@ -96,8 +98,6 @@ class ScenarioSpec:
                 raise ScenarioError(f"schedule refers to unknown regime {r}", "schedule", j)
             if not 0 <= t < self.length:
                 raise ScenarioError(f"change point {t} lies outside the stream", "schedule", j)
-        if self.length < 1:
-            raise ScenarioError(f"length must be positive, got {self.length}", "length")
         if self.obs_noise_std < 0.0:
             raise ScenarioError("obs_noise_std cannot be negative", "obs_noise_std")
         if self.seed < 0:

@@ -46,17 +46,16 @@ from .moments import (
     new_tensor,
     normalized_view,
 )
-from .realization import ModelRecord, factor_to_markov, realize_components
+from .realization import ModelRecord, realize_components
 from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 # The state-inference noise model and the spectral radius realized models
 # are clipped to; both are fixed parts of the pipeline, not settings.
 NOISE = NoiseSpec()
 STABILITY_MARGIN = 0.999
 _SCALER_ARRAYS = ("out_mean", "out_std", "in_mean", "in_std")
 _FACTOR_ARRAYS = ("mode1", "mode2", "mode3")
-_MODEL_ARRAYS = ("transition", "input_map", "output_map")
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,17 @@ def default_config(
 class RegimeDatabase:
     """Current model set, the active choice, and the warm-start factors.
 
+    records are always `_realize_records` of last_factors with the records'
+    own b_scale gains: adaptation fits the gains on its window and replaces
+    the database whole, and load_checkpoint re-derives the records from the
+    stored factors and gains, so a checkpoint stores neither the models nor
+    their Markov blocks.
+
     active_map is the active model's filter map over an l_c-step window
     (`filtering.kalman_forward`), shape (l_c*d + n, l_c*(d+dc)): the gate
     and the forecast anchor are one product of it with the window. It was
-    built in one batch with every record's map, and it is derived data, so
-    checkpoints leave it out (load_checkpoint rebuilds the same batch) and
-    state_footprint_bytes does not count it. No other record's map is kept:
+    built in one batch with every record's map, and it is derived data too:
+    load_checkpoint rebuilds the same batch. No other record's map is kept:
     an adaptation builds the maps of every new record and replaces the
     database whole.
     """
@@ -222,7 +226,17 @@ class MetricsSummary:
 
 def engine_init(config: EngineConfig) -> EngineState:
     """Validate the configuration and allocate empty streaming state."""
-    violations = []
+    # a bool is an int to Python, and a float count fails only at the
+    # first update, so both are refused here
+    violations = [
+        f"{name}={getattr(config, name)!r} must be an int"
+        for name in ("l_c", "l_s", "rank", "seed")
+        if type(getattr(config, name)) is not int
+    ]
+    if isinstance(config.rho, bool) or not isinstance(config.rho, (int, float)):
+        violations.append(f"rho={config.rho!r} must be a number")
+    if violations:
+        raise ConfigError(violations)
     moment = config.moment
     if config.l_c < moment.min_window:
         violations.append(
@@ -279,33 +293,45 @@ def _stabilize(model: DelayFreeModel) -> DelayFreeModel:
     )
 
 
-def _rescale_input_map(model: DelayFreeModel, window: Trajectory) -> tuple[DelayFreeModel, float]:
-    """Least-squares scalar on open-loop one-step residuals, applied to B.
+def _input_gain(model: DelayFreeModel, window: Trajectory) -> float:
+    """Least-squares scalar on the model's open-loop one-step predictions
+    of the window, or 1.0 when the predictions vanish or the fit is 0.
 
     Component recovery fixes the impulse response only up to a scalar; a
     single data-driven gain on the input map removes that degree of freedom
     (and repairs a global sign flip).
     """
     steps = window.outputs.shape[0]
-    sim = simulate_delay_free(model, window.inputs[:steps])
-    predicted = sim.outputs
+    predicted = simulate_delay_free(model, window.inputs[:steps]).outputs
     denom = float(np.sum(predicted * predicted))
     if denom < 1e-12:
-        return model, 1.0
+        return 1.0
     scale = float(np.sum(window.outputs * predicted) / denom)
-    if scale == 1.0 or scale == 0.0:
-        return model, 1.0
-    rescaled = DelayFreeModel(
-        model.transition, scale * model.input_map, model.output_map
-    )
-    return rescaled, scale
+    return 1.0 if scale == 0.0 else scale
 
 
-def _calibrate(record: ModelRecord, window: Trajectory) -> ModelRecord:
-    """The record with its model stabilized and its input map rescaled on
-    the window."""
-    model, scale = _rescale_input_map(_stabilize(record.model), window)
-    return replace(record, model=model, b_scale=scale)
+def _realize_records(factors: CPFactors, moment: MomentConfig, gains) -> list[ModelRecord]:
+    """The records the factors realize: each non-degenerate component's
+    Ho-Kalman model (`realize_components`), stabilized, with its input map
+    multiplied by its gain, which the record keeps as b_scale.
+
+    gains(indices, models) returns one gain per realized record, given the
+    records' component indices and stabilized models. Adaptation fits each
+    gain on the window; load_checkpoint returns the stored gains. This is
+    the only path from factors to records, so a restored database is
+    bitwise the one the saved run held.
+    """
+    realized = realize_components(factors, moment)
+    models = [_stabilize(record.model) for record in realized]
+    scales = gains([record.component_index for record in realized], models)
+    return [
+        replace(
+            record,
+            model=DelayFreeModel(model.transition, scale * model.input_map, model.output_map),
+            b_scale=scale,
+        )
+        for record, model, scale in zip(realized, models, scales)
+    ]
 
 
 def engine_update(
@@ -389,10 +415,11 @@ def engine_update(
             factors, als_iters, als_residual = cp_als(
                 normalized_view(tensor), cfg.rank, seed=cfg.seed, init=database.last_factors
             )
-            records = [
-                _calibrate(record, window)
-                for record in realize_components(factors, cfg.moment)
-            ]
+            records = _realize_records(
+                factors,
+                cfg.moment,
+                lambda _, models: [_input_gain(model, window) for model in models],
+            )
             index, best_fit, trace = select_regime(
                 [record.model for record in records], window, NOISE
             )
@@ -476,16 +503,17 @@ def run_horizons(
 
 
 def state_footprint_bytes(state: EngineState) -> int:
-    """Bytes held in the numeric buffers of the streaming state that a
-    checkpoint stores; the derived Markov blocks and active_map are not
-    counted."""
+    """Bytes held in the numeric buffers a checkpoint stores: the tensor,
+    and once an update has committed the standardizer and the warm-start
+    factors, 8 * (D**3 + 2 * (d + dc) + 3 * D * rank) in all. The config
+    fixes it; the records and active_map are derived and not counted."""
     return sum(array.nbytes for _, array, _ in _state_arrays(state))
 
 
 def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
     """Every array of the state a checkpoint stores, named, in checkpoint
-    order, with the shape the config implies for it. A record's Markov
-    blocks are not stored: they are derived from the warm-start factors."""
+    order, with the shape the config implies for it. The records are not
+    stored: they are derived from the warm-start factors."""
     moment = state.config.moment
     d, dc, dim = moment.d, moment.dc, moment.mode_dim
     arrays = [("tensor", state.tensor.data, (dim, dim, dim))]
@@ -500,20 +528,7 @@ def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray, tuple[int, 
         arrays += [
             (name, getattr(factors, name), (dim, state.config.rank)) for name in _FACTOR_ARRAYS
         ]
-    for i, record in enumerate(state.database.records):
-        arrays += _model_arrays(i, record.model, moment)
     return arrays
-
-
-def _model_arrays(i: int, model: DelayFreeModel, moment: MomentConfig):
-    """Record i's model arrays, named, with the shapes the config implies; a
-    model's state order is its own, read from its transition."""
-    n, d, dc = model.state_dim, moment.d, moment.dc
-    shapes = ((n, n), (n, dc), (d, n))
-    return [
-        (f"record{i}.{name}", getattr(model, name), shape)
-        for name, shape in zip(_MODEL_ARRAYS, shapes)
-    ]
 
 
 def save_checkpoint(state: EngineState, path) -> None:
@@ -544,27 +559,29 @@ def save_checkpoint(state: EngineState, path) -> None:
 def load_checkpoint(path) -> EngineState:
     """Rebuild streaming state from a checkpoint file.
 
-    Restore is exact: continuing from the loaded state gives the same
-    forecasts, bit for bit, as a run that was never interrupted, and saving
-    it again writes the same bytes. The config passes engine_init's checks,
-    every array has the shape the config implies, and there are at most
-    rank stored models, each naming a distinct CP component and carrying a
-    finite b_scale. Every array value is finite and the standardizer's
-    scales are positive. The standardizer, the warm-start factors, a positive
-    tensor weight and at least one model are present exactly when the
-    update count is positive, the only states an update can commit.
+    Restore is exact on the same numpy/LAPACK build: continuing from the
+    loaded state gives the same forecasts, bit for bit, as a run that was
+    never interrupted, and saving it again writes the same bytes. The file
+    stores the fixed-length summary (the tensor, the standardizer and the
+    warm-start factors) and, in its header, each record's component index
+    and b_scale. The config passes engine_init's checks, every array has the
+    shape the config implies, every array value is finite, the
+    standardizer's scales are positive and each b_scale is a finite float.
+    The standardizer, the warm-start factors, a positive tensor weight and
+    at least one record are present exactly when the update count is
+    positive, the only states an update can commit.
 
-    Three things are derived, not stored: the standardizer's sample count,
-    updates * l_c; each record's Markov blocks, `factor_to_markov` of its
-    component of the warm-start factors, which is how adaptation made them,
-    and which must be finite like a stored array; and the active model's
-    filter map, taken from one `kalman_forward` batch of every record's
-    model, in record order. That is the batch selection built, so the map
-    is bitwise the one the saved run held; a model built alone can differ
-    in the last bits. A file that is not one whole checkpoint of
-    this version (truncated, padded, from another version, or with a
-    damaged header or array) or holds a state no update can reach raises
-    ParseError.
+    The rest is derived: the standardizer's sample count, updates * l_c;
+    the records, realized from the warm-start factors with the stored gains
+    by `_realize_records`, the path adaptation made them by, so their
+    component indices must equal the stored ones, in order, and every value
+    must be finite; and the active model's filter map, taken from one
+    `kalman_forward` batch of every record's model, in record order. That
+    is the batch selection built, so the map is bitwise the one the saved
+    run held; a model built alone can differ in the last bits. A file that
+    is not one whole checkpoint of this version (truncated, padded, from
+    another version, or with a damaged header or array) or holds a state no
+    update can reach raises ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -609,20 +626,13 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
     state = engine_init(
         EngineConfig(**{**config, "moment": MomentConfig(**config["moment"])})
     )
-    if len(header["records"]) > state.config.rank:
-        raise ParseError(
-            f"{len(header['records'])} stored models exceed rank {state.config.rank}"
-        )
-    indices = set()
-    for i, entry in enumerate(header["records"]):
+    records = header["records"]
+    for i, entry in enumerate(records):
         index, scale = entry["component_index"], entry["b_scale"]
-        if type(index) is not int or index not in range(state.config.rank) or index in indices:
-            raise ParseError(
-                f"record {i}'s component_index {index!r} is not a distinct int in range(rank)"
-            )
+        if type(index) is not int:
+            raise ParseError(f"record {i}'s component_index {index!r} is not an int")
         if type(scale) is not float or not math.isfinite(scale):
             raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite float")
-        indices.add(index)
     updates = header["updates"]
     if type(updates) is not int or updates < 0:
         raise ParseError(f"updates {updates!r} is not a non-negative integer")
@@ -634,7 +644,7 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         ("a positive weight", weight > 0.0),
         ("the standardizer", "out_mean" in arrays),
         ("the warm-start factors", "mode1" in arrays),
-        ("a stored model", bool(header["records"])),
+        ("a stored record", bool(records)),
     ):
         if present != (updates > 0):
             raise ParseError(f"updates={updates}, yet {what} is {'' if present else 'not '}stored")
@@ -646,18 +656,12 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
                 raise ParseError(f"{name} holds a non-positive scale")
         state.scaler = Standardizer(*(arrays[name] for name in _SCALER_ARRAYS))
         state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
-    moment = state.config.moment
-    models = [
-        DelayFreeModel(*(arrays[f"record{i}.{name}"] for name in _MODEL_ARRAYS))
-        for i in range(len(header["records"]))
-    ]
     active_index = header["active_index"]
-    valid = range(len(models)) if models else (-1,)
+    valid = range(len(records)) if records else (-1,)
     if type(active_index) is not int or active_index not in valid:
-        raise ParseError(f"active_index {active_index!r} names no stored model")
+        raise ParseError(f"active_index {active_index!r} names no stored record")
     state.database.active_index = active_index
     loaded = _state_arrays(state)
-    loaded += [item for i, model in enumerate(models) for item in _model_arrays(i, model, moment)]
     if [name for name, _, _ in loaded] != [name for name, _ in specs]:
         raise ParseError("header's array list does not match the state it describes")
     for name, array, expected in loaded:
@@ -665,17 +669,32 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
             raise ParseError(
                 f"{name} has shape {list(array.shape)}, the config implies {list(expected)}"
             )
-    for i, (model, entry) in enumerate(zip(models, header["records"])):
-        index = entry["component_index"]
+    if records:
+        stored = [entry["component_index"] for entry in records]
+
+        def stored_gains(indices, _):
+            if indices != stored:
+                raise ParseError(
+                    f"the warm-start factors realize components {indices}, "
+                    f"the header lists {stored}"
+                )
+            return [entry["b_scale"] for entry in records]
+
         with np.errstate(over="ignore", invalid="ignore"):
-            markov = factor_to_markov(state.database.last_factors.component(index), moment)
-        if not np.isfinite(markov.blocks).all():
-            raise ParseError(f"record{i}.markov, derived from the factors, holds non-finite values")
-        state.database.records.append(ModelRecord(model, markov, index, entry["b_scale"]))
-    if models:
+            derived = _realize_records(
+                state.database.last_factors, state.config.moment, stored_gains
+            )
+        for i, record in enumerate(derived):
+            model = record.model
+            parts = (record.markov.blocks, model.transition, model.input_map, model.output_map)
+            if not all(np.isfinite(part).all() for part in parts):
+                raise ParseError(
+                    f"record {i}, re-derived from the warm-start factors, holds non-finite values"
+                )
+        state.database.records = derived
         try:
-            maps = kalman_forward(models, state.config.l_c, NOISE)
+            maps = kalman_forward([record.model for record in derived], state.config.l_c, NOISE)
         except DelayMixError as err:
-            raise ParseError(f"the stored models cannot be filtered: {err}") from err
+            raise ParseError(f"the re-derived models cannot be filtered: {err}") from err
         state.database.active_map = maps[active_index].copy()
     return state

@@ -55,6 +55,14 @@ class MomentConfig:
     forgetting: float = 1.0
 
     def __post_init__(self):
+        # a bool is an int to Python, and a float size fails only when the
+        # tensor is allocated
+        if not all(type(value) is int for value in (self.d, self.dc, self.s)):
+            raise ConfigError(
+                f"d, dc and s must be ints, got d={self.d!r} dc={self.dc!r} s={self.s!r}"
+            )
+        if isinstance(self.forgetting, bool):
+            raise ConfigError(f"forgetting must be a number, got {self.forgetting!r}")
         if self.d < 1 or self.dc < 1 or self.s < 1:
             raise ConfigError(
                 f"d, dc and s must be positive, got d={self.d} dc={self.dc} s={self.s}"

@@ -31,7 +31,8 @@ DEGENERATE_TOL = 1e-12
 class ModelRecord:
     """One database entry: a realized model, the Markov estimate it was
     realized from, its CP component index, and the gain on its input map
-    (1.0 until the engine calibrates the model on a window)."""
+    (1.0 as realize_components returns it; the engine fits it on a window,
+    stabilizes the model and multiplies the input map by it)."""
 
     model: DelayFreeModel
     markov: MarkovSequence

@@ -185,33 +185,3 @@ def load_scenario(path) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_scenario(handle.read())
 
-
-def _format_matrix(mat: np.ndarray) -> str:
-    rows = ["  ".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
-    return "[" + "; ".join(rows) + "]"
-
-
-def format_scenario(spec: ScenarioSpec) -> str:
-    """Render a ScenarioSpec back into scenario text."""
-    lines = [
-        f"length = {spec.length}",
-        f"seed = {spec.seed}",
-    ]
-    if spec.input_dist.kind == "rademacher":
-        lines.append("input = rademacher")
-    else:
-        lines.append(f"input = {spec.input_dist.kind} {spec.input_dist.scale!r}")
-    lines.append(f"obs_noise_std = {spec.obs_noise_std!r}")
-    for regime in spec.regimes:
-        lines.append("")
-        lines.append("[regime]")
-        lines.append(f"delay = {regime.delay}")
-        lines.append(f"A = {_format_matrix(regime.transition)}")
-        lines.append(f"B = {_format_matrix(regime.input_map)}")
-        lines.append(f"C = {_format_matrix(regime.output_map)}")
-    lines.append("")
-    lines.append("[schedule]")
-    for start, index in spec.schedule:
-        lines.append(f"{start} {index}")
-    lines.append("")
-    return "\n".join(lines)

@@ -300,9 +300,9 @@ def test_criterion_8_streaming_scalability():
     median_large, footprints = run(10**5)
     ratio = median_large / median_small
     elapsed = time.perf_counter() - started
-    # memory stays flat: once the database exists the footprint varies only
-    # by the realized model orders (a few hundred bytes), never with the
-    # number of updates
+    # memory stays flat: once the database exists the footprint is the
+    # fixed summary the config sizes, never a function of the number of
+    # updates
     spread = max(footprints) - min(footprints[1:])
     no_trend = footprints[-1] <= max(footprints[: len(footprints) // 2])
     ok = ratio <= 2.0 and spread <= 4096 and no_trend and elapsed < 300.0

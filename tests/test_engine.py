@@ -42,7 +42,7 @@ from delaymix.errors import (
     ShapeError,
 )
 from delaymix.filtering import FilterTrace, NoiseSpec
-from delaymix.syslin import DelayFreeModel, Trajectory
+from delaymix.syslin import Trajectory
 from oracles import assert_close, per_step_checked_forward
 
 
@@ -98,6 +98,31 @@ class TestEngineInit:
             engine_init(config)
         assert len(info.value.violations) >= 5
         assert "seed=-1 must be non-negative" in info.value.violations
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"l_c": 60.0}, "l_c=60.0 must be an int"),
+            ({"rank": 2.0}, "rank=2.0 must be an int"),
+            ({"seed": 0.5}, "seed=0.5 must be an int"),
+            ({"l_s": 1.5}, "l_s=1.5 must be an int"),
+            ({"rho": True}, "rho=True must be a number"),
+        ],
+        ids=["l_c", "rank", "seed", "l_s", "rho"],
+    )
+    def test_non_integer_values_refused(self, tmp_path, changes, message):
+        config = default_config(d=1, dc=1, s=3, l_c=60)
+        with pytest.raises(ConfigError) as info:
+            engine_init(replace(config, **changes))
+        assert info.value.violations == [message]
+        # the same values in a checkpoint's config
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(engine_init(config), path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        config_entry = {**header["config"], **changes}
+        path.write_bytes(_join_checkpoint({**header, "config": config_entry}, payload))
+        with pytest.raises(ParseError, match=f"damaged checkpoint .*{message}"):
+            load_checkpoint(path)
 
     def test_dense_cap_refused(self):
         # mode size 2 * 3 * 8 * 8 = 384 exceeds the dense cap of 256
@@ -313,6 +338,8 @@ class TestEngineUpdate:
         traj = single_regime_traj(length=11000, seed=8)
         config = default_config(d=1, dc=1, s=3, rank=2, rho=0.2, l_c=100, l_s=1)
         state = engine_init(config)
+        d, dc, dim, rank = config.moment.d, config.moment.dc, config.moment.mode_dim, config.rank
+        assert state_footprint_bytes(state) == 8 * dim**3
         sizes = set()
         largest_order = config.moment.s * min(config.moment.d, config.moment.dc)
         for w in range(100):
@@ -322,12 +349,12 @@ class TestEngineUpdate:
             # the map cache: the active model's map and no other record's
             active_map = state.database.active_map
             n_active = state.database.active().model.state_dim
-            d, dc = config.moment.d, config.moment.dc
             assert active_map.shape == (config.l_c * d + n_active, config.l_c * (d + dc))
             assert active_map.base is None
             assert active_map.size <= (config.l_c * d + largest_order) * config.l_c * (d + dc)
-        # once the database exists the footprint never grows
-        assert len(sizes) <= 2
+        # from the first update on, the footprint is the fixed summary: the
+        # tensor, the standardizer and the warm-start factors
+        assert sizes == {8 * (dim**3 + 2 * (d + dc) + 3 * dim * rank)}
         assert len(state.database.records) <= config.rank
 
 
@@ -597,11 +624,12 @@ class TestCheckpoint:
             return _join_checkpoint(header, payload[:offset] + patch + payload[offset + 8 :])
 
         assert header["arrays"][0] == ["tensor", [6, 6, 6]]
+        moment = header["config"]["moment"]
         # cuts inside the version byte, the length prefix, the header and the
-        # array payload, then files of versions 2 to 6 and one trailing byte
+        # array payload, then files of versions 2 to 7 and one trailing byte
         cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5, 6)]
+        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5, 6, 7)]
         variants += [raw + b"\x00"]
         variants += [
             with_tensor_shape([6, 6, -6]),
@@ -620,6 +648,8 @@ class TestCheckpoint:
             with_header(weight="1"),
             # a config key of version 5 that this version no longer has
             with_header(config={**header["config"], "warm_start": True}),
+            # a tensor size that is not an int
+            with_header(config={**header["config"], "moment": {**moment, "s": 3.0}}),
             # records that name no CP component or carry no finite gain
             with_record(component_index=-7, b_scale="x"),
             with_record(component_index=3.5, b_scale=None),
@@ -629,14 +659,14 @@ class TestCheckpoint:
             with_record(b_scale=1),
             # non-finite array values and non-positive standardizer scales
             with_value("tensor", float("nan")),
-            with_value("record0.output_map", float("inf")),
+            with_value("mode1", float("inf")),
             with_value("out_std", 0.0),
             with_value("in_std", -1.0),
-            # version 6 stored each record's Markov blocks; version 7 derives
-            # them from the warm-start factors, so it refuses a listed array
+            # version 7 stored each record's model; version 8 derives it from
+            # the warm-start factors, so it refuses a listed model array
             _join_checkpoint(
-                {**header, "arrays": header["arrays"] + [["record0.markov", [6, 1, 1]]]},
-                payload + bytes(8 * 6),
+                {**header, "arrays": header["arrays"] + [["record0.transition", [1, 1]]]},
+                payload + bytes(8),
             ),
         ]
         damaged = tmp_path / "damaged.bin"
@@ -646,29 +676,62 @@ class TestCheckpoint:
                 load_checkpoint(damaged)
         # the intact file still loads
         assert load_checkpoint(path).updates == 1
-        # two records naming the same component
-        save_checkpoint(_adapted_state(rank=2), damaged)
-        header, payload = _split_checkpoint(damaged.read_bytes())
-        records = [dict(entry, component_index=0) for entry in header["records"]]
-        damaged.write_bytes(_join_checkpoint({**header, "records": records}, payload))
-        with pytest.raises(ParseError, match="damaged checkpoint .*distinct"):
-            load_checkpoint(damaged)
+
+    def test_version_7_file_refused(self, tmp_path):
+        # a file as version 7 wrote it: each record's model after the summary
+        state = _adapted_state(rank=1)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        model = state.database.records[0].model
+        parts = [
+            (f"record0.{name}", getattr(model, name))
+            for name in ("transition", "input_map", "output_map")
+        ]
+        arrays = header["arrays"] + [[name, list(part.shape)] for name, part in parts]
+        payload += b"".join(part.astype("<f8").tobytes() for _, part in parts)
+        blob = _join_checkpoint({**header, "arrays": arrays}, payload)
+        path.write_bytes(bytes([7]) + blob[1:])
+        with pytest.raises(ParseError, match="damaged checkpoint .*expected 8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            # rank 2 realizes components 0 and 1, in that order
+            ([0, 1, 1], r"realize components \[0, 1\], the header lists \[0, 1, 1\]"),
+            ([1, 0], r"realize components \[0, 1\], the header lists \[1, 0\]"),
+            ([0, 0], r"realize components \[0, 1\], the header lists \[0, 0\]"),
+            ([0, 2], r"realize components \[0, 1\], the header lists \[0, 2\]"),
+            ([0], r"realize components \[0, 1\], the header lists \[0\]"),
+        ],
+        ids=["extra", "swapped", "repeated", "unrealized", "missing"],
+    )
+    def test_component_indices_match_the_factors(self, tmp_path, records, message):
+        path = tmp_path / "checkpoint.bin"
+        state = _adapted_state(rank=2)
+        assert [record.component_index for record in state.database.records] == [0, 1]
+        save_checkpoint(state, path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        entries = [{"component_index": index, "b_scale": 1.5} for index in records]
+        path.write_bytes(_join_checkpoint({**header, "records": entries}, payload))
+        with pytest.raises(ParseError, match=f"damaged checkpoint .*{message}"):
+            load_checkpoint(path)
 
     def test_unfilterable_active_model_raises_parse_error(self, tmp_path):
-        # every value is finite, but the covariance recursion of a transition
-        # scaled by 1e200 overflows at step 1, so no update can commit it
+        # every stored value is finite, but a warm-start factor whose first
+        # Markov block is 1e30 times the others realizes a model whose
+        # filter map cancels past what float64 holds, so no update can
+        # commit it
         state = _adapted_state(rank=1)
-        record = state.database.records[0]
-        model = record.model
-        state.database.records[0] = replace(
-            record,
-            model=DelayFreeModel(1e200 * model.transition, model.input_map, model.output_map),
+        state.database.last_factors = replace(
+            state.database.last_factors, mode1=np.array([[1e30], [1], [1], [1], [1], [1]])
         )
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
         with pytest.raises(
             ParseError,
-            match="damaged checkpoint .*models cannot be filtered: non-finite innovation at step 1",
+            match="damaged checkpoint .*models cannot be filtered: filter map cancels at step 1",
         ):
             load_checkpoint(path)
 
@@ -681,7 +744,6 @@ class TestCheckpoint:
         header, payload = _split_checkpoint(path.read_bytes())
         scaler = ("out_mean", "out_std", "in_mean", "in_std")
         factors = ("mode1", "mode2", "mode3")
-        model = [f"record0.{part}" for part in ("transition", "input_map", "output_map")]
         variants = [
             # a never-updated state that claims updates
             (dict(empty[0], updates=3), empty[1]),
@@ -691,8 +753,8 @@ class TestCheckpoint:
             # an updated state without its standardizer or warm-start factors
             _without_arrays(header, payload, scaler),
             _without_arrays(header, payload, factors),
-            # factors but no model
-            _without_arrays(dict(header, records=[], active_index=-1), payload, model),
+            # factors but no record
+            (dict(header, records=[], active_index=-1), payload),
         ]
         for changed_header, changed_payload in variants:
             path.write_bytes(_join_checkpoint(changed_header, changed_payload))
@@ -704,13 +766,10 @@ class TestCheckpoint:
         save_checkpoint(_adapted_state(rank=1), path)
         header, payload = _split_checkpoint(path.read_bytes())
         assert dict(header["arrays"])["out_mean"] == [1]
-        n = dict(header["arrays"])["record0.transition"][0]
         # each edit keeps the byte count, so only the shape check can refuse it
         for changes in (
             {"out_mean": [2], "out_std": [0]},
             {"in_mean": [0], "in_std": [2]},
-            # a model with two input channels and no output, in the same bytes
-            {"record0.input_map": [n, 2], "record0.output_map": [0, n]},
         ):
             arrays = [[name, changes.get(name, shape)] for name, shape in header["arrays"]]
             path.write_bytes(_join_checkpoint({**header, "arrays": arrays}, payload))
@@ -719,7 +778,8 @@ class TestCheckpoint:
 
     def test_non_finite_derived_markov_raises_parse_error(self, tmp_path):
         # every stored value is finite, but the norms of factors scaled by
-        # 1e200 overflow, so the Markov blocks derived from them are not
+        # 1e200 overflow, so the Markov blocks derived from them are NaN and
+        # realization finds no component with dynamics
         state = _adapted_state(rank=1)
         factors = state.database.last_factors
         state.database.last_factors = replace(
@@ -727,19 +787,38 @@ class TestCheckpoint:
         )
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
-        with pytest.raises(ParseError, match="damaged checkpoint .*record0.markov, derived"):
+        with pytest.raises(ParseError, match="damaged checkpoint .*every component was degenerate"):
+            load_checkpoint(path)
+
+    def test_non_finite_rederived_record_raises_parse_error(self, tmp_path):
+        # a finite stored gain whose product with the realized input map
+        # overflows: the factor scaled by 1e6 scales the Markov blocks by
+        # 100 and the input map by 10, past 1 here
+        state = _adapted_state(rank=1)
+        factors = state.database.last_factors
+        state.database.last_factors = replace(factors, mode1=1e6 * factors.mode1)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        records = [{**header["records"][0], "b_scale": 1e308}]
+        path.write_bytes(_join_checkpoint({**header, "records": records}, payload))
+        with pytest.raises(
+            ParseError,
+            match="damaged checkpoint .*record 0, re-derived from the warm-start factors, "
+            "holds non-finite values",
+        ):
             load_checkpoint(path)
 
     def test_rank_checked_against_config(self, tmp_path):
         path = tmp_path / "checkpoint.bin"
-        for saved_rank, claimed_rank, message in ((1, 2, "mode1"), (2, 1, "exceed rank")):
+        for saved_rank, claimed_rank in ((1, 2), (2, 1)):
             state = _adapted_state(rank=saved_rank)
             assert len(state.database.records) == saved_rank
             save_checkpoint(state, path)
             header, payload = _split_checkpoint(path.read_bytes())
             config = {**header["config"], "rank": claimed_rank}
             path.write_bytes(_join_checkpoint({**header, "config": config}, payload))
-            with pytest.raises(ParseError, match=f"damaged checkpoint .*{message}"):
+            with pytest.raises(ParseError, match="damaged checkpoint .*mode1 has shape"):
                 load_checkpoint(path)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delaymix import MomentConfig, Trajectory
-from delaymix.errors import EmptyTensorError, ShapeError, WindowLengthError
+from delaymix.errors import ConfigError, EmptyTensorError, ShapeError, WindowLengthError
 from delaymix.moments import accumulate_window, new_tensor, normalized_view
 from oracles import oracle_moment_tensor
 
@@ -34,6 +34,11 @@ class TestConfigAndAllocation:
             MomentConfig(d=1, dc=1, s=1, forgetting=0.0)
         with pytest.raises(ValueError):
             MomentConfig(d=1, dc=1, s=1, forgetting=1.2)
+        for sizes in (dict(d=1.0, dc=1, s=3), dict(d=1, dc=1, s=3.0), dict(d=1, dc=True, s=3)):
+            with pytest.raises(ConfigError, match="d, dc and s must be ints"):
+                MomentConfig(**sizes)
+        with pytest.raises(ConfigError, match="forgetting must be a number"):
+            MomentConfig(d=1, dc=1, s=3, forgetting=True)
 
 
 class TestAccumulate:
