@@ -566,10 +566,11 @@ def load_checkpoint(path) -> EngineState:
     warm-start factors) and, in its header, each record's component index
     and b_scale. The config passes engine_init's checks, every array has the
     shape the config implies, every array value is finite, the
-    standardizer's scales are positive and each b_scale is a finite float.
-    The standardizer, the warm-start factors, a positive tensor weight and
-    at least one record are present exactly when the update count is
-    positive, the only states an update can commit.
+    standardizer's scales are positive and each b_scale is a finite float
+    other than 0.0, which adaptation never writes. The standardizer, the
+    warm-start factors, a positive tensor weight and at least one record
+    are present exactly when the update count is positive, the only states
+    an update can commit.
 
     The rest is derived: the standardizer's sample count, updates * l_c;
     the records, realized from the warm-start factors with the stored gains
@@ -631,8 +632,9 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         index, scale = entry["component_index"], entry["b_scale"]
         if type(index) is not int:
             raise ParseError(f"record {i}'s component_index {index!r} is not an int")
-        if type(scale) is not float or not math.isfinite(scale):
-            raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite float")
+        # _input_gain never returns 0.0
+        if type(scale) is not float or not math.isfinite(scale) or scale == 0.0:
+            raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite nonzero float")
     updates = header["updates"]
     if type(updates) is not int or updates < 0:
         raise ParseError(f"updates {updates!r} is not a non-negative integer")
@@ -680,10 +682,15 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
                 )
             return [entry["b_scale"] for entry in records]
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            derived = _realize_records(
-                state.database.last_factors, state.config.moment, stored_gains
-            )
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                derived = _realize_records(
+                    state.database.last_factors, state.config.moment, stored_gains
+                )
+        except ParseError:
+            raise
+        except DelayMixError as err:
+            raise ParseError(f"the warm-start factors cannot be realized: {err}") from err
         for i, record in enumerate(derived):
             model = record.model
             parts = (record.markov.blocks, model.transition, model.input_map, model.output_map)

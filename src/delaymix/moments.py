@@ -15,11 +15,14 @@ indexed by (k1, k2, k3). Mode axis i of the block runs over m(i), so block
 k of a mode-1 factor carries the k-step impulse response and the leading
 zero blocks of a delayed system survive in the factors.
 
-One batched matrix product per k1 folds a window in (MTTKRP batching, Kolda
-& Bader 2009): over the starts tau, the row-wise product z of m1 and m2 (all
-k2) is contracted with m3 (all k2, k3), both shifted views of the pair
-products. No mask is needed for the ragged starts tau < len - (k1+k2+k3+2):
-the lag-k pair product is zero from row len - k on, so m3 is zero there.
+One batched matrix product folds a window in (MTTKRP batching, Kolda &
+Bader 2009). The pair products of every lag come from one product of a
+lag-shifted view of the zero-padded outputs with the inputs; m1, m2 and m3
+for every (k1, k2) are read-only strided views of that one array. Over the
+starts tau, the row-wise product z of m1 and m2 is contracted with m3 (all
+k3) in one matmul whose batch runs over (k1, k2). No mask is needed for the
+ragged starts tau < len - (k1+k2+k3+2): the lag-k pair product is zero from
+row len - k on, so m3 is zero there.
 
 Storage is a dense D x D x D array with D = 2 s d dc, independent of the
 stream length.
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, EmptyTensorError, ShapeError, WindowLengthError
 from .syslin import Trajectory
@@ -111,24 +113,13 @@ def new_tensor(config: MomentConfig) -> SystemTensor:
     return SystemTensor(np.zeros((dim, dim, dim)), 0.0, config)
 
 
-def _pair_products(y: np.ndarray, u: np.ndarray, config: MomentConfig) -> np.ndarray:
-    """pairs[t, k-1] = vec(y(t+k) u(t)^T) for t < len - k, and zero for later
-    t through min_window rows of padding that keep the shifted views in range."""
-    length = y.shape[0]
-    pairs = np.zeros((length + config.min_window, config.k_max, config.p))
-    for k in range(1, config.k_max + 1):
-        outer = y[k:, :, None] * u[: length - k, None, :]
-        pairs[: length - k, k - 1] = outer.reshape(length - k, config.p)
-    return pairs
-
-
 def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
     """The tensor with one data window folded in; the argument is not
     mutated.
 
     Existing mass is decayed by the forgetting factor once per call, then
     every admissible (k1, k2, k3, tau) combination contributes one rank-one
-    term to its lag block (batched per k1, see the module notes).
+    term to its lag block (one batched product, see the module notes).
     """
     cfg = tensor.config
     y = window.outputs
@@ -144,19 +135,36 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
     if u.shape[1] != cfg.dc:
         raise ShapeError(f"window inputs have {u.shape[1]} channels, expected {cfg.dc}")
 
-    pairs = _pair_products(y, u, cfg)
+    k_max, p, d = cfg.k_max, cfg.p, cfg.d
+    # pairs[t, k-1] = vec(y(t+k) u(t)^T), from a view of y shifted by each
+    # lag over zero padding, so it is zero for t >= len - k; the 2 k_max + 2
+    # zero rows after the window are the furthest the lagged views reach
+    y_pad = np.zeros((length + k_max, d))
+    y_pad[:length] = y
+    step = y_pad.strides[0]
+    y_lag = np.ndarray((length, k_max, d), np.float64, y_pad, step, (step, step, 8))  # y(t+k)
+    pairs = np.zeros((length + 2 * k_max + 2, k_max, p))
+    np.multiply(
+        y_lag[:, :, :, None], u[:, None, None, :], out=pairs[:length].reshape(length, k_max, d, -1)
+    )
+    # read-only views m2[k1-1, t, k2-1] = pairs[t + k1 + 1, k2-1] and
+    # m3[k1-1, k2-1, t] = pairs[t + k1 + k2 + 2] (flattened over (k3, c));
+    # the ndarray constructor refuses a view that runs past its buffer
+    pairs.flags.writeable = False
+    row = pairs.strides[0]
+    m1 = pairs[:length].swapaxes(0, 1)  # (k1, t, a)
+    m2 = np.ndarray((k_max, length, k_max, p), np.float64, pairs, 2 * row, (row, row, 8 * p, 8))
+    m3 = np.ndarray(
+        (k_max, k_max, length, k_max * p), np.float64, pairs, 4 * row, (row, row, row, 8)
+    )
+    z = (m1[:, :, None, :, None] * m2[:, :, :, None, :]).reshape(k_max, length, k_max, p * p)
+    # one GEMM per (k1, k2), ((a, b), t) @ (t, (k3, c)), each with the shape
+    # and strides of a per-k1 loop's, so BLAS sums in the same order
+    block = np.matmul(z.transpose(0, 2, 3, 1), m3)  # (k1, k2, (a, b), (k3, c))
     # a new array leaves the argument untouched; times 1.0 changes no bit
     data = tensor.data * cfg.forgetting
-    k_max, p = cfg.k_max, cfg.p
-    rows = data.reshape(k_max, p, k_max, p, -1)  # [k1-1, a, k2-1, b, (k3-1, c)]
-    shifted = sliding_window_view(pairs.reshape(len(pairs), -1), length, axis=0)
-    for k1 in range(1, k_max + 1):
-        m1 = pairs[:length, k1 - 1]  # (t, a)
-        m2 = pairs[k1 + 1 : k1 + 1 + length]  # (t, k2, b)
-        m3 = shifted[k1 + 3 : k1 + 3 + k_max].swapaxes(1, 2)  # (k2, t, (k3, c))
-        z = (m1[:, None, :, None] * m2[:, :, None, :]).reshape(length, k_max, p * p)
-        block = np.matmul(z.transpose(1, 2, 0), m3)  # (k2, (a, b), (k3, c))
-        rows[k1 - 1] += block.reshape(k_max, p, p, -1).swapaxes(0, 1)
+    lagged = data.reshape(k_max, p, k_max, p, -1)  # [k1-1, a, k2-1, b, (k3-1, c)]
+    lagged += block.reshape(k_max, k_max, p, p, -1).swapaxes(1, 2)
     # length >= min_window admits every triplet: sum of len - (k1 + k2 + k3 + 2)
     count = k_max**3 * (length - 2) - 3 * k_max**3 * (k_max + 1) // 2
     return SystemTensor(data, tensor.weight * cfg.forgetting + count, cfg)

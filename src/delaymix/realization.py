@@ -12,6 +12,7 @@ from .errors import (
     DegenerateSequenceError,
     EmptyDatabaseError,
     HorizonError,
+    NumericalError,
     RankError,
     ShapeError,
 )
@@ -72,6 +73,8 @@ def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFre
     factors. order fixes n; when None, n is the smallest order whose
     cumulative squared singular-value energy reaches ENERGY_THRESHOLD. Only
     input-output behavior is pinned down; state coordinates are arbitrary.
+    Non-finite blocks raise NumericalError, all-zero ones
+    DegenerateSequenceError.
     """
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
@@ -81,6 +84,10 @@ def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFre
         raise HorizonError(
             f"sequence horizon {seq.horizon} is too short for s={s}; need at least {2 * s}"
         )
+    if not np.isfinite(seq.blocks[: 2 * s]).all():
+        # NaN fails every comparison, so the degeneracy test below would
+        # take a NaN sequence for an all-zero one
+        raise NumericalError(f"the leading {2 * s} Markov blocks hold non-finite values")
     d, dc = seq.output_dim, seq.input_dim
     hankel = np.zeros((s * d, (s + 1) * dc))
     for r in range(s):

@@ -657,6 +657,7 @@ class TestCheckpoint:
             with_record(component_index=False),
             with_record(b_scale=float("nan")),
             with_record(b_scale=1),
+            with_record(b_scale=0.0),
             # non-finite array values and non-positive standardizer scales
             with_value("tensor", float("nan")),
             with_value("mode1", float("inf")),
@@ -674,6 +675,10 @@ class TestCheckpoint:
             damaged.write_bytes(blob)
             with pytest.raises(ParseError, match="damaged checkpoint"):
                 load_checkpoint(damaged)
+        # the refusal names the record
+        damaged.write_bytes(with_record(b_scale=0.0))
+        with pytest.raises(ParseError, match="record 0's b_scale 0.0 is not"):
+            load_checkpoint(damaged)
         # the intact file still loads
         assert load_checkpoint(path).updates == 1
 
@@ -778,8 +783,8 @@ class TestCheckpoint:
 
     def test_non_finite_derived_markov_raises_parse_error(self, tmp_path):
         # every stored value is finite, but the norms of factors scaled by
-        # 1e200 overflow, so the Markov blocks derived from them are NaN and
-        # realization finds no component with dynamics
+        # 1e200 overflow, so the Markov blocks derived from them are NaN,
+        # which realization refuses
         state = _adapted_state(rank=1)
         factors = state.database.last_factors
         state.database.last_factors = replace(
@@ -787,7 +792,10 @@ class TestCheckpoint:
         )
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
-        with pytest.raises(ParseError, match="damaged checkpoint .*every component was degenerate"):
+        with pytest.raises(
+            ParseError,
+            match="damaged checkpoint .*cannot be realized: .*Markov blocks hold non-finite values",
+        ):
             load_checkpoint(path)
 
     def test_non_finite_rederived_record_raises_parse_error(self, tmp_path):

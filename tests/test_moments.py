@@ -4,7 +4,7 @@ import pytest
 from delaymix import MomentConfig, Trajectory
 from delaymix.errors import ConfigError, EmptyTensorError, ShapeError, WindowLengthError
 from delaymix.moments import accumulate_window, new_tensor, normalized_view
-from oracles import oracle_moment_tensor
+from oracles import assert_close, oracle_moment_tensor
 
 
 def random_window(rng, config, extra=0):
@@ -161,6 +161,43 @@ class TestAccumulate:
         expected = np.zeros((2, 2, 2))
         expected[0, 1, 0] = 1.0
         assert np.array_equal(tensor.data, expected)
+
+    @pytest.mark.parametrize("min_windows", [1, 3])
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("dc", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_oracle_relative_to_largest_entry(self, d, dc, s, min_windows):
+        # an absolute tolerance passes anything at small scales and fails
+        # rounding at large ones; the error bound scales with the entries
+        config = MomentConfig(d=d, dc=dc, s=s, forgetting=0.9)
+        rng = np.random.default_rng(100 * d + 10 * dc + s + min_windows)
+        length = min_windows * config.min_window
+        for scale in (1e-3, 1.0, 1e3):
+            first, second = (
+                Trajectory(
+                    scale * rng.standard_normal((length, d)),
+                    scale * rng.standard_normal((length, dc)),
+                )
+                for _ in range(2)
+            )
+            once = accumulate_window(new_tensor(config), first)
+            expected = oracle_moment_tensor(first, config)
+            assert_close(once.data, expected, rtol=1e-12)
+            twice = accumulate_window(once, second)
+            expected = 0.9 * expected + oracle_moment_tensor(second, config)
+            assert_close(twice.data, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    def test_result_owns_its_memory(self, forgetting):
+        # the fold reads the window through strided views; none may leak out
+        config = MomentConfig(d=2, dc=2, s=2, forgetting=forgetting)
+        rng = np.random.default_rng(11)
+        tensor = accumulate_window(new_tensor(config), random_window(rng, config))
+        window = random_window(rng, config, extra=4)
+        folded = accumulate_window(tensor, window)
+        assert folded.data.flags.writeable and folded.data.flags.c_contiguous
+        for other in (window.outputs, window.inputs, tensor.data):
+            assert not np.shares_memory(folded.data, other)
 
     def test_channel_mismatch(self):
         config = MomentConfig(d=2, dc=1, s=1)

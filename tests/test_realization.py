@@ -17,6 +17,7 @@ from delaymix.errors import (
     DegenerateSequenceError,
     EmptyDatabaseError,
     HorizonError,
+    NumericalError,
     RankError,
     ShapeError,
 )
@@ -181,6 +182,18 @@ class TestHoKalman:
         seq = MarkovSequence(np.zeros((6, 1, 1)))
         with pytest.raises(DegenerateSequenceError):
             ho_kalman(seq, 3)
+
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (5, np.inf)])
+    def test_non_finite_block_raises_numerical_error(self, index, value):
+        # NaN fails the degeneracy test's comparison, so a NaN block among
+        # zeros would otherwise pass for an all-zero sequence
+        dynamic = markov_parameters_free(
+            random_stable_model(np.random.default_rng(7), 2, 1, 1), 6
+        ).blocks.copy()
+        for blocks in (dynamic, np.zeros((6, 1, 1))):
+            blocks[index] = value
+            with pytest.raises(NumericalError, match="6 Markov blocks hold non-finite"):
+                ho_kalman(MarkovSequence(blocks), 3)
 
     def test_fixed_order_beyond_rank_bound(self):
         seq = markov_parameters_free(
