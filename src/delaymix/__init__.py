@@ -51,8 +51,7 @@ from .syslin import (
     Trajectory,
     detect_delay,
     embed_delay,
-    markov_parameters_delayed,
-    markov_parameters_free,
+    response_maps,
     simulate_delay_free,
     simulate_delayed,
     spectral_norm_profile,

@@ -27,6 +27,7 @@ from .errors import (
     DataError,
     DelayMixError,
     EngineStageError,
+    NumericalError,
     ParseError,
     ShapeError,
 )
@@ -47,7 +48,7 @@ from .moments import (
     normalized_view,
 )
 from .realization import ModelRecord, realize_components
-from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
+from .syslin import DelayFreeModel, Trajectory, response_maps
 
 CHECKPOINT_VERSION = 8
 # The state-inference noise model and the spectral radius realized models
@@ -117,16 +118,21 @@ class RegimeDatabase:
     active_map is the active model's filter map over an l_c-step window
     (`filtering.kalman_forward`), shape (l_c*d + n, l_c*(d+dc)): the gate
     and the forecast anchor are one product of it with the window. It was
-    built in one batch with every record's map, and it is derived data too:
-    load_checkpoint rebuilds the same batch. No other record's map is kept:
-    an adaptation builds the maps of every new record and replaces the
-    database whole.
+    built in one batch with every record's map. active_response is the
+    active model's open-loop response map over l_c steps
+    (`syslin.response_maps` of that model alone), shape
+    (l_c*d + n, n + l_c*dc): a forecast is one product of it per l_c steps
+    of horizon, from the filter's final mean. Both are derived data:
+    load_checkpoint rebuilds them with the calls adaptation made, through
+    `_database`. No other record's maps are kept: an adaptation builds
+    them for its new records and replaces the database whole.
     """
 
     records: list[ModelRecord] = field(default_factory=list)
     active_index: int = -1
     last_factors: CPFactors | None = None
     active_map: np.ndarray | None = None
+    active_response: np.ndarray | None = None
 
     def active(self) -> ModelRecord:
         return self.records[self.active_index]
@@ -293,21 +299,39 @@ def _stabilize(model: DelayFreeModel) -> DelayFreeModel:
     )
 
 
-def _input_gain(model: DelayFreeModel, window: Trajectory) -> float:
-    """Least-squares scalar on the model's open-loop one-step predictions
-    of the window, or 1.0 when the predictions vanish or the fit is 0.
+def _input_gains(models: list[DelayFreeModel], window: Trajectory) -> list[float]:
+    """Each model's least-squares scalar on its open-loop one-step
+    predictions of the window, or 1.0 where the predictions vanish or the
+    fit is 0.
 
     Component recovery fixes the impulse response only up to a scalar; a
     single data-driven gain on the input map removes that degree of freedom
-    (and repairs a global sign flip).
+    (and repairs a global sign flip). The predictions are the zero-state
+    responses to the window inputs: one product of the input columns of
+    the output rows of the models' `response_maps` batch with the inputs.
     """
-    steps = window.outputs.shape[0]
-    predicted = simulate_delay_free(model, window.inputs[:steps]).outputs
-    denom = float(np.sum(predicted * predicted))
-    if denom < 1e-12:
-        return 1.0
-    scale = float(np.sum(window.outputs * predicted) / denom)
-    return 1.0 if scale == 0.0 else scale
+    y = window.outputs
+    steps, d = y.shape
+    maps = response_maps(models, steps)
+    inputs = window.inputs[:steps].ravel()
+    predicted = maps[:, : steps * d, maps.shape[2] - inputs.shape[0] :] @ inputs
+    gains = []
+    for denom, fit in zip(
+        np.sum(predicted * predicted, axis=1), np.sum(y.ravel() * predicted, axis=1)
+    ):
+        scale = 1.0 if denom < 1e-12 else float(fit / denom)
+        gains.append(1.0 if scale == 0.0 else scale)
+    return gains
+
+
+def _database(records, index, factors, filter_map, l_c) -> RegimeDatabase:
+    """The database with records[index] active. filter_map is that record's
+    map from the `kalman_forward` batch of every record, and its response
+    map over l_c steps is built here, from its model alone: adaptation and
+    load_checkpoint both come here, so a restored run forecasts bitwise as
+    the saved one would have."""
+    [response] = response_maps([records[index].model], l_c)
+    return RegimeDatabase(records, index, factors, filter_map, response)
 
 
 def _realize_records(factors: CPFactors, moment: MomentConfig, gains) -> list[ModelRecord]:
@@ -351,13 +375,17 @@ def engine_update(
     product that also gives the forecast's anchor. Only an adaptation runs
     `kalman_forward`, once, building every new record's map in one batch;
     selection applies each, and the winner's map becomes the cache and
-    anchors the forecast.
+    anchors the forecast. The forecast runs the cached l_c-step response
+    map from that anchor, one product per l_c steps of horizon, and an
+    adaptation builds the winner's response map anew.
 
     Every stage computes into locals and the state is assigned once, at the
     end, so an update either commits whole or raises and leaves the state
     as it was: a window holding a non-finite value raises DataError, one
     whose shape or step or channel counts do not fit the config raises
-    ShapeError, and a failing stage raises EngineStageError.
+    ShapeError, and a failing stage raises EngineStageError; a future
+    input that scales to a non-finite value, or a forecast that is not
+    finite, fails the forecasting stage.
     """
     started = time.perf_counter()
     cfg = state.config
@@ -391,9 +419,7 @@ def engine_update(
         scaler = Standardizer.fit(y_raw, u_window)
     else:
         scaler = state.scaler.absorb(y_raw, u_window, state.updates * cfg.l_c)
-    y = scaler.outputs(y_raw)
-    u_all = scaler.inputs(u_raw)
-    window = Trajectory(y, u_all[: cfg.l_c])
+    window = Trajectory(scaler.outputs(y_raw), scaler.inputs(u_window))
 
     with _stage("moment_collection"):
         tensor = accumulate_window(state.tensor, window)
@@ -416,29 +442,29 @@ def engine_update(
                 normalized_view(tensor), cfg.rank, seed=cfg.seed, init=database.last_factors
             )
             records = _realize_records(
-                factors,
-                cfg.moment,
-                lambda _, models: [_input_gain(model, window) for model in models],
+                factors, cfg.moment, lambda _, models: _input_gains(models, window)
             )
             index, best_fit, trace = select_regime(
                 [record.model for record in records], window, NOISE
             )
-            database = RegimeDatabase(
-                records=records,
-                active_index=index,
-                last_factors=factors,
-                active_map=trace.filter_map,
-            )
+            database = _database(records, index, factors, trace.filter_map, cfg.l_c)
             if not had_models:
                 gate_fit = best_fit
 
-    with _stage("forecasting"):
-        predicted = forecast(database.active().model, window, u_all[cfg.l_c :], trace)
+    # huge future inputs can overflow, in scaling or in the forecast, and
+    # then the forecast is refused rather than committed
+    with _stage("forecasting"), np.errstate(over="ignore", invalid="ignore"):
+        predicted = scaler.restore_outputs(
+            forecast(database.active_response, window, scaler.inputs(u_raw[cfg.l_c :]), trace)
+        )
+        if not np.isfinite(predicted).all():
+            step = int(np.argmin(np.isfinite(predicted).all(axis=1)))
+            raise NumericalError(f"non-finite forecast at step {step}", step=step)
     state.scaler, state.tensor, state.database, state.updates = (
         scaler, tensor, database, state.updates + 1
     )
     return UpdateReport(
-        forecast=scaler.restore_outputs(predicted),
+        forecast=predicted,
         adapted=adapted,
         window_fit=gate_fit,
         als_iters=als_iters,
@@ -576,10 +602,13 @@ def load_checkpoint(path) -> EngineState:
     the records, realized from the warm-start factors with the stored gains
     by `_realize_records`, the path adaptation made them by, so their
     component indices must equal the stored ones, in order, and every value
-    must be finite; and the active model's filter map, taken from one
+    must be finite; the active model's filter map, taken from one
     `kalman_forward` batch of every record's model, in record order. That
     is the batch selection built, so the map is bitwise the one the saved
-    run held; a model built alone can differ in the last bits. A file that
+    run held; a model built alone can differ in the last bits. And the
+    active model's response map, from `response_maps` of that model alone,
+    the call adaptation made (both go through `_database`), so continuing
+    forecasts any horizon bitwise as the saved run would have. A file that
     is not one whole checkpoint of this version (truncated, padded, from
     another version, or with a damaged header or array) or holds a state no
     update can reach raises ParseError.
@@ -698,10 +727,12 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
                 raise ParseError(
                     f"record {i}, re-derived from the warm-start factors, holds non-finite values"
                 )
-        state.database.records = derived
         try:
             maps = kalman_forward([record.model for record in derived], state.config.l_c, NOISE)
         except DelayMixError as err:
             raise ParseError(f"the re-derived models cannot be filtered: {err}") from err
-        state.database.active_map = maps[active_index].copy()
+        state.database = _database(
+            derived, active_index, state.database.last_factors, maps[active_index].copy(),
+            state.config.l_c,
+        )
     return state

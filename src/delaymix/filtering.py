@@ -19,6 +19,11 @@ finite.
 `window_error` and `forecast` read what it returns, and `select_regime`
 returns the winner's, with a copy of its map, so the caller can forecast
 from it and keep the map without building it again.
+
+The forecast is linear too: from the state after the window, the model's
+open-loop response map over L steps (`syslin.response_maps`) gives the
+next L outputs and the state after them in one product, so `forecast`
+takes one product per L steps of horizon and steps no model in Python.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .syslin import DelayFreeModel, Trajectory, simulate_delay_free
+from .syslin import DelayFreeModel, Trajectory
 
 # A build step whose largest entry is smaller than the largest term it sums
 # by more than this factor keeps fewer than 42 of float64's 52 bits, and
@@ -280,25 +285,62 @@ def select_regime(
 
 
 def forecast(
-    model: DelayFreeModel, window: Trajectory, future_inputs, trace: FilterTrace
+    response_map: np.ndarray, window: Trajectory, future_inputs, trace: FilterTrace
 ) -> np.ndarray:
-    """Multi-step prediction anchored at the filter's final state.
+    """Multi-step prediction anchored at the filter's final state, one row
+    per future input.
 
     trace is this model's `filter_window` on this window. Its final mean is
     the state estimate at the last window index, and it already conditions
-    on every output of the window. Advancing it once with the final window
-    input gives the state at the first forecast step, from which the
-    delay-free recursion consumes the future inputs, emitting one output per
-    step.
+    on every output of the window. The forecast is the model's open-loop
+    run from that mean over the last window input and then the future
+    inputs, without the run's first output, which is the window's last
+    step. response_map is this model's open-loop map over some L >= 1
+    steps (`syslin.response_maps`), shape (L*d + n, n + L*dc), and the run
+    takes it in blocks of L steps: each is one product of the whole map
+    with the block's state and inputs, and its state rows start the next
+    block. Output t of the run reads its inputs before t only, through
+    exactly zero entries otherwise, so the last future input, which no row
+    reads, is left out and the run zero-padded past it. Every block has the
+    same shapes whatever the horizon, so the first h rows of a forecast are
+    bitwise the h-step forecast. A future input that is not finite would
+    reach every row of its block through those zeros, so it is refused
+    before any product, with a NumericalError naming the first row that
+    reads it; over- or underflow in the products gives non-finite rows,
+    which the caller checks.
     """
-    steps = window.outputs.shape[0]
-    shapes = (trace.one_step_predictions.shape, trace.final_mean.shape)
-    if shapes != ((steps, model.output_dim), (model.state_dim,)):
+    (steps, d), (n,), dc = window.outputs.shape, trace.final_mean.shape, window.inputs.shape[1]
+    if trace.one_step_predictions.shape != (steps, d):
         raise ShapeError(
-            f"trace holds predictions of shape {shapes[0]} and a final mean of shape "
-            f"{shapes[1]}, expected {((steps, model.output_dim), (model.state_dim,))} "
-            f"for this model and window"
+            f"trace holds predictions of shape {trace.one_step_predictions.shape}, expected "
+            f"{(steps, d)} for this window"
         )
-    a, b = model.transition, model.input_map
-    state = a @ trace.final_mean + b @ window.inputs[steps - 1]
-    return simulate_delay_free(model, future_inputs, x0=state).outputs
+    length = (response_map.shape[0] - n) // d
+    if length < 1 or response_map.shape != (length * d + n, n + length * dc):
+        raise ShapeError(
+            f"response map has shape {response_map.shape}, which is no model of order {n} "
+            f"with {d} outputs and {dc} inputs over one or more steps"
+        )
+    future = np.asarray(future_inputs, dtype=np.float64)
+    if future.ndim != 2 or future.shape[0] < 1 or future.shape[1] != dc:
+        raise ShapeError(f"future inputs must have shape (h >= 1, {dc}), got {future.shape}")
+    horizon = future.shape[0]
+    # the run's h + 1 outputs read its first h inputs
+    blocks = horizon // length + 1
+    inputs = np.zeros((blocks, length * dc))
+    run = inputs.reshape(-1, dc)
+    run[0] = window.inputs[steps - 1]
+    run[1:horizon] = future[: horizon - 1]
+    if not np.isfinite(inputs).all():
+        step = int(np.argmin(np.isfinite(run).all(axis=1)))
+        read = f"future input {step - 1}" if step else "the last window input"
+        raise NumericalError(
+            f"non-finite forecast at step {step}: it reads {read}, which is not finite",
+            step=step,
+        )
+    outputs = np.empty((blocks, length * d))
+    state = trace.final_mean
+    for block, block_inputs in enumerate(inputs):
+        result = response_map @ np.concatenate([state, block_inputs])
+        outputs[block], state = result[: length * d], result[length * d :]
+    return outputs.reshape(-1, d)[1 : horizon + 1]

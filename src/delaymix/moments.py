@@ -161,6 +161,9 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
     # one GEMM per (k1, k2), ((a, b), t) @ (t, (k3, c)), each with the shape
     # and strides of a per-k1 loop's, so BLAS sums in the same order
     block = np.matmul(z.transpose(0, 2, 3, 1), m3)  # (k1, k2, (a, b), (k3, c))
+    # z is the size of a few tensors; freed here, it is gone before the new
+    # tensor is allocated, so the fold peaks at the larger of the two
+    del z
     # a new array leaves the argument untouched; times 1.0 changes no bit
     data = tensor.data * cfg.forgetting
     lagged = data.reshape(k_max, p, k_max, p, -1)  # [k1-1, a, k2-1, b, (k3-1, c)]

@@ -2,8 +2,9 @@
 
 Value types for the identification pipeline (delayed systems, delay-free
 state-space models, Markov parameter sequences, trajectories) together with
-simulation, impulse-response computation, delay embedding, and delay readout
-from spectral-norm profiles.
+the per-step simulation the generator runs, the batched open-loop response
+maps the engine reads, delay embedding, and delay readout from
+spectral-norm profiles.
 
 All operations here are pure functions of their arguments; the dataclasses
 are treated as immutable after construction.
@@ -12,6 +13,7 @@ are treated as immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -244,7 +246,11 @@ def simulate_delayed(sys: TimeDelaySystem, inputs, x0=None, prehistory=None) -> 
 
 
 def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
-    """Run the standard LTI recursion x <- A x + B u, emitting y = C x first."""
+    """Run the standard LTI recursion x <- A x + B u, emitting y = C x first.
+
+    One step per input, in Python: the generator's recursion. The engine
+    reads the same responses from `response_maps`.
+    """
     u_seq = _input_array(inputs, model.input_dim, "inputs")
     steps = u_seq.shape[0]
     if steps < 1:
@@ -258,27 +264,79 @@ def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
     return Trajectory(y_seq, u_seq)
 
 
-def markov_parameters_delayed(sys: TimeDelaySystem, horizon: int) -> MarkovSequence:
-    """Impulse response of a delayed system: tau zero blocks, then C A^(j-tau-1) B."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be at least 1, got {horizon}")
-    blocks = np.zeros((horizon, sys.output_dim, sys.input_dim))
-    if horizon > sys.delay:
-        free = markov_parameters_free(_delay_free_part(sys), horizon - sys.delay)
-        blocks[sys.delay :] = free.blocks
-    return MarkovSequence(blocks)
+def response_maps(models: Sequence[DelayFreeModel], steps: int) -> np.ndarray:
+    """The open-loop response maps of the models over `steps` steps, built
+    in one batched pass with no loop over the steps.
 
+    From a state x_0, the recursion of `simulate_delay_free` over inputs
+    u_0 ... u_{T-1}, T = steps, is linear in v = [x_0; u_0; ...; u_{T-1}]:
+    y_t = C A^t x_0 + sum_{i<t} C A^(t-1-i) B u_i, and the state after the
+    last step is x_T = A^T x_0 + sum_i A^(T-1-i) B u_i. A model's map holds
+    y_0 ... y_{T-1} in its first T*d rows and x_T in its last n, so its
+    shape is (T*d + n, n + T*dc), and the u columns of its output rows are
+    block Toeplitz in the Markov blocks C A^j B. The map sums in another
+    order than the recursion, so the two agree to rounding.
 
-def markov_parameters_free(model: DelayFreeModel, horizon: int) -> MarkovSequence:
-    """Impulse response of a delay-free model: blocks C A^(j-1) B."""
-    if horizon < 1:
-        raise ConfigError(f"horizon must be at least 1, got {horizon}")
-    blocks = np.zeros((horizon, model.output_dim, model.input_dim))
-    power = np.eye(model.state_dim)
-    for j in range(1, horizon + 1):
-        blocks[j - 1] = model.output_map @ power @ model.input_map
-        power = model.transition @ power
-    return MarkovSequence(blocks)
+    The models share their output and input dims. Each is zero-padded to
+    the largest order n among them, as `kalman_forward` pads, and the
+    result stacks the padded maps, (count, T*d + n, n + T*dc); a padded
+    state's rows and columns are zero, so model r's map is batch[r]
+    without them. Block j of a stack holds [C; I] A^j for j = 0 ... T, by
+    doubling: once blocks 0 ... m are known, blocks 1 ... m times A^m, the
+    identity rows of block m, give blocks m+1 ... 2m. One product with B
+    then gives every C A^j B and A^j B.
+    """
+    if len({(model.output_dim, model.input_dim) for model in models}) != 1:
+        raise ShapeError("response_maps needs one or more models of equal output and input dims")
+    if steps < 1:
+        raise ShapeError(f"a response map needs at least one step, got {steps}")
+    d, dc = models[0].output_dim, models[0].input_dim
+    n = max(model.state_dim for model in models)
+    count, rows, size = len(models), steps * d, d + n
+    # powers[:, j] = [C; I] A^j: C A^j in its first d rows, A^j in its last n
+    powers = np.zeros((count, steps + 1, size, n))
+    b = np.zeros((count, n, dc))
+    for r, model in enumerate(models):
+        k = model.state_dim
+        powers[r, 0, :d, :k] = model.output_map
+        powers[r, 1, :d, :k] = model.output_map @ model.transition
+        powers[r, 1, d : d + k, :k] = model.transition
+        b[r, :k] = model.input_map
+    powers[:, 0, d:] = np.eye(n)
+    flat = powers.reshape(count, (steps + 1) * size, n)
+    known = 1
+    while known < steps:
+        more = min(known, steps - known)
+        np.matmul(
+            flat[:, size : (more + 1) * size],
+            powers[:, known, d:],
+            out=flat[:, (known + 1) * size : (known + more + 1) * size],
+        )
+        known += more
+    # blocks[:, j] = [C A^j B; A^j B]
+    blocks = (flat[:, : steps * size] @ b).reshape(count, steps, size, dc)
+    maps = np.zeros((count, rows + n, n + steps * dc))
+    maps[:, :rows, :n].reshape(count, steps, d, n)[...] = powers[:, :steps, :d]
+    maps[:, rows:, :n] = powers[:, steps, d:]
+    # x_T reads u_i through A^(T-1-i) B
+    maps[:, rows:, n:].reshape(count, n, steps, dc)[...] = blocks[:, ::-1, d:].transpose(0, 2, 1, 3)
+    # y_t reads u_i through C A^(t-1-i) B for i < t. Row a of output t is a
+    # window of T*dc values of a row of the Markov blocks in reverse order,
+    # then T*dc zeros, starting (T-1-t)*dc in: a read-only view whose
+    # constructor refuses a window past its buffer
+    reverse = np.zeros((count, d, (2 * steps - 1) * dc))
+    markov = blocks[:, : steps - 1, :d]
+    reverse[:, :, : (steps - 1) * dc].reshape(count, d, steps - 1, dc)[...] = markov[
+        :, ::-1
+    ].transpose(0, 2, 1, 3)
+    reverse.flags.writeable = False
+    s_r, s_a, s_c = reverse.strides
+    toeplitz = np.ndarray(
+        (count, steps, d, steps * dc), np.float64, reverse, (steps - 1) * dc * s_c,
+        (s_r, -dc * s_c, s_a, s_c),
+    )
+    maps[:, :rows, n:].reshape(count, steps, d, steps * dc)[...] = toeplitz
+    return maps
 
 
 def embed_delay(sys: TimeDelaySystem) -> DelayFreeModel:

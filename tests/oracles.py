@@ -14,10 +14,18 @@ import numpy as np
 
 from delaymix.cpd import CPFactors
 from delaymix.datagen import random_stable_system
-from delaymix.errors import ConditioningError, NumericalError, ShapeError
+from delaymix.errors import ConditioningError, ConfigError, NumericalError, ShapeError
 from delaymix.filtering import filter_window, kalman_forward
 from delaymix.moments import MomentConfig
-from delaymix.syslin import DelayFreeModel, TimeDelaySystem, Trajectory, embed_delay
+from delaymix.syslin import (
+    DelayFreeModel,
+    MarkovSequence,
+    TimeDelaySystem,
+    Trajectory,
+    embed_delay,
+    response_maps,
+    simulate_delay_free,
+)
 
 # The filter map sums the window's terms in another order than the per-step
 # recursion, so the two agree to a tolerance, not bitwise.
@@ -29,6 +37,26 @@ def assert_close(got, want, rtol=FILTER_RTOL):
     one-step prediction can cancel to near zero, and its own relative error
     then says nothing about the filter."""
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+def response_alone(model, steps):
+    """The model's open-loop response map over `steps` steps, built in a
+    batch of its own."""
+    [response_map] = response_maps([model], steps)
+    return response_map
+
+
+def least_squares_gain(model, window) -> float:
+    """The scalar g minimizing ||y - g p||^2 over the window, where p is the
+    model's zero-state response to the window inputs, run step by step; 1.0
+    when p vanishes (||p||^2 < 1e-12) or g is 0."""
+    steps = window.outputs.shape[0]
+    predicted = simulate_delay_free(model, window.inputs[:steps]).outputs
+    denom = float(np.sum(predicted * predicted))
+    if denom < 1e-12:
+        return 1.0
+    scale = float(np.sum(window.outputs * predicted) / denom)
+    return 1.0 if scale == 0.0 else scale
 
 
 def filter_alone(model, window, noise):
@@ -52,6 +80,30 @@ def random_stable_model(
 def factors_from_components(triples) -> CPFactors:
     """CP factors whose component r is the vector triple triples[r]."""
     return CPFactors(*(np.column_stack([t[mode] for t in triples]) for mode in range(3)))
+
+
+def markov_parameters_free(model: DelayFreeModel, horizon: int) -> MarkovSequence:
+    """Impulse response of a delay-free model, blocks C A^(j-1) B, one
+    matrix power per block."""
+    if horizon < 1:
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
+    blocks = np.zeros((horizon, model.output_dim, model.input_dim))
+    power = np.eye(model.state_dim)
+    for j in range(1, horizon + 1):
+        blocks[j - 1] = model.output_map @ power @ model.input_map
+        power = model.transition @ power
+    return MarkovSequence(blocks)
+
+
+def markov_parameters_delayed(sys: TimeDelaySystem, horizon: int) -> MarkovSequence:
+    """Impulse response of a delayed system: tau zero blocks, then C A^(j-tau-1) B."""
+    if horizon < 1:
+        raise ConfigError(f"horizon must be at least 1, got {horizon}")
+    blocks = np.zeros((horizon, sys.output_dim, sys.input_dim))
+    if horizon > sys.delay:
+        free = DelayFreeModel(sys.transition, sys.input_map, sys.output_map)
+        blocks[sys.delay :] = markov_parameters_free(free, horizon - sys.delay).blocks
+    return MarkovSequence(blocks)
 
 
 def embedded_state(sys: TimeDelaySystem, x0=None, prehistory=None) -> np.ndarray:

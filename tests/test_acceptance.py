@@ -20,7 +20,6 @@ from delaymix.syslin import (
     Trajectory,
     detect_delay,
     embed_delay,
-    markov_parameters_free,
     simulate_delay_free,
     simulate_delayed,
     spectral_norm_profile,
@@ -29,6 +28,7 @@ from oracles import (
     FILTER_RTOL,
     align_components,
     filter_alone,
+    markov_parameters_free,
     oracle_moment_tensor,
     per_step_checked_forward,
     random_stable_model,

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +44,12 @@ from delaymix.errors import (
 )
 from delaymix.filtering import FilterTrace, NoiseSpec
 from delaymix.syslin import Trajectory
-from oracles import assert_close, per_step_checked_forward
+from oracles import (
+    assert_close,
+    least_squares_gain,
+    per_step_checked_forward,
+    random_stable_model,
+)
 
 
 def single_regime_traj(length=2000, seed=0, a=0.6, delay=1, noise=0.0):
@@ -307,6 +313,92 @@ class TestEngineUpdate:
         for w in range(failing, 15):
             assert np.array_equal(feed(state, w).forecast, reference[w].forecast)
 
+    def test_non_finite_forecast_is_refused(self):
+        # finite future inputs so large that the forecast overflows: the
+        # forecasting stage names the first non-finite row, no warning
+        # escapes, and the state is untouched
+        traj = single_regime_traj(length=400, seed=3)
+        config = default_config(d=1, dc=1, s=3, l_c=60)
+        state = engine_init(config)
+        engine_update(state, traj.outputs[:60], traj.inputs[:70])
+        before = copy.deepcopy(state)
+        inputs = traj.inputs[60:130].copy()
+        inputs[-5:-1] = 1.7e308
+        with pytest.raises(EngineStageError, match="forecasting: non-finite forecast") as info:
+            engine_update(state, traj.outputs[60:120], inputs)
+        cause = info.value.cause
+        assert isinstance(cause, NumericalError)
+        # rows 0-5 read no huge input; the 10-row forecast overflows later
+        assert 6 <= cause.step <= 9
+        assert f"at step {cause.step}" in str(cause)
+        assert_same_state(state, before)
+        report = engine_update(state, traj.outputs[60:120], traj.inputs[60:130])
+        assert np.isfinite(report.forecast).all() and state.updates == 2
+
+    def test_future_input_that_does_not_scale_is_refused_only_where_read(self):
+        # with an input std under 1, a huge finite future input scales to
+        # inf: an earlier one is refused, naming the first row that reads
+        # it, and the last one, which no row reads, leaves the forecast as
+        # it is with an ordinary last input
+        traj = single_regime_traj(length=400, seed=3)
+        y, u = traj.outputs / 100, traj.inputs / 100
+        state = engine_init(default_config(d=1, dc=1, s=3, l_c=60))
+        engine_update(state, y[:60], u[:70])
+        assert (state.scaler.in_std < 1).all()
+        before = copy.deepcopy(state)
+        inputs = u[60:130].copy()
+        inputs[-3] = 1.7e308
+        with pytest.raises(EngineStageError, match="at step 8: it reads future input 7") as info:
+            engine_update(state, y[60:120], inputs)
+        assert isinstance(info.value.cause, NumericalError) and info.value.cause.step == 8
+        assert_same_state(state, before)
+        reference = engine_update(copy.deepcopy(state), y[60:120], u[60:130]).forecast
+        inputs = u[60:130].copy()
+        inputs[-1] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = engine_update(state, y[60:120], inputs)
+        assert np.array_equal(report.forecast, reference) and state.updates == 2
+
+    @pytest.mark.parametrize("d, dc", [(1, 1), (2, 2)])
+    def test_forecast_matches_a_per_step_rollout(self, d, dc):
+        # horizons inside one block of the l_c-step response map, at its
+        # edge, and chained over three blocks all match the per-step
+        # recursion from the final mean, and each is bitwise the head of
+        # the longest forecast
+        l_c = 60
+        horizons = (1, l_c - 1, l_c, l_c + 1, 5 * l_c // 2)
+        longest = max(horizons)
+        rng = np.random.default_rng(40 + d)
+        system = random_stable_model(rng, 2, d, dc, spectral_radius=0.8)
+        spec = ScenarioSpec(
+            regimes=(TimeDelaySystem(system.transition, system.input_map, system.output_map, 1),),
+            length=8 * l_c + longest, seed=7, obs_noise_std=0.01,
+        )
+        traj = generate(spec)
+        state = engine_init(default_config(d=d, dc=dc, s=2, rank=1, rho=0.5, l_c=l_c))
+        for w in range(8):
+            o = w * l_c
+            outputs = traj.outputs[o : o + l_c]
+            before = copy.deepcopy(state)
+            forecasts = {}
+            for h in horizons:
+                state = copy.deepcopy(before)
+                forecasts[h] = engine_update(state, outputs, traj.inputs[o : o + l_c + h]).forecast
+            scaler, database = state.scaler, state.database
+            model = database.active().model
+            window = Trajectory(scaler.outputs(outputs), scaler.inputs(traj.inputs[o : o + l_c]))
+            x = filter_window(model, database.active_map, window).final_mean
+            x = model.transition @ x + model.input_map @ window.inputs[-1]
+            rollout = np.empty((longest, d))
+            for t, u in enumerate(scaler.inputs(traj.inputs[o + l_c : o + l_c + longest])):
+                rollout[t] = model.output_map @ x
+                x = model.transition @ x + model.input_map @ u
+            for h in horizons:
+                assert forecasts[h].shape == (h, d)
+                assert_close(scaler.outputs(forecasts[h]), rollout[:h])
+                assert np.array_equal(forecasts[h], forecasts[longest][:h]), (w, h)
+
     def test_forecast_pass_through(self):
         # every forecast, from the gate or from selection, is bitwise the one
         # the cached map gives again, and matches one anchored at the
@@ -326,12 +418,13 @@ class TestEngineUpdate:
             )
             model = state.database.active().model
             future = scaler.inputs(traj.inputs[o + 100 : o + 104])
+            response = state.database.active_response
             cached = filter_window(model, state.database.active_map, window)
-            expected = forecast(model, window, future, cached)
+            expected = forecast(response, window, future, cached)
             assert np.array_equal(report.forecast, scaler.restore_outputs(expected)), w
             filtered, _, _, _, predictions, _ = per_step_checked_forward(model, window, NoiseSpec())
             reference = FilterTrace(None, predictions, filtered[-1])
-            assert_close(expected, forecast(model, window, future, reference))
+            assert_close(expected, forecast(response, window, future, reference))
         assert kinds == {(True, False), (True, True), (False, True)}
 
     def test_bounded_memory(self):
@@ -356,6 +449,25 @@ class TestEngineUpdate:
         # tensor, the standardizer and the warm-start factors
         assert sizes == {8 * (dim**3 + 2 * (d + dc) + 3 * dim * rank)}
         assert len(state.database.records) <= config.rank
+
+
+class TestGainFit:
+    def test_batched_gains_match_per_record_least_squares(self):
+        # one batch of unequal orders, with a model whose response vanishes
+        # and a window whose outputs make the fit 0, both falling back to 1.0
+        rng = np.random.default_rng(31)
+        for d, dc in ((1, 1), (2, 3)):
+            models = [random_stable_model(rng, k, d, dc, spectral_radius=0.95) for k in (1, 4, 2)]
+            silent = random_stable_model(rng, 3, d, dc)
+            models.append(replace(silent, output_map=np.zeros((d, 3))))
+            inputs = rng.standard_normal((45, dc))
+            for outputs in (rng.standard_normal((45, d)), np.zeros((45, d))):
+                window = Trajectory(outputs, inputs)
+                gains = engine._input_gains(models, window)
+                want = [least_squares_gain(model, window) for model in models]
+                np.testing.assert_allclose(gains, want, rtol=1e-12)
+                assert gains[-1] == 1.0
+            assert gains == [1.0] * 4
 
 
 class TestFilterPasses:
@@ -565,6 +677,35 @@ class TestCheckpoint:
         for got, want in zip(resumed, reference[cut:]):
             assert got.adapted == want.adapted
             assert np.array_equal(got.forecast, want.forecast)
+
+    def test_restore_then_continue_past_l_c(self):
+        # forecasts of 2 l_c + 3 steps chain the restored response map over
+        # three blocks, bitwise as the uninterrupted run does
+        traj = two_regime_traj(length=CUT_WINDOWS * CUT_LC + 2 * CUT_LC + 3, seed=3)
+        config = _cut_config(1.0)
+
+        def feed(state, windows):
+            return [
+                engine_update(
+                    state,
+                    traj.outputs[w * CUT_LC : (w + 1) * CUT_LC],
+                    traj.inputs[w * CUT_LC : (w + 3) * CUT_LC + 3],
+                ).forecast
+                for w in windows
+            ]
+
+        reference = feed(engine_init(config), range(CUT_WINDOWS))
+        for cut in (1, CUT_WINDOWS // 2, CUT_WINDOWS - 1):
+            state = engine_init(config)
+            feed(state, range(cut))
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "state.bin"
+                save_checkpoint(state, path)
+                restored = load_checkpoint(path)
+            assert np.array_equal(restored.database.active_response, state.database.active_response)
+            for got, want in zip(feed(restored, range(cut, CUT_WINDOWS)), reference[cut:]):
+                assert got.shape == (2 * CUT_LC + 3, 1)
+                assert np.array_equal(got, want)
 
     def test_round_trip(self, tmp_path):
         traj = single_regime_traj(length=1200, seed=13)
@@ -859,10 +1000,11 @@ def assert_same_state(got, want):
         assert np.array_equal(mine.markov.blocks, theirs.markov.blocks)
         assert mine.component_index == theirs.component_index
         assert mine.b_scale == theirs.b_scale
-    if want.database.active_map is None:
-        assert got.database.active_map is None
-    else:
-        assert np.array_equal(got.database.active_map, want.database.active_map)
+    for name in ("active_map", "active_response"):
+        if getattr(want.database, name) is None:
+            assert getattr(got.database, name) is None
+        else:
+            assert np.array_equal(getattr(got.database, name), getattr(want.database, name))
 
 
 def _without_arrays(header, payload, names):

@@ -15,20 +15,22 @@ from delaymix import (
     forecast,
     ho_kalman,
     kalman_forward,
-    markov_parameters_delayed,
-    markov_parameters_free,
     persistence_baseline,
+    response_maps,
     simulate_delay_free,
 )
 from delaymix.errors import DelayMixError
+from oracles import markov_parameters_delayed, markov_parameters_free
 
 MODEL = DelayFreeModel(0.5, 1.0, 1.0)
 WINDOW = Trajectory(np.ones((4, 1)), np.ones((4, 1)))
 SHORT = Trajectory(np.ones((3, 1)), np.ones((3, 1)))
 [MAP] = kalman_forward([MODEL], 4, NoiseSpec())
 [SHORT_MAP] = kalman_forward([MODEL], 3, NoiseSpec())
+[RESPONSE] = response_maps([MODEL], 4)
 SEQUENCE = MarkovSequence(np.ones(4))
 TENSOR = np.ones((2, 2, 2))
+TRACE = filter_window(MODEL, MAP, WINDOW)
 
 
 @pytest.mark.parametrize(
@@ -47,7 +49,12 @@ TENSOR = np.ones((2, 2, 2))
         lambda: markov_parameters_delayed(TimeDelaySystem(0.5, 1.0, 1.0), 0),
         lambda: filter_window(MODEL, MAP, Trajectory(np.ones((4, 2)), np.ones((4, 1)))),
         lambda: filter_window(MODEL, np.ones((3, 6)), WINDOW),
-        lambda: forecast(MODEL, WINDOW, np.ones((2, 1)), filter_window(MODEL, SHORT_MAP, SHORT)),
+        lambda: forecast(RESPONSE, WINDOW, np.ones((2, 1)), filter_window(MODEL, SHORT_MAP, SHORT)),
+        lambda: forecast(np.ones((5, 4)), WINDOW, np.ones((2, 1)), TRACE),
+        lambda: forecast(RESPONSE, WINDOW, np.ones((0, 1)), TRACE),
+        lambda: response_maps([], 4),
+        lambda: response_maps([MODEL, DelayFreeModel(0.5, 1.0, [[1.0], [1.0]])], 4),
+        lambda: response_maps([MODEL], 0),
         lambda: kalman_forward([], 4, NoiseSpec()),
         lambda: kalman_forward([MODEL, DelayFreeModel(0.5, 1.0, [[1.0], [1.0]])], 4, NoiseSpec()),
         lambda: kalman_forward([MODEL], 0, NoiseSpec()),
@@ -60,6 +67,8 @@ TENSOR = np.ones((2, 2, 2))
         "input-kind", "input-scale-negative", "input-scale-inf", "delay", "noise", "noise-inf",
         "hankel-size", "realization-order", "empty-inputs", "markov-horizon",
         "delayed-markov-horizon", "window-channels", "map-shape", "forecast-trace",
+        "forecast-response-shape", "forecast-no-steps", "response-no-models",
+        "response-mixed-dims", "response-no-steps",
         "map-no-models", "map-mixed-dims", "map-no-steps",
         "als-max-iters", "als-tol", "persistence-window", "persistence-horizon",
     ],

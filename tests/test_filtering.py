@@ -13,7 +13,6 @@ from delaymix import (
     filter_window,
     forecast,
     kalman_forward,
-    markov_parameters_delayed,
     select_regime,
     simulate_delay_free,
     window_error,
@@ -21,7 +20,14 @@ from delaymix import (
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ConditioningError, EmptyDatabaseError, NumericalError
 from delaymix.realization import ho_kalman
-from oracles import assert_close, filter_alone, per_step_checked_forward, random_stable_model
+from oracles import (
+    assert_close,
+    filter_alone,
+    markov_parameters_delayed,
+    per_step_checked_forward,
+    random_stable_model,
+    response_alone,
+)
 
 
 def self_generated(rng, model, steps, x0=None):
@@ -527,7 +533,7 @@ class TestForecast:
         window = Trajectory(sim.outputs[:60], inputs[:60])
         noise = NoiseSpec(process_var=1e-10, obs_var=1e-10)
         trace = filter_alone(model, window, noise)
-        predicted = forecast(model, window, inputs[60:61], trace)
+        predicted = forecast(response_alone(model, 60), window, inputs[60:61], trace)
         assert np.allclose(predicted[0], sim.outputs[60], atol=1e-5)
 
     def test_zero_everything(self):
@@ -535,7 +541,7 @@ class TestForecast:
         model = random_stable_model(rng, 2, 1, 1)
         window = Trajectory(np.zeros((20, 1)), np.zeros((20, 1)))
         trace = filter_alone(model, window, NoiseSpec())
-        predicted = forecast(model, window, np.zeros((5, 1)), trace)
+        predicted = forecast(response_alone(model, 20), window, np.zeros((5, 1)), trace)
         assert np.allclose(predicted, 0.0)
 
     def test_split_horizon_is_exact_continuation(self):
@@ -544,8 +550,9 @@ class TestForecast:
         window, _ = self_generated(rng, model, 40)
         future = rng.standard_normal((7, 2))
         trace = filter_alone(model, window, NoiseSpec())
-        full = forecast(model, window, future, trace)
-        head = forecast(model, window, future[:3], trace)
+        response = response_alone(model, 40)
+        full = forecast(response, window, future, trace)
+        head = forecast(response, window, future[:3], trace)
         assert np.allclose(full[:3], head, atol=0)
 
     def test_horizons_for_metrics(self):
@@ -555,7 +562,7 @@ class TestForecast:
         trace = filter_alone(model, window, NoiseSpec())
         for horizon in (1, 10, 30):
             future = rng.standard_normal((horizon, 1))
-            predicted = forecast(model, window, future, trace)
+            predicted = forecast(response_alone(model, 30), window, future, trace)
             assert predicted.shape == (horizon, 1)
 
     def test_equivalent_realizations_forecast_identically(self):
@@ -569,14 +576,21 @@ class TestForecast:
         sim = simulate_delay_free(embedded, inputs)
         window = Trajectory(sim.outputs[:90], inputs[:90])
         noise = NoiseSpec(process_var=1e-12, obs_var=1e-10)
-        f1 = forecast(embedded, window, inputs[90:], filter_alone(embedded, window, noise))
-        f2 = forecast(realized, window, inputs[90:], filter_alone(realized, window, noise))
+        f1 = forecast(
+            response_alone(embedded, 90), window, inputs[90:], filter_alone(embedded, window, noise)
+        )
+        f2 = forecast(
+            response_alone(realized, 90), window, inputs[90:], filter_alone(realized, window, noise)
+        )
         assert np.allclose(f1, f2, atol=1e-6)
 
     def test_anchor_is_the_smoothed_final_state(self):
         # the smoothed mean at the final step is the filtered one, which
         # already conditions on the whole window: the forecast advances the
-        # map's final mean, which matches the per-step reference
+        # map's final mean, which matches the per-step reference: bitwise
+        # its response map applied to [final mean; last window input; the
+        # future inputs the rows read; zeros], and to rounding the per-step
+        # rollout from the same mean
         rng = np.random.default_rng(19)
         noise = NoiseSpec()
         for n in range(1, 5):
@@ -593,7 +607,27 @@ class TestForecast:
                 for i in range(6):
                     expected[i] = c @ state
                     state = a @ state + b @ future[i]
-                assert np.array_equal(forecast(model, window, future, trace), expected)
+                response = response_alone(model, 25)
+                predicted = forecast(response, window, future, trace)
+                padding = np.zeros((25 - 6) * 2)
+                run = np.concatenate([anchor, window.inputs[-1], future[:5].ravel(), padding])
+                from_map = (response @ run)[: 25 * d].reshape(25, d)
+                assert np.array_equal(predicted, from_map[1:7])
+                assert_close(predicted, expected)
+
+    def test_block_length_does_not_change_the_forecast(self):
+        # chained over blocks of L steps, from one step to past the horizon,
+        # the forecast matches the recursion from the same anchor
+        rng = np.random.default_rng(22)
+        model = random_stable_model(rng, 3, 2, 2, spectral_radius=0.95)
+        window, _ = self_generated(rng, model, 30)
+        future = rng.standard_normal((17, 2))
+        trace = filter_alone(model, window, NoiseSpec())
+        anchor = model.transition @ trace.final_mean + model.input_map @ window.inputs[-1]
+        want = simulate_delay_free(model, future, x0=anchor).outputs
+        for length in (1, 2, 5, 16, 17, 40):
+            response = response_alone(model, length)
+            assert_close(forecast(response, window, future, trace), want)
 
     def test_given_trace_skips_the_pass_bitwise(self):
         # forecast always reads a given trace; one from another window is refused
@@ -605,4 +639,4 @@ class TestForecast:
         short = Trajectory(window.outputs[:10], window.inputs[:10])
         short_trace = filter_alone(model, short, noise)
         with pytest.raises(ValueError):
-            forecast(model, window, future, short_trace)
+            forecast(response_alone(model, 30), window, future, short_trace)

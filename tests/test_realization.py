@@ -6,8 +6,6 @@ from delaymix import (
     TimeDelaySystem,
     detect_delay,
     embed_delay,
-    markov_parameters_delayed,
-    markov_parameters_free,
     simulate_delay_free,
     spectral_norm_profile,
 )
@@ -28,7 +26,12 @@ from delaymix.realization import (
     realize_components,
 )
 from delaymix.syslin import MarkovSequence
-from oracles import factors_from_components, random_stable_model
+from oracles import (
+    factors_from_components,
+    markov_parameters_delayed,
+    markov_parameters_free,
+    random_stable_model,
+)
 
 
 def stacked_component(seq, config, rng=None):

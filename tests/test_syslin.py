@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaymix import (
     DelayFreeModel,
     TimeDelaySystem,
     detect_delay,
     embed_delay,
-    markov_parameters_delayed,
-    markov_parameters_free,
+    response_maps,
     simulate_delay_free,
     simulate_delayed,
     spectral_norm_profile,
@@ -15,7 +16,13 @@ from delaymix import (
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ShapeError
 from delaymix.syslin import DELAY_THRESHOLD
-from oracles import embedded_state
+from oracles import (
+    assert_close,
+    embedded_state,
+    markov_parameters_delayed,
+    markov_parameters_free,
+    random_stable_model,
+)
 
 
 def scalar_sys(a=0.5, b=1.0, c=1.0, delay=0):
@@ -255,3 +262,69 @@ class TestDelayReadout:
         assert detect_delay([1, 0.5, 0.25]) == 0
         # an entry at DELAY_THRESHOLD ends the delay
         assert detect_delay([0.05, DELAY_THRESHOLD, 1.0]) == 1
+
+
+def _unpadded(batch_map, model, steps):
+    """Model r's map from its padded slice of a batch: without the padded
+    state's rows and columns."""
+    k, n = model.state_dim, batch_map.shape[0] - steps * model.output_dim
+    rows = steps * model.output_dim + k
+    return np.concatenate([batch_map[:rows, :k], batch_map[:rows, n:]], axis=1)
+
+
+class TestResponseMaps:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        d=st.integers(1, 3),
+        dc=st.integers(1, 3),
+        radius=st.floats(0.05, 0.999),
+        steps=st.integers(1, 70),
+    )
+    def test_map_matches_the_recursion(self, seed, orders, d, dc, radius, steps):
+        # a batch of unequal orders: each model's map times [x0; u] gives the
+        # recursion's outputs and its state after the last step
+        rng = np.random.default_rng(seed)
+        models = [random_stable_model(rng, k, d, dc, spectral_radius=radius) for k in orders]
+        batch = response_maps(models, steps)
+        n = max(orders)
+        assert batch.shape == (len(models), steps * d + n, n + steps * dc)
+        for model, batch_map in zip(models, batch):
+            k = model.state_dim
+            # the padded state's rows and columns are exactly zero
+            assert not batch_map[steps * d + k :].any()
+            assert not batch_map[:, k:n].any()
+            x0, inputs = rng.standard_normal(k), rng.standard_normal((steps, dc))
+            got = _unpadded(batch_map, model, steps) @ np.concatenate([x0, inputs.ravel()])
+            want = simulate_delay_free(model, inputs, x0=x0).outputs
+            assert_close(got[: steps * d].reshape(steps, d), want)
+            state = x0
+            for u in inputs:
+                state = model.transition @ state + model.input_map @ u
+            assert_close(got[steps * d :], state)
+
+    def test_markov_blocks_match_the_oracle(self):
+        # output t reads u_i through C A^(t-1-i) B for i < t and through
+        # exact zeros for i >= t
+        rng = np.random.default_rng(21)
+        for steps in (1, 2, 5, 33):
+            models = [random_stable_model(rng, k, 2, 3, spectral_radius=0.95) for k in (3, 1)]
+            for model, batch_map in zip(models, response_maps(models, steps)):
+                toeplitz = _unpadded(batch_map, model, steps)[: steps * 2, model.state_dim :]
+                blocks = toeplitz.reshape(steps, 2, steps, 3).transpose(0, 2, 1, 3)
+                truth = markov_parameters_free(model, steps).blocks
+                for t in range(steps):
+                    assert not blocks[t, t:].any()
+                    for i in range(t):
+                        assert_close(blocks[t, i], truth[t - 1 - i])
+
+    def test_delayed_system_shows_its_delay(self):
+        # the embedded model of a delay-3 system answers an impulse three
+        # steps later than the delay-free part does
+        sys = TimeDelaySystem(0.6, 1.0, 1.0, delay=3)
+        [batch_map] = response_maps([embed_delay(sys)], 8)
+        impulse = np.zeros(embed_delay(sys).state_dim + 8)
+        impulse[embed_delay(sys).state_dim] = 1.0
+        want = markov_parameters_delayed(sys, 7).blocks.ravel()
+        assert_close((batch_map @ impulse)[1:8], want)
