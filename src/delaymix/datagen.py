@@ -73,6 +73,10 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a float count fails only inside numpy, and a bool is an int to Python
+        for name in ("length", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ScenarioError(f"{name} must be an int, got {getattr(self, name)!r}", name)
         if self.length < 1:
             raise ScenarioError(f"length must be positive, got {self.length}", "length")
         regimes = tuple(self.regimes)
@@ -98,7 +102,11 @@ class ScenarioSpec:
                 raise ScenarioError(f"schedule refers to unknown regime {r}", "schedule", j)
             if not 0 <= t < self.length:
                 raise ScenarioError(f"change point {t} lies outside the stream", "schedule", j)
-        if self.obs_noise_std < 0.0:
+        noise = self.obs_noise_std
+        # NaN fails a sign check too, and would then add no noise unnoticed
+        if isinstance(noise, bool) or not (isinstance(noise, (int, float)) and noise < math.inf):
+            raise ScenarioError(f"obs_noise_std must be finite, got {noise!r}", "obs_noise_std")
+        if noise < 0.0:
             raise ScenarioError("obs_noise_std cannot be negative", "obs_noise_std")
         if self.seed < 0:
             raise ScenarioError(f"seed must be non-negative, got {self.seed}", "seed")

@@ -115,17 +115,14 @@ class RegimeDatabase:
     stored factors and gains, so a checkpoint stores neither the models nor
     their Markov blocks.
 
-    active_map is the active model's filter map over an l_c-step window
-    (`filtering.kalman_forward`), shape (l_c*d + n, l_c*(d+dc)): the gate
-    and the forecast anchor are one product of it with the window. It was
-    built in one batch with every record's map. active_response is the
-    active model's open-loop response map over l_c steps
-    (`syslin.response_maps` of that model alone), shape
-    (l_c*d + n, n + l_c*dc): a forecast is one product of it per l_c steps
-    of horizon, from the filter's final mean. Both are derived data:
-    load_checkpoint rebuilds them with the calls adaptation made, through
-    `_database`. No other record's maps are kept: an adaptation builds
-    them for its new records and replaces the database whole.
+    active_map is the active model's filter map over an l_c-step window,
+    shape (l_c*d + n, l_c*(d+dc)): the gate and the forecast anchor are one
+    product of it with the window. active_response is its open-loop
+    response map over l_c steps, shape (l_c*d + n, n + l_c*dc): a forecast
+    is one product of it per l_c steps of horizon, from the filter's final
+    mean. Both are derived data, built by `_database`, whose contract says
+    from what. No other record's maps are kept: an adaptation builds them
+    for its new records and replaces the database whole.
     """
 
     records: list[ModelRecord] = field(default_factory=list)
@@ -324,14 +321,22 @@ def _input_gains(models: list[DelayFreeModel], window: Trajectory) -> list[float
     return gains
 
 
-def _database(records, index, factors, filter_map, l_c) -> RegimeDatabase:
-    """The database with records[index] active. filter_map is that record's
-    map from the `kalman_forward` batch of every record, and its response
-    map over l_c steps is built here, from its model alone: adaptation and
-    load_checkpoint both come here, so a restored run forecasts bitwise as
-    the saved one would have."""
+def _database(records, index, factors, filter_maps, l_c) -> RegimeDatabase:
+    """The database with records[index] active, and that record's maps.
+
+    filter_maps is `kalman_forward([r.model for r in records], l_c, NOISE)`,
+    every record's map in record order; a batch's maps are not bitwise each
+    model's built alone. The active map is a copy of row index of it, and
+    the response map is `response_maps` of the active model alone over l_c
+    steps. Adaptation and load_checkpoint both build the batch by that call
+    and come here, so a restored run filters and forecasts bitwise as the
+    saved one would have. The list is emptied once the row is copied: the
+    batch is an adaptation's largest array, and no caller reads it after,
+    so it is freed before the response map is built."""
+    active_map = filter_maps[index].copy()
+    filter_maps.clear()
     [response] = response_maps([records[index].model], l_c)
-    return RegimeDatabase(records, index, factors, filter_map, response)
+    return RegimeDatabase(records, index, factors, active_map, response)
 
 
 def _realize_records(factors: CPFactors, moment: MomentConfig, gains) -> list[ModelRecord]:
@@ -374,10 +379,10 @@ def engine_update(
     cached filter map to the window (`filter_window`), one matrix-vector
     product that also gives the forecast's anchor. Only an adaptation runs
     `kalman_forward`, once, building every new record's map in one batch;
-    selection applies each, and the winner's map becomes the cache and
-    anchors the forecast. The forecast runs the cached l_c-step response
-    map from that anchor, one product per l_c steps of horizon, and an
-    adaptation builds the winner's response map anew.
+    `select_regime` scores that batch, the winner's trace anchors the
+    forecast, and `_database` caches the winner's maps. The forecast runs
+    the cached l_c-step response map from that anchor, one product per l_c
+    steps of horizon.
 
     Every stage computes into locals and the state is assigned once, at the
     end, so an update either commits whole or raises and leaves the state
@@ -428,7 +433,7 @@ def engine_update(
     had_models = bool(database.records)
     if had_models:
         with _stage("fit_scoring"):
-            trace = filter_window(database.active().model, database.active_map, window)
+            trace = filter_window(database.active_map, window)
             gate_fit = window_error(window, trace)
     else:
         gate_fit = float("inf")
@@ -444,10 +449,9 @@ def engine_update(
             records = _realize_records(
                 factors, cfg.moment, lambda _, models: _input_gains(models, window)
             )
-            index, best_fit, trace = select_regime(
-                [record.model for record in records], window, NOISE
-            )
-            database = _database(records, index, factors, trace.filter_map, cfg.l_c)
+            maps = kalman_forward([record.model for record in records], cfg.l_c, NOISE)
+            index, best_fit, trace = select_regime(maps, window)
+            database = _database(records, index, factors, maps, cfg.l_c)
             if not had_models:
                 gate_fit = best_fit
 
@@ -488,8 +492,9 @@ def run_horizons(
     """
     state = engine_init(config)
     horizons = tuple(horizons)
-    if not horizons or min(horizons) < 1:
-        raise ConfigError(f"horizons {list(horizons)} must be non-empty and each at least 1")
+    # as for l_c, a bool or a float is refused, not read as a step count
+    if not horizons or any(type(h) is not int or h < 1 for h in horizons):
+        raise ConfigError(f"horizons {list(horizons)} must be non-empty ints of at least 1")
     l_c, total = config.l_c, len(trajectory)
     longest = max(horizons)
     if total < l_c + longest:
@@ -602,16 +607,12 @@ def load_checkpoint(path) -> EngineState:
     the records, realized from the warm-start factors with the stored gains
     by `_realize_records`, the path adaptation made them by, so their
     component indices must equal the stored ones, in order, and every value
-    must be finite; the active model's filter map, taken from one
-    `kalman_forward` batch of every record's model, in record order. That
-    is the batch selection built, so the map is bitwise the one the saved
-    run held; a model built alone can differ in the last bits. And the
-    active model's response map, from `response_maps` of that model alone,
-    the call adaptation made (both go through `_database`), so continuing
-    forecasts any horizon bitwise as the saved run would have. A file that
-    is not one whole checkpoint of this version (truncated, padded, from
-    another version, or with a damaged header or array) or holds a state no
-    update can reach raises ParseError.
+    must be finite; and the active model's maps, by `_database` as
+    adaptation builds them, so continuing forecasts any horizon bitwise as
+    the saved run would have. A file that is not one whole checkpoint of
+    this version (truncated, padded, from another version, or with a
+    damaged header or array) or holds a state no update can reach raises
+    ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -732,7 +733,6 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         except DelayMixError as err:
             raise ParseError(f"the re-derived models cannot be filtered: {err}") from err
         state.database = _database(
-            derived, active_index, state.database.last_factors, maps[active_index].copy(),
-            state.config.l_c,
+            derived, active_index, state.database.last_factors, maps, state.config.l_c
         )
     return state

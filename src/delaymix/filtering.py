@@ -17,8 +17,9 @@ float64 cannot hold. `filter_window` applies one map to a window, one
 matrix-vector product, and raises at the first step whose result is not
 finite.
 `window_error` and `forecast` read what it returns, and `select_regime`
-returns the winner's, with a copy of its map, so the caller can forecast
-from it and keep the map without building it again.
+scores a batch of maps it is handed and returns the winner's trace, so the
+caller can forecast from it without filtering again. Only `kalman_forward`
+reads a model; everything after it reads maps and windows.
 
 The forecast is linear too: from the state after the window, the model's
 open-loop response map over L steps (`syslin.response_maps`) gives the
@@ -29,7 +30,7 @@ takes one product per L steps of horizon and steps no model in Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .syslin import DelayFreeModel, Trajectory
+from .syslin import DelayFreeModel, Trajectory, padded_stack
 
 # A build step whose largest entry is smaller than the largest term it sums
 # by more than this factor keeps fewer than 42 of float64's 52 bits, and
@@ -64,8 +65,9 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("process_var", "obs_var", "prior_var"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ class FilterTrace:
     predictions, which `window_error` reads, and the filtered mean at the
     last step, which `forecast` advances."""
 
-    filter_map: np.ndarray            # (T*d + n, T*(d+dc))
     one_step_predictions: np.ndarray  # (T, d)
     final_mean: np.ndarray            # (n,)
 
@@ -85,10 +86,9 @@ def kalman_forward(
     """The filter maps of the models over windows of `steps` steps, built in
     one pass.
 
-    The models share their output and input dims. Each is zero-padded to
-    the largest order among them; the padded states stay uncoupled and get
-    exactly zero gains, so their rows of the mean map stay zero. Each step
-    predicts the covariance and the mean map X (X <- A X, plus B in the
+    The models are zero-padded by `syslin.padded_stack`; the padded states
+    get exactly zero gains, so their rows of the mean map stay zero. Each
+    step predicts the covariance and the mean map X (X <- A X, plus B in the
     columns of u_{t-1}), stores the prediction rows C X, then corrects with
     one output at a time: k = P c_i / s, s = c_i P c_i + obs_var, so
     X -= k (c_i X) and k goes into the column of y_{t,i} (Anderson & Moore
@@ -115,21 +115,11 @@ def kalman_forward(
     lowest-indexed model whose ratio exceeds MAX_CANCELLATION raises
     ConditioningError naming the step.
     """
-    if len({(model.output_dim, model.input_dim) for model in models}) != 1:
-        raise ShapeError("kalman_forward needs one or more models of equal output and input dims")
+    a, b, c = padded_stack(models, "kalman_forward")
     if steps < 1:
         raise ShapeError(f"a filter map needs at least one step, got {steps}")
-    d, dc = models[0].output_dim, models[0].input_dim
-    n = max(model.state_dim for model in models)
-    count, width = len(models), d + dc
-    a = np.zeros((count, n, n))
-    b = np.zeros((count, n, dc))
-    c = np.zeros((count, d, n))
-    for r, model in enumerate(models):
-        k = model.state_dim
-        a[r, :k, :k] = model.transition
-        b[r, :k] = model.input_map
-        c[r, :, :k] = model.output_map
+    (count, d, n), dc = c.shape, b.shape[2]
+    width = d + dc
     a_t = a.transpose(0, 2, 1)
     c_cols = [c[:, i, :, None] for i in range(d)]
     c_rows = [c[:, i, None, :] for i in range(d)]
@@ -208,31 +198,27 @@ def kalman_forward(
     return [maps[r, : steps * d + model.state_dim] for r, model in enumerate(models)]
 
 
-def filter_window(
-    model: DelayFreeModel, filter_map: np.ndarray, window: Trajectory
-) -> FilterTrace:
-    """The model's filter over the window: its map times the stacked window.
+def filter_window(filter_map: np.ndarray, window: Trajectory) -> FilterTrace:
+    """A model's filter over the window: its map times the stacked window.
 
-    filter_map is this model's map from `kalman_forward` for windows of
-    this length. Every value of the window must be finite, u_{T-1} too,
-    which the map multiplies by zero: 0 * NaN is NaN, so one non-finite
-    value makes every result non-finite. A non-finite result raises
+    filter_map is a model's map from `kalman_forward` for windows of this
+    length, shape (T*d + n, T*(d+dc)): the window fixes T, d and dc, and
+    the rows past T*d the order n >= 1. Any other shape raises ShapeError.
+    Every value of the window must be finite, u_{T-1} too, which the map
+    multiplies by zero: 0 * NaN is NaN, so one non-finite value makes every
+    result non-finite. A non-finite result raises
     NumericalError naming the first step of the window that holds a
     non-finite value, or else the first step whose prediction is
     non-finite, or else the last step, whose filtered mean is.
     """
     y = window.outputs
-    steps, d, n = y.shape[0], model.output_dim, model.state_dim
-    if y.shape[1] != d or window.input_dim != model.input_dim:
+    (steps, d), dc = y.shape, window.input_dim
+    if filter_map.ndim != 2 or filter_map.shape[0] <= steps * d or (
+        filter_map.shape[1] != steps * (d + dc)
+    ):
         raise ShapeError(
-            f"window has {y.shape[1]} output and {window.input_dim} input channels, "
-            f"the model {d} and {model.input_dim}"
-        )
-    expected = (steps * d + n, steps * (d + model.input_dim))
-    if filter_map.shape != expected:
-        raise ShapeError(
-            f"filter map has shape {filter_map.shape}, expected {expected} "
-            "for this model and window"
+            f"filter map has shape {filter_map.shape}, which is no map of a model with "
+            f"{d} outputs and {dc} inputs over a {steps}-step window"
         )
     z = np.concatenate([y, window.inputs[:steps]], axis=1).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -248,7 +234,7 @@ def filter_window(
             step = int(np.argmin(finite))
             raise NumericalError(f"non-finite prediction at step {step}", step=step)
         raise NumericalError(f"non-finite filter state at step {steps - 1}", step=steps - 1)
-    return FilterTrace(filter_map, predictions, final_mean)
+    return FilterTrace(predictions, final_mean)
 
 
 def window_error(window: Trajectory, trace: FilterTrace) -> float:
@@ -263,25 +249,21 @@ def window_error(window: Trajectory, trace: FilterTrace) -> float:
 
 
 def select_regime(
-    database: Sequence[DelayFreeModel], window: Trajectory, noise: NoiseSpec
+    filter_maps: Sequence[np.ndarray], window: Trajectory
 ) -> tuple[int, float, FilterTrace]:
-    """Index, window error and filter trace of the model with the lowest
+    """Index, window error and filter trace of the map with the lowest
     window error; ties keep the lowest index.
 
-    Every model's map comes from one `kalman_forward` batch, and each is
-    applied to the window once. The returned trace holds a copy of the
-    winner's map, so the batch can be freed, and lets the caller forecast
-    from the winner without filtering again.
+    Each map, one model's from `kalman_forward`, is applied to the window
+    once, and the winner's trace lets the caller forecast without filtering
+    again.
     """
-    if len(database) == 0:
+    if len(filter_maps) == 0:
         raise EmptyDatabaseError("cannot select a regime from an empty model database")
-    maps = kalman_forward(database, window.outputs.shape[0], noise)
-    traces = [
-        filter_window(model, filter_map, window) for model, filter_map in zip(database, maps)
-    ]
+    traces = [filter_window(filter_map, window) for filter_map in filter_maps]
     errors = [window_error(window, trace) for trace in traces]
     best = int(np.argmin(errors))
-    return best, float(errors[best]), replace(traces[best], filter_map=maps[best].copy())
+    return best, float(errors[best]), traces[best]
 
 
 def forecast(

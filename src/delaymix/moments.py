@@ -63,7 +63,7 @@ class MomentConfig:
             raise ConfigError(
                 f"d, dc and s must be ints, got d={self.d!r} dc={self.dc!r} s={self.s!r}"
             )
-        if isinstance(self.forgetting, bool):
+        if isinstance(self.forgetting, bool) or not isinstance(self.forgetting, (int, float)):
             raise ConfigError(f"forgetting must be a number, got {self.forgetting!r}")
         if self.d < 1 or self.dc < 1 or self.s < 1:
             raise ConfigError(

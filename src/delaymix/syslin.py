@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 # A spectral-norm profile entry below this fraction of the peak counts as
 # part of the delay.
@@ -116,6 +116,9 @@ class TimeDelaySystem(_StateSpace):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("transition", "input_map", "output_map"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} holds non-finite values")
         if int(self.delay) != self.delay or self.delay < 0:
             raise ConfigError(f"delay must be a non-negative integer, got {self.delay}")
         object.__setattr__(self, "delay", int(self.delay))
@@ -171,8 +174,11 @@ class Trajectory:
     regime_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.outputs, dtype=np.float64)
-        u = np.asarray(self.inputs, dtype=np.float64)
+        try:
+            y = np.asarray(self.outputs, dtype=np.float64)
+            u = np.asarray(self.inputs, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"outputs and inputs must be numeric arrays: {err}") from None
         if y.ndim == 1:
             y = y.reshape(-1, 1)
         if u.ndim == 1:
@@ -264,6 +270,28 @@ def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
     return Trajectory(y_seq, u_seq)
 
 
+def padded_stack(
+    models: Sequence[DelayFreeModel], caller: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The models' A, B and C on a leading axis, each zero-padded to the
+    largest order n: (count, n, n), (count, n, dc) and (count, d, n). A
+    padded state's rows and columns are zero, so it stays uncoupled. Models
+    of unequal output or input dims raise ShapeError naming the caller."""
+    if len({(model.output_dim, model.input_dim) for model in models}) != 1:
+        raise ShapeError(f"{caller} needs one or more models of equal output and input dims")
+    d, dc = models[0].output_dim, models[0].input_dim
+    n = max(model.state_dim for model in models)
+    a = np.zeros((len(models), n, n))
+    b = np.zeros((len(models), n, dc))
+    c = np.zeros((len(models), d, n))
+    for r, model in enumerate(models):
+        k = model.state_dim
+        a[r, :k, :k] = model.transition
+        b[r, :k] = model.input_map
+        c[r, :, :k] = model.output_map
+    return a, b, c
+
+
 def response_maps(models: Sequence[DelayFreeModel], steps: int) -> np.ndarray:
     """The open-loop response maps of the models over `steps` steps, built
     in one batched pass with no loop over the steps.
@@ -277,32 +305,25 @@ def response_maps(models: Sequence[DelayFreeModel], steps: int) -> np.ndarray:
     block Toeplitz in the Markov blocks C A^j B. The map sums in another
     order than the recursion, so the two agree to rounding.
 
-    The models share their output and input dims. Each is zero-padded to
-    the largest order n among them, as `kalman_forward` pads, and the
-    result stacks the padded maps, (count, T*d + n, n + T*dc); a padded
-    state's rows and columns are zero, so model r's map is batch[r]
-    without them. Block j of a stack holds [C; I] A^j for j = 0 ... T, by
-    doubling: once blocks 0 ... m are known, blocks 1 ... m times A^m, the
-    identity rows of block m, give blocks m+1 ... 2m. One product with B
-    then gives every C A^j B and A^j B.
+    The models are zero-padded as `padded_stack` pads, and the result
+    stacks the padded maps, (count, T*d + n, n + T*dc); a padded state's
+    rows and columns are zero, so model r's map is batch[r] without them.
+    Block j of a stack holds [C; I] A^j for j = 0 ... T, by doubling: once
+    blocks 0 ... m are known, blocks 1 ... m times A^m, the identity rows of
+    block m, give blocks m+1 ... 2m. One product with B then gives every
+    C A^j B and A^j B.
     """
-    if len({(model.output_dim, model.input_dim) for model in models}) != 1:
-        raise ShapeError("response_maps needs one or more models of equal output and input dims")
+    a, b, c = padded_stack(models, "response_maps")
     if steps < 1:
         raise ShapeError(f"a response map needs at least one step, got {steps}")
-    d, dc = models[0].output_dim, models[0].input_dim
-    n = max(model.state_dim for model in models)
-    count, rows, size = len(models), steps * d, d + n
+    (count, d, n), dc = c.shape, b.shape[2]
+    rows, size = steps * d, d + n
     # powers[:, j] = [C; I] A^j: C A^j in its first d rows, A^j in its last n
     powers = np.zeros((count, steps + 1, size, n))
-    b = np.zeros((count, n, dc))
-    for r, model in enumerate(models):
-        k = model.state_dim
-        powers[r, 0, :d, :k] = model.output_map
-        powers[r, 1, :d, :k] = model.output_map @ model.transition
-        powers[r, 1, d : d + k, :k] = model.transition
-        b[r, :k] = model.input_map
+    powers[:, 0, :d] = c
     powers[:, 0, d:] = np.eye(n)
+    powers[:, 1, :d] = c @ a
+    powers[:, 1, d:] = a
     flat = powers.reshape(count, (steps + 1) * size, n)
     known = 1
     while known < steps:

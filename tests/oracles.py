@@ -63,7 +63,7 @@ def filter_alone(model, window, noise):
     """The model's filter map, built in a batch of its own, applied to the
     window."""
     [filter_map] = kalman_forward([model], window.outputs.shape[0], noise)
-    return filter_window(model, filter_map, window)
+    return filter_window(filter_map, window)
 
 
 def random_stable_model(

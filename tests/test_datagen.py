@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,19 @@ class TestGenerate:
             ScenarioSpec(regimes=(sys,), length=10, schedule=((5, 1),))
         with pytest.raises(ScenarioError):
             ScenarioSpec(regimes=(sys,), length=10, schedule=((0, 2),))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("obs_noise_std", math.nan), ("obs_noise_std", math.inf), ("length", 100.0),
+         ("seed", 1.0)],
+    )
+    def test_spec_refuses_non_finite_noise_and_float_counts(self, field, value):
+        # NaN noise would pass a sign check and add no noise; a float count
+        # would fail only inside numpy
+        spec = dict(regimes=(TimeDelaySystem(0.5, 1.0, 1.0),), length=100, seed=0)
+        with pytest.raises(ScenarioError, match=f"^{field} must be") as info:
+            ScenarioSpec(**{**spec, field: value})
+        assert info.value.field == field
 
 
 class TestOracleMomentTensor:

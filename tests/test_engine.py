@@ -269,6 +269,11 @@ class TestEngineUpdate:
         ):
             with pytest.raises(error, match="non-finite|channels"):
                 feed(poisoned, 5, outputs, inputs)
+        # text and ragged rows are refused as data, before any stage runs
+        ragged = [[0.0]] * 100 + [[0.0, 1.0]]
+        for outputs, inputs in ((np.full((100, 1), "a"), None), (None, ragged)):
+            with pytest.raises(DataError, match="must be numeric arrays"):
+                feed(poisoned, 5, outputs, inputs)
         assert poisoned.updates == before.updates == 5
         assert_same_state(poisoned, before)
         # window 5 never happened: later forecasts match a run that skipped it
@@ -388,7 +393,7 @@ class TestEngineUpdate:
             scaler, database = state.scaler, state.database
             model = database.active().model
             window = Trajectory(scaler.outputs(outputs), scaler.inputs(traj.inputs[o : o + l_c]))
-            x = filter_window(model, database.active_map, window).final_mean
+            x = filter_window(database.active_map, window).final_mean
             x = model.transition @ x + model.input_map @ window.inputs[-1]
             rollout = np.empty((longest, d))
             for t, u in enumerate(scaler.inputs(traj.inputs[o + l_c : o + l_c + longest])):
@@ -419,11 +424,11 @@ class TestEngineUpdate:
             model = state.database.active().model
             future = scaler.inputs(traj.inputs[o + 100 : o + 104])
             response = state.database.active_response
-            cached = filter_window(model, state.database.active_map, window)
+            cached = filter_window(state.database.active_map, window)
             expected = forecast(response, window, future, cached)
             assert np.array_equal(report.forecast, scaler.restore_outputs(expected)), w
             filtered, _, _, _, predictions, _ = per_step_checked_forward(model, window, NoiseSpec())
-            reference = FilterTrace(None, predictions, filtered[-1])
+            reference = FilterTrace(predictions, filtered[-1])
             assert_close(expected, forecast(response, window, future, reference))
         assert kinds == {(True, False), (True, True), (False, True)}
 
@@ -582,6 +587,13 @@ class TestRunHorizons:
         with pytest.raises(DataError, match=r"need at least l_c \+ max\(horizons\) = 130"):
             run_horizons(config, traj, (1, 30))
 
+    @pytest.mark.parametrize("horizon", [1.5, "2", True])
+    def test_horizon_must_be_an_int(self, horizon):
+        # True would otherwise run as horizon 1, and 1.5 or "2" fail in slicing
+        config = default_config(d=1, dc=1, s=3, l_c=100)
+        with pytest.raises(ConfigError, match="non-empty ints of at least 1"):
+            run_horizons(config, single_regime_traj(length=300, seed=11), [horizon])
+
     def test_single_regime_accuracy(self):
         # noise-free stationary stream with a low gate: forecasts sharpen as
         # moments accumulate, reaching the target accuracy on the late part
@@ -706,6 +718,30 @@ class TestCheckpoint:
             for got, want in zip(feed(restored, range(cut, CUT_WINDOWS)), reference[cut:]):
                 assert got.shape == (2 * CUT_LC + 3, 1)
                 assert np.array_equal(got, want)
+
+    def test_active_map_is_an_owned_copy_of_the_batch_row(self, tmp_path):
+        # after each adaptation and after its restore, the cached map owns
+        # its memory and is row active_index of a fresh batch of every
+        # record, in record order
+        traj = two_regime_traj(length=1800, seed=3)
+        state = engine_init(default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100))
+        path = tmp_path / "state.bin"
+        seen = set()
+        for w in range(17):
+            o = w * 100
+            report = engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 101])
+            if not report.adapted:
+                continue
+            save_checkpoint(state, path)
+            for database in (state.database, load_checkpoint(path).database):
+                batch = filtering.kalman_forward(
+                    [record.model for record in database.records], 100, engine.NOISE
+                )
+                assert database.active_map.base is None
+                assert np.array_equal(database.active_map, batch[database.active_index])
+            seen.add((len(state.database.records), state.database.active_index))
+        # a later row than the first is checked, so the row is no accident
+        assert (2, 1) in seen
 
     def test_round_trip(self, tmp_path):
         traj = single_regime_traj(length=1200, seed=13)

@@ -7,10 +7,14 @@ from delaymix import (
     DelayFreeModel,
     InputDistribution,
     MarkovSequence,
+    MomentConfig,
     NoiseSpec,
     TimeDelaySystem,
     Trajectory,
     cp_als,
+    default_config,
+    engine_init,
+    engine_update,
     filter_window,
     forecast,
     ho_kalman,
@@ -30,7 +34,8 @@ SHORT = Trajectory(np.ones((3, 1)), np.ones((3, 1)))
 [RESPONSE] = response_maps([MODEL], 4)
 SEQUENCE = MarkovSequence(np.ones(4))
 TENSOR = np.ones((2, 2, 2))
-TRACE = filter_window(MODEL, MAP, WINDOW)
+TRACE = filter_window(MAP, WINDOW)
+ENGINE = engine_init(default_config(d=1, dc=1))
 
 
 @pytest.mark.parametrize(
@@ -47,9 +52,11 @@ TRACE = filter_window(MODEL, MAP, WINDOW)
         lambda: simulate_delay_free(MODEL, np.zeros((0, 1))),
         lambda: markov_parameters_free(MODEL, 0),
         lambda: markov_parameters_delayed(TimeDelaySystem(0.5, 1.0, 1.0), 0),
-        lambda: filter_window(MODEL, MAP, Trajectory(np.ones((4, 2)), np.ones((4, 1)))),
-        lambda: filter_window(MODEL, np.ones((3, 6)), WINDOW),
-        lambda: forecast(RESPONSE, WINDOW, np.ones((2, 1)), filter_window(MODEL, SHORT_MAP, SHORT)),
+        lambda: filter_window(MAP, Trajectory(np.ones((4, 2)), np.ones((4, 1)))),
+        lambda: filter_window(np.ones((3, 6)), WINDOW),
+        lambda: filter_window(np.ones((4, 8)), WINDOW),
+        lambda: filter_window(np.ones((5, 7)), WINDOW),
+        lambda: forecast(RESPONSE, WINDOW, np.ones((2, 1)), filter_window(SHORT_MAP, SHORT)),
         lambda: forecast(np.ones((5, 4)), WINDOW, np.ones((2, 1)), TRACE),
         lambda: forecast(RESPONSE, WINDOW, np.ones((0, 1)), TRACE),
         lambda: response_maps([], 4),
@@ -62,15 +69,24 @@ TRACE = filter_window(MODEL, MAP, WINDOW)
         lambda: cp_als(TENSOR, 1, tol=0.0),
         lambda: persistence_baseline(Trajectory(np.ones((0, 1)), np.ones((0, 1))), 1),
         lambda: persistence_baseline(WINDOW, 0),
+        lambda: MomentConfig(d=1, dc=1, s=1, forgetting="0.5"),
+        lambda: MomentConfig(d=1, dc=1, s=1, forgetting=None),
+        lambda: NoiseSpec("a"),
+        lambda: Trajectory(["a"], [1.0]),
+        lambda: Trajectory([[1.0], [1.0, 2.0]], np.ones((2, 1))),
+        lambda: engine_update(ENGINE, [["a"]] * 21, np.ones((22, 1))),
+        lambda: TimeDelaySystem(np.nan, 1.0, 1.0),
     ],
     ids=[
         "input-kind", "input-scale-negative", "input-scale-inf", "delay", "noise", "noise-inf",
         "hankel-size", "realization-order", "empty-inputs", "markov-horizon",
-        "delayed-markov-horizon", "window-channels", "map-shape", "forecast-trace",
-        "forecast-response-shape", "forecast-no-steps", "response-no-models",
+        "delayed-markov-horizon", "window-channels", "map-shape", "map-rows", "map-columns",
+        "forecast-trace", "forecast-response-shape", "forecast-no-steps", "response-no-models",
         "response-mixed-dims", "response-no-steps",
         "map-no-models", "map-mixed-dims", "map-no-steps",
         "als-max-iters", "als-tol", "persistence-window", "persistence-horizon",
+        "forgetting-text", "forgetting-none", "noise-text", "trajectory-text",
+        "trajectory-ragged", "engine-text", "system-nan",
     ],
 )
 def test_bad_argument_raises_a_delaymix_value_error(call):

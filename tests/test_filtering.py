@@ -143,7 +143,7 @@ class TestKalmanForward:
         [filter_map] = kalman_forward([model], 15, noise)
         # the columns of the outputs y_t in z = [y_0, u_0, y_1, u_1, ...]
         assert np.abs(filter_map[:, 0::2]).max() < 1e-6
-        trace = filter_window(model, filter_map, window)
+        trace = filter_window(filter_map, window)
         open_loop = simulate_delay_free(model, window.inputs).outputs
         assert np.allclose(trace.one_step_predictions, open_loop, atol=1e-6)
 
@@ -170,13 +170,13 @@ class TestKalmanForward:
         window = Trajectory(outputs, np.ones((5, 1)))
         [filter_map] = kalman_forward([model], 5, NoiseSpec())
         with pytest.raises(NumericalError, match="non-finite window value at step 3") as info:
-            filter_window(model, filter_map, window)
+            filter_window(filter_map, window)
         assert info.value.step == 3
         # the map multiplies the last input by zero, and 0 * NaN is NaN
         inputs = np.ones((5, 1))
         inputs[4] = np.nan
         with pytest.raises(NumericalError, match="non-finite window value at step 4"):
-            filter_window(model, filter_map, Trajectory(np.ones((5, 1)), inputs))
+            filter_window(filter_map, Trajectory(np.ones((5, 1)), inputs))
 
     def test_non_finite_covariance_detected_with_step(self):
         # the predicted covariance overflows to inf at step 1
@@ -206,7 +206,7 @@ class TestKalmanForward:
                         n = model.state_dim
                         assert filter_map.shape == (steps * d + n, steps * (d + dc))
                         for window in (zero, data):
-                            trace = filter_window(model, filter_map, window)
+                            trace = filter_window(filter_map, window)
                             assert_matches_reference(trace, model, window, noise)
 
     def test_batch_matches_single_builds(self):
@@ -254,7 +254,7 @@ class TestKalmanForward:
             warnings.simplefilter("error")
             with pytest.raises(error, match=message) as info:
                 [filter_map] = kalman_forward([model], 6, noise)
-                filter_window(model, filter_map, window)
+                filter_window(filter_map, window)
         if error is NumericalError:
             assert info.value.step == step
         # a build error is the reference's on a zero window, where only the
@@ -350,7 +350,7 @@ class TestKalmanForward:
                     outcomes[type(err)] += 1
                     continue
                 try:
-                    trace = filter_window(model, filter_map, window)
+                    trace = filter_window(filter_map, window)
                 except NumericalError:
                     with pytest.raises(NumericalError, match="non-finite filter state"):
                         per_step_checked_forward(model, window, noise)
@@ -406,8 +406,7 @@ class TestFilterWindow:
                         window = Trajectory(
                             rng.standard_normal((steps, d)), rng.standard_normal((steps, 2))
                         )
-                        trace = filter_window(model, filter_map, window)
-                        assert trace.filter_map is filter_map
+                        trace = filter_window(filter_map, window)
                         assert_matches_reference(trace, model, window, noise)
 
     @pytest.mark.parametrize(
@@ -426,12 +425,12 @@ class TestFilterWindow:
     def test_non_finite_state_reports_first_bad_step(self, model, outputs, inputs, message, step):
         # the map of a model that filters a finite window fails on this one
         [filter_map] = kalman_forward([model], 6, NoiseSpec())
-        finite = filter_window(model, filter_map, Trajectory(np.ones((6, 1)), np.ones((6, 1))))
+        finite = filter_window(filter_map, Trajectory(np.ones((6, 1)), np.ones((6, 1))))
         assert np.isfinite(finite.final_mean).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=f"^{message} at step {step}$") as info:
-                filter_window(model, filter_map, Trajectory(outputs, inputs))
+                filter_window(filter_map, Trajectory(outputs, inputs))
         assert info.value.step == step
 
     def test_map_of_another_length_refused(self):
@@ -439,7 +438,7 @@ class TestFilterWindow:
         [filter_map] = kalman_forward([model], 5, NoiseSpec())
         window = Trajectory(np.ones((6, 1)), np.ones((6, 1)))
         with pytest.raises(ValueError, match="filter map has shape"):
-            filter_window(model, filter_map, window)
+            filter_window(filter_map, window)
 
 
 class TestWindowError:
@@ -478,7 +477,7 @@ class TestSelectRegime:
         rng = np.random.default_rng(10)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 30)
-        index, error, _ = select_regime([model], window, NoiseSpec())
+        index, error, _ = select_regime(kalman_forward([model], 30, NoiseSpec()), window)
         assert index == 0
         assert error >= 0
 
@@ -487,15 +486,12 @@ class TestSelectRegime:
         model_a = random_stable_model(rng, 2, 1, 1)
         model_b = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model_b, 50)
-        index, error, trace = select_regime([model_a, model_b], window, NoiseSpec())
-        assert index == 1
-        # the returned trace is the winner's, with a copy of its map from
-        # the batch: the map the engine caches gives it again
         maps = kalman_forward([model_a, model_b], 50, NoiseSpec())
-        assert np.array_equal(trace.filter_map, maps[1])
-        assert trace.filter_map.base is None
+        index, error, trace = select_regime(maps, window)
+        assert index == 1
+        # the returned trace is the winner's: its map gives it again
         assert error == window_error(window, trace)
-        again = filter_window(model_b, trace.filter_map, window)
+        again = filter_window(maps[1], window)
         assert_close(again.one_step_predictions, trace.one_step_predictions)
         assert_close(again.final_mean, trace.final_mean)
         assert_close(trace.final_mean, filter_alone(model_b, window, NoiseSpec()).final_mean)
@@ -504,24 +500,24 @@ class TestSelectRegime:
         rng = np.random.default_rng(12)
         model = random_stable_model(rng, 2, 1, 1)
         window, _ = self_generated(rng, model, 30)
-        index, _, _ = select_regime([model, model], window, NoiseSpec())
+        index, _, _ = select_regime(kalman_forward([model, model], 30, NoiseSpec()), window)
         assert index == 0
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(13)
         models = [random_stable_model(rng, 2, 1, 1) for _ in range(3)]
         window, _ = self_generated(rng, models[2], 50)
-        idx, err, _ = select_regime(models, window, NoiseSpec())
+        idx, err, _ = select_regime(kalman_forward(models, 50, NoiseSpec()), window)
         perm = [2, 0, 1]
         permuted = [models[i] for i in perm]
-        idx2, err2, _ = select_regime(permuted, window, NoiseSpec())
+        idx2, err2, _ = select_regime(kalman_forward(permuted, 50, NoiseSpec()), window)
         assert permuted[idx2] is models[idx]
         assert err2 == pytest.approx(err)
 
     def test_empty_database(self):
         window = Trajectory(np.ones((5, 1)), np.ones((5, 1)))
         with pytest.raises(EmptyDatabaseError):
-            select_regime([], window, NoiseSpec())
+            select_regime([], window)
 
 
 class TestForecast:
