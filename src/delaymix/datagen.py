@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,11 @@ class InputDistribution:
     def __post_init__(self):
         if self.kind not in ("gaussian", "uniform", "rademacher"):
             raise ScenarioError(f"unknown input distribution {self.kind!r}")
-        if self.kind != "rademacher" and not 0.0 < self.scale < math.inf:
+        scale = self.scale
+        number = isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+        if self.kind != "rademacher" and not (number and 0.0 < scale < math.inf):
             raise ScenarioError(
-                f"{self.kind} parameter must be a positive finite number, got {self.scale}"
+                f"{self.kind} parameter must be a positive finite number, got {scale!r}"
             )
 
     @classmethod

@@ -8,14 +8,17 @@ model, the noise and T (Anderson & Moore 1979, ch. 4 and 6). Its first T·d
 rows give the predictions, step by step, and its last n rows the final
 filtered mean.
 
-`kalman_forward` builds the maps of a list of models in one loop over the
-steps, with the models on a leading axis. It runs the covariance recursion
-one output at a time and carries the filtered mean as a map of z. After the
-loop, one scan of the innovation variances raises at the first one outside
-(0, inf), and one of the steps' cancellation refuses a map whose entries
-float64 cannot hold. `filter_window` applies one map to a window, one
-matrix-vector product, and raises at the first step whose result is not
-finite.
+`kalman_forward` builds the maps of a list of models, with the models on a
+leading axis, in two loops over the steps. The first is the covariance
+recursion alone, one output at a time; one scan of its innovation
+variances then raises at the first one outside (0, inf). From the finished
+gains, each step's closed-loop products are formed for every step at once,
+and the second loop stacks the filtered mean map of every step, one product
+per step. The prediction rows, the final mean and each step's largest
+entry are read off that stack, and one scan of the steps' cancellation
+refuses a map whose entries float64 cannot hold. `filter_window` applies
+one map to a window, one matrix-vector product, and raises at the first
+step whose result is not finite.
 `window_error` and `forecast` read what it returns, and `select_regime`
 scores a batch of maps it is handed and returns the winner's trace, so the
 caller can forecast from it without filtering again. Only `kalman_forward`
@@ -83,37 +86,52 @@ class FilterTrace:
 def kalman_forward(
     models: Sequence[DelayFreeModel], steps: int, noise: NoiseSpec
 ) -> list[np.ndarray]:
-    """The filter maps of the models over windows of `steps` steps, built in
-    one pass.
+    """The filter maps of the models over windows of `steps` steps, built
+    together as one batch.
 
     The models are zero-padded by `syslin.padded_stack`; the padded states
-    get exactly zero gains, so their rows of the mean map stay zero. Each
-    step predicts the covariance and the mean map X (X <- A X, plus B in the
-    columns of u_{t-1}), stores the prediction rows C X, then corrects with
-    one output at a time: k = P c_i / s, s = c_i P c_i + obs_var, so
-    X -= k (c_i X) and k goes into the column of y_{t,i} (Anderson & Moore
-    1979, ch. 6). Model r's map is a view of rows :T*d + n_r of its slice of
-    the batch. The maps of a batch are not bitwise those of each model built
-    alone, so a caller that must reproduce a map rebuilds the same batch.
+    get exactly zero gains, so their rows of the mean map stay zero. The
+    build runs two loops over the steps.
+
+    The first is the covariance recursion alone. Each step predicts the
+    covariance, then corrects it with one output at a time:
+    k_i = P c_i / s_i, s_i = c_i P c_i + obs_var (Anderson & Moore 1979,
+    ch. 6). Its gains and innovation variances are all the mean map needs.
+
+    Correcting a mean with outputs 0 ... d-1 in turn multiplies it by
+    G_t = (I - k_{d-1} c_{d-1}) ... (I - k_0 c_0) and adds the gain columns
+    K_t, of which column i is (I - k_{d-1} c_{d-1}) ... (I - k_{i+1}
+    c_{i+1}) k_i. These products are formed for every step at once, in d
+    batched passes over the steps. The filtered mean map of step t, X_t,
+    a map of z, then is F_t X_{t-1}, F_t = G_t A, plus G_t B in the columns
+    of u_{t-1} and K_t in those of y_t, with X_0 = K_0 in the columns of
+    y_0. The second loop stacks X_t for every step, one product F_t X_{t-1}
+    per step; the G_t B and K_t blocks are written before it. The map is
+    read off the stack: the prediction rows of step t >= 1 are
+    (C A) X_{t-1}, plus C B in the columns of u_{t-1}, those of step 0 are
+    zero, and the final mean is X_{T-1}. Model r's map is a view of rows
+    :T*d + n_r of its slice of the batch. The maps of a batch are not
+    bitwise those of each model built alone, so a caller that must
+    reproduce a map rebuilds the same batch.
 
     s is at least obs_var > 0 in exact arithmetic. The first s outside
     (0, inf), of the lowest-indexed model that has one, raises
     ConditioningError for s <= 0 or NumericalError for a non-finite s, each
-    naming its step. A covariance that goes non-finite carries on as NaN or
-    inf into the next step's s, so numpy's overflow and invalid-value
-    warnings are silenced.
+    naming its step, before the mean map is built. A covariance that goes
+    non-finite carries on as NaN or inf into the next step's s, so numpy's
+    overflow and invalid-value warnings are silenced.
 
     An entry summed from terms far larger than itself holds only their
     rounding, and a map built from such entries disagrees with the per-step
-    filter in its leading digits. So each step's largest entry is held
-    against a bound on the largest term the step sums: a_norm max|X| +
-    max|B| from predicting, plus max|k| max|c_i X| from each correction,
-    with c_i X bounded by prediction row i and the corrections before it.
-    The prediction rows' terms, C times that bound on the predicted map, are
+    filter in its leading digits. So each step's largest entry, max|X_t|
+    from two reductions over the stack, is held against a bound on the
+    largest term the per-step filter sums: a_norm max|X_{t-1}| + max|B|
+    from predicting, plus max|k| max|c_i X| from each correction, with
+    c_i X bounded by prediction row i and the corrections before it. The
+    prediction rows' terms, C times that bound on the predicted map, are
     held against the largest prediction, as `window_error` reads the rows
-    together. When s is in range everywhere, the first step of the
-    lowest-indexed model whose ratio exceeds MAX_CANCELLATION raises
-    ConditioningError naming the step.
+    together. The first step of the lowest-indexed model whose ratio
+    exceeds MAX_CANCELLATION raises ConditioningError naming the step.
     """
     a, b, c = padded_stack(models, "kalman_forward")
     if steps < 1:
@@ -126,45 +144,65 @@ def kalman_forward(
     gamma = noise.process_var * np.eye(n)
     obs_var = noise.obs_var
 
-    # bounds on the largest term each product sums: |A X| <= a_norm max|X|
-    a_norm = np.abs(a).sum(axis=2).max(axis=1)
-    b_max = np.abs(b).max(axis=(1, 2), initial=0.0)
-    c_norm = np.abs(c).sum(axis=2).max(axis=1)
-
-    maps = np.zeros((count, steps * d + n, steps * width))
-    mean = maps[:, steps * d :]
     innovations = np.empty((steps, d, count))
     gains = np.empty((steps, d, count, n))
-    # the largest entry of the map after each step
-    top = np.empty((steps, count))
     cov_pred = np.broadcast_to(noise.prior_var * np.eye(n), (count, n, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            # the mean of step t reads z up to y_t
-            x = mean[:, :, : t * width + d]
             if t > 0:
                 cov_pred = a @ cov @ a_t + gamma
-                x[...] = a @ x
-                x[:, :, t * width - dc : t * width] += b
             cov = 0.5 * (cov_pred + cov_pred.transpose(0, 2, 1))
-            maps[:, t * d : (t + 1) * d, : t * width + d] = c @ x
             for i, (c_col, c_row) in enumerate(zip(c_cols, c_rows)):
                 pc = cov @ c_col
                 # s and k are written into their records in place
                 s = np.add(c_row @ pc, obs_var, out=innovations[t, i, :, None, None])
                 k = np.divide(pc, s, out=gains[t, i, :, :, None])
                 cov = cov - k * pc.transpose(0, 2, 1)
-                x -= k * (c_row @ x)
-                x[:, :, t * width + i] += k[:, :, 0]
             cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-            top[t] = np.abs(x).max(axis=(1, 2))
+    valid = (innovations > 0.0) & (innovations < math.inf)
+    if not valid.all():
+        r = int(np.argmin(valid.all(axis=(0, 1))))
+        first = int(np.argmin(valid[:, :, r].ravel()))
+        t, s = first // d, float(innovations[:, :, r].flat[first])
+        if math.isfinite(s):
+            raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
+        raise NumericalError(f"non-finite innovation at step {t}", step=t)
+
+    # the stack holds X_t at [:, t]; as (count, steps, n, steps, width) its
+    # block [:, t, :, j] is X_t's columns of y_j and u_j
+    stack = np.zeros((count, steps, n, steps * width))
+    blocks = stack.reshape(count, steps, n, steps, width)
+    maps = np.zeros((count, steps * d + n, steps * width))
+    predictions = maps[:, : steps * d].reshape(count, steps, d, steps * width)
+    diagonal = np.arange(steps)
+    now, before = diagonal[1:], diagonal[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # [G_t | K_t] of every step, one output at a time, the later on the left
+        closed = np.zeros((steps, count, n, n + d))
+        closed[..., :n] = np.eye(n)
+        for i, c_row in enumerate(c_rows):
+            corrected = closed[..., : n + i]
+            corrected -= gains[:, i, :, :, None] * (c_row @ corrected)
+            closed[..., n + i] = gains[:, i]
+        closed_loop = closed[..., :n] @ a
+        blocks[:, diagonal, :, diagonal, :d] = closed[..., n:]
+        blocks[:, now, :, before, d:] = closed[1:, ..., :n] @ b
+        for t in range(1, steps):
+            # X_{t-1} reads z up to y_{t-1}
+            reach = (t - 1) * width + d
+            np.matmul(closed_loop[t], stack[:, t - 1, :, :reach], out=stack[:, t, :, :reach])
+        np.matmul((c @ a)[:, None], stack[:, :-1], out=predictions[:, 1:])
+        predictions.reshape(count, steps, d, steps, width)[:, now, :, before, d:] = c @ b
+        maps[:, steps * d :] = stack[:, -1]
+        top = np.maximum(stack.max(axis=(2, 3)), -stack.min(axis=(2, 3))).T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # bounds on the largest term each step sums, as the docstring says:
-        # predicted bounds the predicted map, c_x[i] the row c_i X that
-        # correction i reads
-        block = maps[:, : steps * d]
-        rows = np.maximum(block.max(axis=2), -block.min(axis=2))
-        rows = rows.reshape(count, steps, d).transpose(1, 2, 0)
+        # |A X| <= a_norm max|X|, predicted bounds the predicted map, c_x[i]
+        # the row c_i X that correction i reads
+        a_norm = np.abs(a).sum(axis=2).max(axis=1)
+        b_max = np.abs(b).max(axis=(1, 2), initial=0.0)
+        c_norm = np.abs(c).sum(axis=2).max(axis=1)
+        rows = np.maximum(predictions.max(axis=3), -predictions.min(axis=3)).transpose(1, 2, 0)
         k_max = np.abs(gains).max(axis=3)
         c_k = np.abs(gains.transpose(0, 2, 1, 3) @ c.transpose(0, 2, 1)).transpose(0, 3, 2, 1)
         predicted = np.zeros((steps, count))
@@ -178,20 +216,13 @@ def kalman_forward(
         cancellation = np.stack(
             [terms / top, c_norm * predicted / rows.max(axis=(0, 1))], axis=1
         )
-    valid = (innovations > 0.0) & (innovations < math.inf)
-    if not valid.all():
-        r = int(np.argmin(valid.all(axis=(0, 1))))
-        first = int(np.argmin(valid[:, :, r].ravel()))
-        t, s = first // d, float(innovations[:, :, r].flat[first])
-        if math.isfinite(s):
-            raise ConditioningError(f"innovation variance {s} <= 0 at step {t}")
-        raise NumericalError(f"non-finite innovation at step {t}", step=t)
     # 0/0 is NaN, a step with no terms, and passes
     lost = cancellation > MAX_CANCELLATION
     if lost.any():
         r = int(np.argmax(lost.any(axis=(0, 1))))
         t = int(np.argmax(lost[:, :, r].any(axis=1)))
-        ratio = float(cancellation[t, :, r].max())
+        # the largest ratio past the bound; another may be NaN
+        ratio = float(cancellation[t, :, r][lost[t, :, r]].max())
         raise ConditioningError(
             f"filter map cancels at step {t}: its terms reach {ratio:.3g} times its largest entry"
         )

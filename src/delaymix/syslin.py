@@ -12,6 +12,7 @@ are treated as immutable after construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,10 @@ DELAY_THRESHOLD = 0.1
 
 
 def _matrix(value, name: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    try:
+        mat = np.atleast_2d(np.asarray(value, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise ShapeError(f"{name} must be a rectangular array of numbers, got {value!r}") from None
     if mat.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got {mat.ndim} dimensions")
     return mat
@@ -119,9 +123,14 @@ class TimeDelaySystem(_StateSpace):
         for name in ("transition", "input_map", "output_map"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} holds non-finite values")
-        if int(self.delay) != self.delay or self.delay < 0:
-            raise ConfigError(f"delay must be a non-negative integer, got {self.delay}")
-        object.__setattr__(self, "delay", int(self.delay))
+        # ints, numpy integers and integral floats; a bool is no step count
+        delay = self.delay
+        integral = isinstance(delay, numbers.Integral) or (
+            isinstance(delay, numbers.Real) and float(delay).is_integer()
+        )
+        if isinstance(delay, bool) or not integral or delay < 0:
+            raise ConfigError(f"delay must be a non-negative integer, got {delay!r}")
+        object.__setattr__(self, "delay", int(delay))
 
     def is_stable(self) -> bool:
         return self.spectral_radius() < 1.0

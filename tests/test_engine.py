@@ -456,6 +456,26 @@ class TestEngineUpdate:
         assert len(state.database.records) <= config.rank
 
 
+class TestPinnedDecisions:
+    def test_two_regime_stream_decisions(self):
+        # every decision of one seeded two-regime stream, as literals, and
+        # its forecast error: a change to the filter map, the gate or ALS
+        # that moves any of them fails here
+        traj = two_regime_traj(length=1500, seed=5)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=60, l_s=10)
+        reports, (summary,), _ = run_horizons(config, traj, (10,))
+        yes, no = True, False
+        assert [r.adapted for r in reports] == [
+            yes, no, yes, no, no, no, no, no, no, no, no, no,
+            yes, yes, yes, yes, yes, yes, yes, no, no, no, no, no,
+        ]
+        assert [r.active_regime for r in reports] == [0] * 13 + [1, 0, 0, 0] + [1] * 7
+        assert [r.als_iters for r in reports] == [
+            30, 0, 21, 0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 11, 13, 11, 19, 27, 11, 0, 0, 0, 0, 0,
+        ]
+        assert summary.mse == pytest.approx(0.2534162510160425, rel=1e-12)
+
+
 class TestGainFit:
     def test_batched_gains_match_per_record_least_squares(self):
         # one batch of unequal orders, with a model whose response vanishes

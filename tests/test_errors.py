@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ ENGINE = engine_init(default_config(d=1, dc=1))
         lambda: Trajectory([[1.0], [1.0, 2.0]], np.ones((2, 1))),
         lambda: engine_update(ENGINE, [["a"]] * 21, np.ones((22, 1))),
         lambda: TimeDelaySystem(np.nan, 1.0, 1.0),
+        lambda: TimeDelaySystem(0.5, 1.0, 1.0, delay="a"),
+        lambda: TimeDelaySystem(0.5, 1.0, 1.0, delay=None),
+        lambda: TimeDelaySystem(0.5, 1.0, 1.0, delay=True),
+        lambda: TimeDelaySystem(0.5, 1.0, 1.0, delay=1.5),
+        lambda: TimeDelaySystem("a", 1.0, 1.0),
+        lambda: DelayFreeModel([[1.0], [1.0, 2.0]], 1.0, 1.0),
+        lambda: InputDistribution("gaussian", "a"),
     ],
     ids=[
         "input-kind", "input-scale-negative", "input-scale-inf", "delay", "noise", "noise-inf",
@@ -86,7 +94,8 @@ ENGINE = engine_init(default_config(d=1, dc=1))
         "map-no-models", "map-mixed-dims", "map-no-steps",
         "als-max-iters", "als-tol", "persistence-window", "persistence-horizon",
         "forgetting-text", "forgetting-none", "noise-text", "trajectory-text",
-        "trajectory-ragged", "engine-text", "system-nan",
+        "trajectory-ragged", "engine-text", "system-nan", "delay-text", "delay-none",
+        "delay-bool", "delay-fraction", "system-text", "model-ragged", "input-scale-text",
     ],
 )
 def test_bad_argument_raises_a_delaymix_value_error(call):
@@ -95,3 +104,26 @@ def test_bad_argument_raises_a_delaymix_value_error(call):
     with pytest.raises(DelayMixError) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("delay", [2, np.int64(2), 2.0, np.float32(2.0)])
+def test_integral_delay_accepted(delay):
+    system = TimeDelaySystem(0.5, 1.0, 1.0, delay=delay)
+    assert type(system.delay) is int and system.delay == 2
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda v: TimeDelaySystem(0.5, 1.0, 1.0, delay=v), "a"),
+        (lambda v: TimeDelaySystem(0.5, 1.0, 1.0, delay=v), None),
+        (lambda v: TimeDelaySystem(v, 1.0, 1.0), "a"),
+        (lambda v: DelayFreeModel(v, 1.0, 1.0), [[1.0], [1.0, 2.0]]),
+        (lambda v: InputDistribution("uniform", v), "a"),
+    ],
+    ids=["delay-text", "delay-none", "matrix-text", "matrix-ragged", "scale-text"],
+)
+def test_malformed_value_is_named(make, value):
+    # the message quotes what was passed, so a caller can find it
+    with pytest.raises(DelayMixError, match=re.escape(repr(value))):
+        make(value)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaymix import (
     DelayFreeModel,
@@ -56,6 +58,19 @@ def ones_with(steps, row, value):
     array = np.ones((steps, 1))
     array[row] = value
     return array
+
+
+def assert_map_matches_reference(filter_map, model, window, noise):
+    """The map has the model's shape and reads z causally: the predictions
+    of step t nothing past u_{t-1}, and no row u_{T-1}. Applied to the
+    window, it matches the per-step reference."""
+    (steps, d), dc, n = window.outputs.shape, window.input_dim, model.state_dim
+    width = d + dc
+    assert filter_map.shape == (steps * d + n, steps * width)
+    for t in range(steps):
+        assert not filter_map[t * d : (t + 1) * d, t * width :].any()
+    assert not filter_map[:, steps * width - dc :].any()
+    assert_matches_reference(filter_window(filter_map, window), model, window, noise)
 
 
 def assert_matches_reference(trace, model, window, noise):
@@ -226,6 +241,38 @@ class TestKalmanForward:
                 [alone] = kalman_forward([model], steps, noise)
                 assert filter_map.shape == alone.shape
                 assert_close(filter_map, alone)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_shortest_windows_match_per_step_loop(self, steps):
+        # the map loop starts at step 1, and the u-blocks of the stack and
+        # of the prediction rows begin there: one to three steps hold every
+        # edge of both, on padded batches of unequal orders
+        rng = np.random.default_rng(30 + steps)
+        noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
+        for d in (1, 2, 3):
+            for dc in (1, 2):
+                models = [random_stable_model(rng, int(n), d, dc) for n in rng.permutation(5) + 1]
+                window = Trajectory(
+                    rng.standard_normal((steps, d)), rng.standard_normal((steps, dc))
+                )
+                for model, filter_map in zip(models, kalman_forward(models, steps, noise)):
+                    assert_map_matches_reference(filter_map, model, window, noise)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        steps=st.integers(1, 12),
+        d=st.integers(1, 3),
+        dc=st.integers(1, 2),
+        orders=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_short_batch_matches_per_step_loop(self, steps, d, dc, orders, seed):
+        rng = np.random.default_rng(seed)
+        noise = NoiseSpec(process_var=1e-3, obs_var=1e-2, prior_var=2.0)
+        models = [random_stable_model(rng, n, d, dc) for n in orders]
+        window = Trajectory(rng.standard_normal((steps, d)), rng.standard_normal((steps, dc)))
+        for model, filter_map in zip(models, kalman_forward(models, steps, noise)):
+            assert_map_matches_reference(filter_map, model, window, noise)
 
     @pytest.mark.parametrize(
         "model, outputs, inputs, noise, error, message, step",
