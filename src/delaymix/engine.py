@@ -606,13 +606,13 @@ def load_checkpoint(path) -> EngineState:
     The rest is derived: the standardizer's sample count, updates * l_c;
     the records, realized from the warm-start factors with the stored gains
     by `_realize_records`, the path adaptation made them by, so their
-    component indices must equal the stored ones, in order, and every value
-    must be finite; and the active model's maps, by `_database` as
-    adaptation builds them, so continuing forecasts any horizon bitwise as
-    the saved run would have. A file that is not one whole checkpoint of
-    this version (truncated, padded, from another version, or with a
-    damaged header or array) or holds a state no update can reach raises
-    ParseError.
+    component indices must equal the stored ones, in order (a value that
+    overflows there is refused by the value types, as a realization
+    failure); and the active model's maps, by `_database` as adaptation
+    builds them, so continuing forecasts any horizon bitwise as the saved
+    run would have. A file that is not one whole checkpoint of this version
+    (truncated, padded, from another version, or with a damaged header or
+    array) or holds a state no update can reach raises ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -662,7 +662,7 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
         index, scale = entry["component_index"], entry["b_scale"]
         if type(index) is not int:
             raise ParseError(f"record {i}'s component_index {index!r} is not an int")
-        # _input_gain never returns 0.0
+        # _input_gains never returns 0.0
         if type(scale) is not float or not math.isfinite(scale) or scale == 0.0:
             raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite nonzero float")
     updates = header["updates"]
@@ -721,13 +721,6 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
             raise
         except DelayMixError as err:
             raise ParseError(f"the warm-start factors cannot be realized: {err}") from err
-        for i, record in enumerate(derived):
-            model = record.model
-            parts = (record.markov.blocks, model.transition, model.input_map, model.output_map)
-            if not all(np.isfinite(part).all() for part in parts):
-                raise ParseError(
-                    f"record {i}, re-derived from the warm-start factors, holds non-finite values"
-                )
         try:
             maps = kalman_forward([record.model for record in derived], state.config.l_c, NOISE)
         except DelayMixError as err:

@@ -45,7 +45,7 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .syslin import DelayFreeModel, Trajectory, padded_stack
+from .syslin import DelayFreeModel, Trajectory, padded_stack, step_count
 
 # A build step whose largest entry is smaller than the largest term it sums
 # by more than this factor keeps fewer than 42 of float64's 52 bits, and
@@ -134,8 +134,7 @@ def kalman_forward(
     exceeds MAX_CANCELLATION raises ConditioningError naming the step.
     """
     a, b, c = padded_stack(models, "kalman_forward")
-    if steps < 1:
-        raise ShapeError(f"a filter map needs at least one step, got {steps}")
+    steps = step_count(steps, "a filter map")
     (count, d, n), dc = c.shape, b.shape[2]
     width = d + dc
     a_t = a.transpose(0, 2, 1)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyTensorError, ShapeError, WindowLengthError
+from .errors import ConfigError, EmptyTensorError, NumericalError, ShapeError, WindowLengthError
 from .syslin import Trajectory
 
 DEFAULT_MODE_CAP = 256  # largest mode size D engine_init accepts
@@ -92,7 +92,8 @@ class MomentConfig:
 
 class SystemTensor:
     """Dense order-3 moment tensor and its forgetting-discounted
-    contribution count, the weight used to form the normalized view."""
+    contribution count, the weight used to form the normalized view. The
+    data is finite: non-finite data raises NumericalError."""
 
     __slots__ = ("data", "weight", "config")
 
@@ -102,6 +103,8 @@ class SystemTensor:
             raise ShapeError(
                 f"tensor data must have shape {(dim, dim, dim)}, got {data.shape}"
             )
+        if not np.isfinite(data).all():
+            raise NumericalError("tensor data holds non-finite values")
         self.data = data
         self.weight = float(weight)
         self.config = config
@@ -113,6 +116,7 @@ def new_tensor(config: MomentConfig) -> SystemTensor:
     return SystemTensor(np.zeros((dim, dim, dim)), 0.0, config)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
     """The tensor with one data window folded in; the argument is not
     mutated.
@@ -120,7 +124,8 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
     Existing mass is decayed by the forgetting factor once per call, then
     every admissible (k1, k2, k3, tau) combination contributes one rank-one
     term to its lag block (one batched product, see the module notes).
-    """
+    Overflow warnings are silenced: products that overflow make non-finite
+    data, which SystemTensor refuses, so the update commits nothing."""
     cfg = tensor.config
     y = window.outputs
     length = y.shape[0]

@@ -12,7 +12,6 @@ from .errors import (
     DegenerateSequenceError,
     EmptyDatabaseError,
     HorizonError,
-    NumericalError,
     RankError,
     ShapeError,
 )
@@ -44,11 +43,10 @@ class ModelRecord:
 def factor_to_markov(component, config: MomentConfig) -> MarkovSequence:
     """Read an impulse-response sequence out of one CP component.
 
-    The magnitude of entry a is the Frobenius norm of the rank-one tensor's
-    mode-1 slice at a, i.e. |q1[a]| * ||q2|| * ||q3||, rescaled by
-    ||v||^(2/3). The norm readout destroys entry signs, so each magnitude is
-    re-signed from q1 (whose sign convention the decomposition fixes). The
-    length-D result splits into k_max blocks of p entries, each unpacked
+    Entry a is q1[a] * ||q2|| * ||q3||: its magnitude is the Frobenius norm
+    of the rank-one tensor's mode-1 slice at a, its sign q1's (whose sign
+    convention the decomposition fixes). The vector is divided by its norm
+    to the power 2/3 and split into k_max blocks of p entries, each unpacked
     from the vec(y u^T) layout back into a d x dc matrix.
     """
     q1, q2, q3 = (np.asarray(q, dtype=np.float64).ravel() for q in component)
@@ -56,12 +54,11 @@ def factor_to_markov(component, config: MomentConfig) -> MarkovSequence:
     for name, vec in (("q1", q1), ("q2", q2), ("q3", q3)):
         if vec.shape[0] != dim:
             raise ShapeError(f"{name} has length {vec.shape[0]}, expected {dim}")
-    magnitude = np.abs(q1) * np.linalg.norm(q2) * np.linalg.norm(q3)
-    total = np.linalg.norm(magnitude)
+    entries = q1 * np.linalg.norm(q2) * np.linalg.norm(q3)
+    total = np.linalg.norm(entries)
     if total > 0.0:
-        magnitude = magnitude / total ** (2.0 / 3.0)
-    signed = np.sign(q1) * magnitude
-    return MarkovSequence(signed.reshape(config.k_max, config.d, config.dc))
+        entries = entries / total ** (2.0 / 3.0)
+    return MarkovSequence(entries.reshape(config.k_max, config.d, config.dc))
 
 
 def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFreeModel:
@@ -73,8 +70,7 @@ def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFre
     factors. order fixes n; when None, n is the smallest order whose
     cumulative squared singular-value energy reaches ENERGY_THRESHOLD. Only
     input-output behavior is pinned down; state coordinates are arbitrary.
-    Non-finite blocks raise NumericalError, all-zero ones
-    DegenerateSequenceError.
+    All-zero blocks raise DegenerateSequenceError.
     """
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
@@ -84,10 +80,6 @@ def ho_kalman(seq: MarkovSequence, s: int, order: int | None = None) -> DelayFre
         raise HorizonError(
             f"sequence horizon {seq.horizon} is too short for s={s}; need at least {2 * s}"
         )
-    if not np.isfinite(seq.blocks[: 2 * s]).all():
-        # NaN fails every comparison, so the degeneracy test below would
-        # take a NaN sequence for an all-zero one
-        raise NumericalError(f"the leading {2 * s} Markov blocks hold non-finite values")
     d, dc = seq.output_dim, seq.input_dim
     hankel = np.zeros((s * d, (s + 1) * dc))
     for r in range(s):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericalError, ShapeError
 
 # A spectral-norm profile entry below this fraction of the peak counts as
 # part of the delay.
@@ -68,7 +68,7 @@ class _StateSpace:
     """Shared A/B/C validation and dimensions of the two system types.
 
     transition is A (k x k), input_map is B (k x dc), output_map is C (d x k).
-    """
+    Each is finite; a non-finite one raises ConfigError naming it."""
 
     transition: np.ndarray
     input_map: np.ndarray
@@ -91,6 +91,9 @@ class _StateSpace:
             raise ShapeError(
                 f"output_map has {c.shape[1]} columns, state dimension is {k}"
             )
+        for name, mat in (("transition", a), ("input_map", b), ("output_map", c)):
+            if not np.isfinite(mat).all():
+                raise ConfigError(f"{name} holds non-finite values")
         object.__setattr__(self, "transition", a)
         object.__setattr__(self, "input_map", b)
         object.__setattr__(self, "output_map", c)
@@ -120,9 +123,6 @@ class TimeDelaySystem(_StateSpace):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("transition", "input_map", "output_map"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigError(f"{name} holds non-finite values")
         # ints, numpy integers and integral floats; a bool is no step count
         delay = self.delay
         integral = isinstance(delay, numbers.Integral) or (
@@ -143,7 +143,9 @@ class DelayFreeModel(_StateSpace):
 
 @dataclass(frozen=True)
 class MarkovSequence:
-    """Ordered impulse-response blocks; blocks[j] is the step j+1 response."""
+    """Ordered impulse-response blocks; blocks[j] is the step j+1 response.
+    Non-finite blocks raise NumericalError: NaN fails every comparison, so
+    a degeneracy test would take a NaN sequence for an all-zero one."""
 
     blocks: np.ndarray  # (K, d, dc)
 
@@ -155,6 +157,8 @@ class MarkovSequence:
             raise ShapeError(f"blocks must stack to (K, d, dc), got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeError("a Markov sequence needs at least one block")
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"the {arr.shape[0]} Markov blocks hold non-finite values")
         object.__setattr__(self, "blocks", arr)
 
     @property
@@ -279,6 +283,13 @@ def simulate_delay_free(model: DelayFreeModel, inputs, x0=None) -> Trajectory:
     return Trajectory(y_seq, u_seq)
 
 
+def step_count(steps, what: str) -> int:
+    """steps as an int; a bool, a non-integer or a count below 1 raises ShapeError."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ShapeError(f"{what} needs an integer step count of at least 1, got {steps!r}")
+    return int(steps)
+
+
 def padded_stack(
     models: Sequence[DelayFreeModel], caller: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,8 +334,7 @@ def response_maps(models: Sequence[DelayFreeModel], steps: int) -> np.ndarray:
     C A^j B and A^j B.
     """
     a, b, c = padded_stack(models, "response_maps")
-    if steps < 1:
-        raise ShapeError(f"a response map needs at least one step, got {steps}")
+    steps = step_count(steps, "a response map")
     (count, d, n), dc = c.shape, b.shape[2]
     rows, size = steps * d, d + n
     # powers[:, j] = [C; I] A^j: C A^j in its first d rows, A^j in its last n

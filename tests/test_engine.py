@@ -280,6 +280,26 @@ class TestEngineUpdate:
         for w in range(6, 15):
             assert np.array_equal(feed(poisoned, w).forecast, feed(clean, w).forecast)
 
+    def test_overflowing_window_leaves_the_tensor_unchanged(self, tmp_path):
+        # a finite outlier whose pair products overflow the moment fold; with
+        # rho = inf the gate never adapts, so only the tensor could take it
+        traj = two_regime_traj(length=400, seed=9)
+        config = default_config(d=1, dc=1, s=3, rank=2, rho=math.inf, l_c=100, l_s=1)
+        state = engine_init(config)
+        engine_update(state, traj.outputs[:100], traj.inputs[:101])
+        before = copy.deepcopy(state)
+        outlier = traj.inputs[100:201].copy()
+        outlier[5] = 1e110
+        with pytest.raises(EngineStageError, match="moment_collection") as info:
+            engine_update(state, traj.outputs[100:200], outlier)
+        assert isinstance(info.value.cause, NumericalError)
+        assert_same_state(state, before)
+        # the state goes on, and its checkpoint loads
+        engine_update(state, traj.outputs[200:300], traj.inputs[200:301])
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        assert_same_state(load_checkpoint(path), state)
+
     @pytest.mark.parametrize(
         "stage, name",
         [
@@ -1009,8 +1029,7 @@ class TestCheckpoint:
         path.write_bytes(_join_checkpoint({**header, "records": records}, payload))
         with pytest.raises(
             ParseError,
-            match="damaged checkpoint .*record 0, re-derived from the warm-start factors, "
-            "holds non-finite values",
+            match="damaged checkpoint .*cannot be realized: input_map holds non-finite values",
         ):
             load_checkpoint(path)
 

@@ -24,7 +24,7 @@ from delaymix import (
     response_maps,
     simulate_delay_free,
 )
-from delaymix.errors import DelayMixError
+from delaymix.errors import DelayMixError, ShapeError
 from oracles import markov_parameters_delayed, markov_parameters_free
 
 MODEL = DelayFreeModel(0.5, 1.0, 1.0)
@@ -127,3 +127,16 @@ def test_malformed_value_is_named(make, value):
     # the message quotes what was passed, so a caller can find it
     with pytest.raises(DelayMixError, match=re.escape(repr(value))):
         make(value)
+
+
+BUILDERS = {
+    "filter": lambda steps: kalman_forward([MODEL], steps, NoiseSpec()),
+    "response": lambda steps: response_maps([MODEL], steps),
+}
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None], ids=repr)
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_map_builder_refuses_non_integer_step_count(builder, steps):
+    with pytest.raises(ShapeError, match=f"integer step count .*got {re.escape(repr(steps))}"):
+        BUILDERS[builder](steps)

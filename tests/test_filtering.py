@@ -408,7 +408,7 @@ class TestKalmanForward:
             assert_matches_reference(trace, model, window, noise)
             outcomes[None] += 1
         assert set(outcomes) == {None, NumericalError, ConditioningError, "apply", "cancels"}
-        # the refusal stays the exception: 825 maps are compared, 269 refused
+        # the refusal stays the exception: 825 maps are compared, 270 refused
         assert outcomes[None] > 3 * outcomes["cancels"]
 
     def test_filter_beats_open_loop(self):

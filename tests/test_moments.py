@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from delaymix import MomentConfig, Trajectory
-from delaymix.errors import ConfigError, EmptyTensorError, ShapeError, WindowLengthError
-from delaymix.moments import accumulate_window, new_tensor, normalized_view
+from delaymix.errors import (
+    ConfigError,
+    EmptyTensorError,
+    NumericalError,
+    ShapeError,
+    WindowLengthError,
+)
+from delaymix.moments import SystemTensor, accumulate_window, new_tensor, normalized_view
 from oracles import assert_close, oracle_moment_tensor
 
 
@@ -148,6 +154,27 @@ class TestAccumulate:
         folded = accumulate_window(tensor, random_window(rng, config))
         assert np.array_equal(tensor.data, data) and tensor.weight == weight
         assert folded.data is not tensor.data and folded.weight > weight
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_tensor_refuses_non_finite_data(self, value):
+        config = MomentConfig(d=1, dc=1, s=1)
+        data = np.zeros((config.mode_dim,) * 3)
+        data[1, 0, 1] = value
+        with pytest.raises(NumericalError, match="tensor data holds non-finite values"):
+            SystemTensor(data, 1.0, config)
+
+    def test_overflowing_window_raises_and_leaves_the_argument(self):
+        # every input is finite, but a product of three pairs, each near
+        # 1e110, passes float64's range
+        rng = np.random.default_rng(9)
+        config = MomentConfig(d=1, dc=1, s=1)
+        tensor = accumulate_window(new_tensor(config), random_window(rng, config))
+        data, weight = tensor.data.copy(), tensor.weight
+        window = random_window(rng, config)
+        window.inputs[:] = 1e110
+        with pytest.raises(NumericalError, match="tensor data holds non-finite values"):
+            accumulate_window(tensor, window)
+        assert np.array_equal(tensor.data, data) and tensor.weight == weight
 
     def test_single_contribution_lands_in_its_block(self):
         # d = dc = 1, s = 1: outputs vanish except at t in {1, 4, 6}, so the

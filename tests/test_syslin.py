@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from delaymix import (
     DelayFreeModel,
+    MarkovSequence,
     TimeDelaySystem,
     detect_delay,
     embed_delay,
@@ -14,7 +15,7 @@ from delaymix import (
     spectral_norm_profile,
 )
 from delaymix.datagen import random_stable_system
-from delaymix.errors import ShapeError
+from delaymix.errors import ConfigError, NumericalError, ShapeError
 from delaymix.syslin import DELAY_THRESHOLD
 from oracles import (
     assert_close,
@@ -50,6 +51,21 @@ class TestTypes:
     def test_model_state_dim_positive(self):
         with pytest.raises(ShapeError):
             DelayFreeModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["transition", "input_map", "output_map"])
+    def test_model_refuses_non_finite_matrix(self, name, value):
+        matrices = {"transition": np.eye(2) * 0.5, "input_map": np.ones((2, 1)),
+                    "output_map": np.ones((1, 2))}
+        matrices[name][-1, -1] = value
+        with pytest.raises(ConfigError, match=f"{name} holds non-finite values"):
+            DelayFreeModel(**matrices)
+
+    def test_markov_sequence_refuses_non_finite_block(self):
+        blocks = np.zeros((6, 2, 1))
+        blocks[3, 1, 0] = np.nan
+        with pytest.raises(NumericalError, match="the 6 Markov blocks hold non-finite values"):
+            MarkovSequence(blocks)
 
 
 class TestSimulateDelayed:
