@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -206,6 +205,8 @@ class UpdateReport:
     als_residual: float | None  # final relative CP residual; None when not adapting
     elapsed: float
     active_regime: int
+    # perf_counter seconds of each stage that ran, keyed by stage name
+    stage_seconds: dict[str, float]
 
 
 @dataclass
@@ -271,13 +272,23 @@ def engine_init(config: EngineConfig) -> EngineState:
     )
 
 
-@contextmanager
-def _stage(name: str):
-    """Attach the sub-stage name to propagated numerical errors."""
-    try:
-        yield
-    except DelayMixError as err:
-        raise EngineStageError(name, err) from err
+class _stage:
+    """Time one engine stage into `seconds[name]`, and attach the stage
+    name to propagated numerical errors."""
+
+    __slots__ = ("name", "seconds", "started")
+
+    def __init__(self, name: str, seconds: dict[str, float]):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.started = time.perf_counter()
+
+    def __exit__(self, kind, err, traceback):
+        self.seconds[self.name] = time.perf_counter() - self.started
+        if isinstance(err, DelayMixError):
+            raise EngineStageError(self.name, err) from err
 
 
 def _stabilize(model: DelayFreeModel) -> DelayFreeModel:
@@ -426,13 +437,14 @@ def engine_update(
         scaler = state.scaler.absorb(y_raw, u_window, state.updates * cfg.l_c)
     window = Trajectory(scaler.outputs(y_raw), scaler.inputs(u_window))
 
-    with _stage("moment_collection"):
+    stage_seconds: dict[str, float] = {}
+    with _stage("moment_collection", stage_seconds):
         tensor = accumulate_window(state.tensor, window)
 
     database = state.database
     had_models = bool(database.records)
     if had_models:
-        with _stage("fit_scoring"):
+        with _stage("fit_scoring", stage_seconds):
             trace = filter_window(database.active_map, window)
             gate_fit = window_error(window, trace)
     else:
@@ -442,7 +454,7 @@ def engine_update(
     als_iters, als_residual = 0, None
     if not had_models or gate_fit >= cfg.rho:
         adapted = True
-        with _stage("model_adaptation"):
+        with _stage("model_adaptation", stage_seconds):
             factors, als_iters, als_residual = cp_als(
                 normalized_view(tensor), cfg.rank, seed=cfg.seed, init=database.last_factors
             )
@@ -457,7 +469,7 @@ def engine_update(
 
     # huge future inputs can overflow, in scaling or in the forecast, and
     # then the forecast is refused rather than committed
-    with _stage("forecasting"), np.errstate(over="ignore", invalid="ignore"):
+    with _stage("forecasting", stage_seconds), np.errstate(over="ignore", invalid="ignore"):
         predicted = scaler.restore_outputs(
             forecast(database.active_response, window, scaler.inputs(u_raw[cfg.l_c :]), trace)
         )
@@ -475,6 +487,7 @@ def engine_update(
         als_residual=als_residual,
         elapsed=time.perf_counter() - started,
         active_regime=database.active_index,
+        stage_seconds=stage_seconds,
     )
 
 

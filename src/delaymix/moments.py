@@ -16,16 +16,21 @@ k of a mode-1 factor carries the k-step impulse response and the leading
 zero blocks of a delayed system survive in the factors.
 
 One batched matrix product folds a window in (MTTKRP batching, Kolda &
-Bader 2009). The pair products of every lag come from one product of a
-lag-shifted view of the zero-padded outputs with the inputs; m1, m2 and m3
-for every (k1, k2) are read-only strided views of that one array. Over the
-starts tau, the row-wise product z of m1 and m2 is contracted with m3 (all
-k3) in one matmul whose batch runs over (k1, k2). No mask is needed for the
-ragged starts tau < len - (k1+k2+k3+2): the lag-k pair product is zero from
-row len - k on, so m3 is zero there.
+Bader 2009). The pair products of every lag are laid out (lag, channel,
+time): one product of a lag-shifted view of the transposed, zero-padded
+outputs with the transposed inputs, so every elementwise product runs
+along a contiguous row of time. m1 and m2 for every (k1, k2) are read-only
+strided views of that array, and m3 of its one row-major (time, lag,
+channel) copy. Over the starts tau, the product z of m1 and m2, laid out
+(k1, k2, a, b, tau), is contracted with m3 (all k3) in one matmul whose
+batch runs over (k1, k2). No mask is needed for the ragged starts
+tau < len - (k1+k2+k3+2): the lag-k pair product is zero from time
+len - k on, so m3 is zero there.
 
 Storage is a dense D x D x D array with D = 2 s d dc, independent of the
-stream length.
+stream length. The fold's working memory is z, k_max^2 p^2 len floats
+(640 KB at D = 32 and len = 78), freed before the new tensor is
+allocated.
 """
 
 from __future__ import annotations
@@ -141,33 +146,35 @@ def accumulate_window(tensor: SystemTensor, window: Trajectory) -> SystemTensor:
         raise ShapeError(f"window inputs have {u.shape[1]} channels, expected {cfg.dc}")
 
     k_max, p, d = cfg.k_max, cfg.p, cfg.d
-    # pairs[t, k-1] = vec(y(t+k) u(t)^T), from a view of y shifted by each
-    # lag over zero padding, so it is zero for t >= len - k; the 2 k_max + 2
-    # zero rows after the window are the furthest the lagged views reach
-    y_pad = np.zeros((length + k_max, d))
-    y_pad[:length] = y
-    step = y_pad.strides[0]
-    y_lag = np.ndarray((length, k_max, d), np.float64, y_pad, step, (step, step, 8))  # y(t+k)
-    pairs = np.zeros((length + 2 * k_max + 2, k_max, p))
-    np.multiply(
-        y_lag[:, :, :, None], u[:, None, None, :], out=pairs[:length].reshape(length, k_max, d, -1)
-    )
-    # read-only views m2[k1-1, t, k2-1] = pairs[t + k1 + 1, k2-1] and
+    # lag_t[k-1, (i, c), t] = y(t+k)_i u(t)_c, from a view of the transposed
+    # y shifted by each lag over zero padding, so it is zero for
+    # t >= len - k; the 2 k_max + 2 zero columns after the window are the
+    # furthest the lagged views reach
+    steps = length + 2 * k_max + 2
+    y_t = np.zeros((d, length + k_max))
+    y_t[:, :length] = y.T
+    y_lag = np.ndarray((k_max, d, length), np.float64, y_t, 8, (8, y_t.strides[0], 8))
+    lag_t = np.zeros((k_max, p, steps))
+    np.multiply(y_lag[:, :, None, :], u.T, out=lag_t[:, :, :length].reshape(k_max, d, -1, length))
+    # pairs[t, k-1] = lag_t[k-1, :, t], the row-major copy m3 reads
+    pairs = np.ascontiguousarray(lag_t.transpose(2, 0, 1))
+    # read-only views m2[k1-1, k2-1, b, t] = lag_t[k2-1, b, t + k1 + 1] and
     # m3[k1-1, k2-1, t] = pairs[t + k1 + k2 + 2] (flattened over (k3, c));
     # the ndarray constructor refuses a view that runs past its buffer
-    pairs.flags.writeable = False
+    lag_t.flags.writeable = pairs.flags.writeable = False
+    lag, col = lag_t.strides[:2]
+    m1 = lag_t[:, :, :length]  # (k1, a, t)
+    m2 = np.ndarray((k_max, k_max, p, length), np.float64, lag_t, 16, (8, lag, col, 8))
     row = pairs.strides[0]
-    m1 = pairs[:length].swapaxes(0, 1)  # (k1, t, a)
-    m2 = np.ndarray((k_max, length, k_max, p), np.float64, pairs, 2 * row, (row, row, 8 * p, 8))
     m3 = np.ndarray(
         (k_max, k_max, length, k_max * p), np.float64, pairs, 4 * row, (row, row, row, 8)
     )
-    z = (m1[:, :, None, :, None] * m2[:, :, :, None, :]).reshape(k_max, length, k_max, p * p)
-    # one GEMM per (k1, k2), ((a, b), t) @ (t, (k3, c)), each with the shape
-    # and strides of a per-k1 loop's, so BLAS sums in the same order
-    block = np.matmul(z.transpose(0, 2, 3, 1), m3)  # (k1, k2, (a, b), (k3, c))
-    # z is the size of a few tensors; freed here, it is gone before the new
-    # tensor is allocated, so the fold peaks at the larger of the two
+    # every product runs along a contiguous row of t
+    z = m1[:, None, :, None, :] * m2[:, :, None, :, :]  # (k1, k2, a, b, t)
+    # one GEMM per (k1, k2), ((a, b), t) @ (t, (k3, c))
+    block = np.matmul(z.reshape(k_max, k_max, p * p, length), m3)  # (k1, k2, (a, b), (k3, c))
+    # z is freed before the new tensor is allocated, so the fold peaks at
+    # the larger of the two
     del z
     # a new array leaves the argument untouched; times 1.0 changes no bit
     data = tensor.data * cfg.forgetting

@@ -236,6 +236,21 @@ class TestEngineUpdate:
             engine_update(state, traj.outputs[:100], traj.inputs[:101])
         assert isinstance(info.value.cause, NumericalError)
 
+    def test_stage_seconds_name_the_stages_that_ran(self):
+        traj = single_regime_traj(length=400, seed=6)
+        config = default_config(d=1, dc=1, s=3, rank=1, rho=0.5, l_c=100, l_s=1)
+        state = engine_init(config)
+        reports = [
+            engine_update(state, traj.outputs[o : o + 100], traj.inputs[o : o + 101])
+            for o in (0, 100, 200)
+        ]
+        first, plain = reports[0], next(r for r in reports[1:] if not r.adapted)
+        assert set(first.stage_seconds) == {"moment_collection", "model_adaptation", "forecasting"}
+        assert set(plain.stage_seconds) == {"moment_collection", "fit_scoring", "forecasting"}
+        for report in reports:
+            assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
+            assert sum(report.stage_seconds.values()) <= report.elapsed
+
     def test_non_finite_window_leaves_state_unchanged(self):
         traj = two_regime_traj(length=1600, seed=9)
         config = default_config(d=1, dc=1, s=3, rank=2, rho=0.5, l_c=100, l_s=1)
@@ -494,6 +509,37 @@ class TestPinnedDecisions:
             30, 0, 21, 0, 0, 0, 0, 0, 0, 0, 0, 0, 18, 11, 13, 11, 19, 27, 11, 0, 0, 0, 0, 0,
         ]
         assert summary.mse == pytest.approx(0.2534162510160425, rel=1e-12)
+
+    def test_two_output_two_input_stream_decisions(self):
+        # the same at the D = 32 sizing (d = dc = 2, s = 4), where each lag
+        # block holds p = 4 pair products and the moment fold's layout
+        # matters
+        first = TimeDelaySystem(
+            [[0.5, 0.1], [0.0, 0.4]], [[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.0], [0.3, 1.0]],
+            delay=1,
+        )
+        second = TimeDelaySystem(
+            [[0.3, 0.0], [0.2, 0.6]], [[0.0, 1.0], [1.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]],
+            delay=2,
+        )
+        traj = generate(
+            ScenarioSpec(
+                regimes=(first, second), length=1600, schedule=((0, 1), (800, 2)),
+                seed=2, obs_noise_std=0.01,
+            )
+        )
+        config = default_config(d=2, dc=2, s=4, rank=2, rho=0.5, l_c=78, l_s=10)
+        reports, (summary,), _ = run_horizons(config, traj, (10,))
+        yes, no = True, False
+        assert [r.adapted for r in reports] == [
+            yes, yes, yes, yes, yes, no, yes, yes, yes, no,
+            yes, yes, yes, yes, yes, yes, yes, no, no, no,
+        ]
+        assert [r.active_regime for r in reports] == [0] * 10 + [1] * 3 + [0] * 7
+        assert [r.als_iters for r in reports] == [
+            27, 31, 32, 12, 7, 0, 23, 11, 15, 0, 10, 9, 11, 10, 17, 5, 7, 0, 0, 0,
+        ]
+        assert summary.mse == pytest.approx(0.4726504769595617, rel=1e-12)
 
 
 class TestGainFit:

@@ -226,6 +226,32 @@ class TestAccumulate:
         for other in (window.outputs, window.inputs, tensor.data):
             assert not np.shares_memory(folded.data, other)
 
+    def test_window_layout_does_not_change_a_bit(self):
+        # the fold's strided views read its own buffers: a Fortran-ordered
+        # window, or every other row of a larger array whose rows between
+        # and future inputs after hold NaN, folds to the same bits
+        config = MomentConfig(d=2, dc=3, s=2, forgetting=0.9)
+        rng = np.random.default_rng(12)
+        tensor = accumulate_window(new_tensor(config), random_window(rng, config))
+        y = rng.standard_normal((config.min_window + 5, config.d))
+        u = rng.standard_normal((config.min_window + 5, config.dc))
+        sparse_y = np.full((2 * len(y), config.d), np.nan)
+        sparse_u = np.full((2 * len(u) + 6, config.dc), np.nan)
+        sparse_y[::2], sparse_u[: 2 * len(u) : 2] = y, u
+        layouts = [
+            (y, u),
+            (np.asfortranarray(y), np.asfortranarray(u)),
+            (sparse_y[::2], sparse_u[::2]),
+        ]
+        want = accumulate_window(tensor, Trajectory(y, u))
+        for outputs, inputs in layouts:
+            window = Trajectory(outputs, inputs)
+            before = window.outputs.copy(), window.inputs.copy()
+            got = accumulate_window(tensor, window)
+            assert np.array_equal(got.data, want.data) and got.weight == want.weight
+            assert np.array_equal(window.outputs, before[0])
+            assert np.array_equal(window.inputs, before[1], equal_nan=True)
+
     def test_channel_mismatch(self):
         config = MomentConfig(d=2, dc=1, s=1)
         tensor = new_tensor(config)
