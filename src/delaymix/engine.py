@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,13 +50,11 @@ from .moments import (
 from .realization import ModelRecord, realize_components
 from .syslin import DelayFreeModel, Trajectory, response_maps
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 # The state-inference noise model and the spectral radius realized models
 # are clipped to; both are fixed parts of the pipeline, not settings.
 NOISE = NoiseSpec()
 STABILITY_MARGIN = 0.999
-_SCALER_ARRAYS = ("out_mean", "out_std", "in_mean", "in_std")
-_FACTOR_ARRAYS = ("mode1", "mode2", "mode3")
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,9 @@ class RegimeDatabase:
     records are always `_realize_records` of last_factors with the records'
     own b_scale gains: adaptation fits the gains on its window and replaces
     the database whole, and load_checkpoint re-derives the records from the
-    stored factors and gains, so a checkpoint stores neither the models nor
-    their Markov blocks.
+    stored factors and gains, so a checkpoint stores of each record only its
+    b_scale, in record order: neither its model, its Markov blocks nor its
+    component index.
 
     active_map is the active model's filter map over an l_c-step window,
     shape (l_c*d + n, l_c*(d+dc)): the gate and the forecast anchor are one
@@ -355,15 +355,15 @@ def _realize_records(factors: CPFactors, moment: MomentConfig, gains) -> list[Mo
     Ho-Kalman model (`realize_components`), stabilized, with its input map
     multiplied by its gain, which the record keeps as b_scale.
 
-    gains(indices, models) returns one gain per realized record, given the
-    records' component indices and stabilized models. Adaptation fits each
-    gain on the window; load_checkpoint returns the stored gains. This is
-    the only path from factors to records, so a restored database is
-    bitwise the one the saved run held.
+    gains(models) returns one gain per realized record, given the records'
+    stabilized models. Adaptation fits each gain on the window;
+    load_checkpoint returns the stored gains. This is the only path from
+    factors to records, so a restored database is bitwise the one the saved
+    run held.
     """
     realized = realize_components(factors, moment)
     models = [_stabilize(record.model) for record in realized]
-    scales = gains([record.component_index for record in realized], models)
+    scales = gains(models)
     return [
         replace(
             record,
@@ -459,7 +459,7 @@ def engine_update(
                 normalized_view(tensor), cfg.rank, seed=cfg.seed, init=database.last_factors
             )
             records = _realize_records(
-                factors, cfg.moment, lambda _, models: _input_gains(models, window)
+                factors, cfg.moment, lambda models: _input_gains(models, window)
             )
             maps = kalman_forward([record.model for record in records], cfg.l_c, NOISE)
             index, best_fit, trace = select_regime(maps, window)
@@ -551,53 +551,58 @@ def state_footprint_bytes(state: EngineState) -> int:
     and once an update has committed the standardizer and the warm-start
     factors, 8 * (D**3 + 2 * (d + dc) + 3 * D * rank) in all. The config
     fixes it; the records and active_map are derived and not counted."""
-    return sum(array.nbytes for _, array, _ in _state_arrays(state))
+    return 8 * sum(math.prod(shape) for _, shape in _payload_layout(state.config, state.updates))
 
 
-def _state_arrays(state: EngineState) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
-    """Every array of the state a checkpoint stores, named, in checkpoint
-    order, with the shape the config implies for it. The records are not
-    stored: they are derived from the warm-start factors."""
-    moment = state.config.moment
+def _payload_layout(config: EngineConfig, updates: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The arrays a checkpoint stores, in payload order, each named as the
+    field that holds it, with the shape the config implies: the tensor,
+    then, once an update has committed, the four standardizer vectors and
+    the three warm-start factor matrices. The records are not stored: they
+    are derived from the warm-start factors."""
+    moment = config.moment
     d, dc, dim = moment.d, moment.dc, moment.mode_dim
-    arrays = [("tensor", state.tensor.data, (dim, dim, dim))]
-    if state.scaler is not None:
-        shapes = ((d,), (d,), (dc,), (dc,))
-        arrays += [
-            (name, getattr(state.scaler, name), shape)
-            for name, shape in zip(_SCALER_ARRAYS, shapes)
-        ]
-    factors = state.database.last_factors
-    if factors is not None:
-        arrays += [
-            (name, getattr(factors, name), (dim, state.config.rank)) for name in _FACTOR_ARRAYS
-        ]
-    return arrays
+    layout = [("tensor", (dim, dim, dim))]
+    if updates:
+        layout += [("out_mean", (d,)), ("out_std", (d,)), ("in_mean", (dc,)), ("in_std", (dc,))]
+        layout += [(name, (dim, config.rank)) for name in ("mode1", "mode2", "mode3")]
+    return layout
 
 
 def save_checkpoint(state: EngineState, path) -> None:
     """Single-file checkpoint: a version byte, the 8-byte little-endian
-    length of a JSON header, the header, then every array the header lists,
-    in its order, as little-endian float64."""
-    arrays = _state_arrays(state)
+    length of a JSON header, the header, then the arrays of
+    `_payload_layout`, in its order, as little-endian float64.
+
+    The file is written and synced beside path, as path + ".tmp", then
+    moved onto path, so a save that fails leaves what path held before as
+    it was."""
     header = {
         "config": asdict(state.config),
         "updates": state.updates,
         "weight": state.tensor.weight,
         "active_index": state.database.active_index,
-        "records": [
-            {"component_index": record.component_index, "b_scale": record.b_scale}
-            for record in state.database.records
-        ],
-        "arrays": [[name, list(array.shape)] for name, array, _ in arrays],
+        "b_scales": [record.b_scale for record in state.database.records],
     }
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(bytes([CHECKPOINT_VERSION]))
-        handle.write(len(encoded).to_bytes(8, "little"))
-        handle.write(encoded)
-        for _, array, _ in arrays:
-            handle.write(array.astype("<f8").tobytes())
+    arrays = {"tensor": state.tensor.data}
+    if state.updates:
+        arrays.update(vars(state.scaler), **vars(state.database.last_factors))
+    temporary = f"{os.fspath(path)}.tmp"
+    out = open(temporary, "wb")
+    try:
+        with out:
+            out.write(bytes([CHECKPOINT_VERSION]))
+            out.write(len(encoded).to_bytes(8, "little"))
+            out.write(encoded)
+            for name, _ in _payload_layout(state.config, state.updates):
+                out.write(arrays[name].astype("<f8").tobytes())
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def load_checkpoint(path) -> EngineState:
@@ -605,27 +610,26 @@ def load_checkpoint(path) -> EngineState:
 
     Restore is exact on the same numpy/LAPACK build: continuing from the
     loaded state gives the same forecasts, bit for bit, as a run that was
-    never interrupted, and saving it again writes the same bytes. The file
-    stores the fixed-length summary (the tensor, the standardizer and the
-    warm-start factors) and, in its header, each record's component index
-    and b_scale. The config passes engine_init's checks, every array has the
-    shape the config implies, every array value is finite, the
+    never interrupted, and saving it again writes the same bytes. The
+    header holds the config, the update count, the tensor weight, the
+    active record index and each record's b_scale, in record order. The
+    payload's order and shapes are `_payload_layout` of the config and the
+    update count, so the file must hold exactly the bytes they imply. The
+    config passes engine_init's checks, every array value is finite, the
     standardizer's scales are positive and each b_scale is a finite float
-    other than 0.0, which adaptation never writes. The standardizer, the
-    warm-start factors, a positive tensor weight and at least one record
-    are present exactly when the update count is positive, the only states
-    an update can commit.
+    other than 0.0, which adaptation never writes. A positive tensor weight
+    and at least one gain are stored exactly when the update count is
+    positive, the only states an update can commit.
 
     The rest is derived: the standardizer's sample count, updates * l_c;
     the records, realized from the warm-start factors with the stored gains
-    by `_realize_records`, the path adaptation made them by, so their
-    component indices must equal the stored ones, in order (a value that
-    overflows there is refused by the value types, as a realization
-    failure); and the active model's maps, by `_database` as adaptation
-    builds them, so continuing forecasts any horizon bitwise as the saved
-    run would have. A file that is not one whole checkpoint of this version
-    (truncated, padded, from another version, or with a damaged header or
-    array) or holds a state no update can reach raises ParseError.
+    by `_realize_records`, the path adaptation made them by, which must
+    realize one record per gain (a value that overflows there is refused
+    by the value types, as a realization failure); and the active model's
+    maps, by `_database` as adaptation builds them. A file that is not one
+    whole checkpoint of this version (truncated, padded, from another
+    version, or with a damaged header or array) or holds a state no update
+    can reach raises ParseError.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -645,100 +649,72 @@ def _parse_checkpoint(raw: bytes) -> EngineState:
     if start > len(raw):
         raise ParseError(f"header runs {start - len(raw)} bytes past the end of the file")
     header = json.loads(raw[9:start].decode("utf-8"))
-    specs = header["arrays"]
-    for name, shape in specs:
-        if not (
-            isinstance(name, str)
-            and isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)
-        ):
-            raise ParseError(f"array entry {name!r} has a malformed shape {shape!r}")
-    sizes = [math.prod(shape) for _, shape in specs]
-    if 8 * sum(sizes) != len(raw) - start:
-        raise ParseError(
-            f"header lists {8 * sum(sizes)} array bytes, {len(raw) - start} follow it"
-        )
-    arrays = {}
-    for (name, shape), size in zip(specs, sizes):
-        flat = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
-        arrays[name] = flat.reshape(shape).astype(np.float64)
-        if not np.isfinite(arrays[name]).all():
-            raise ParseError(f"{name} holds non-finite values")
-        start += 8 * size
-
     config = header["config"]
     state = engine_init(
         EngineConfig(**{**config, "moment": MomentConfig(**config["moment"])})
     )
-    records = header["records"]
-    for i, entry in enumerate(records):
-        index, scale = entry["component_index"], entry["b_scale"]
-        if type(index) is not int:
-            raise ParseError(f"record {i}'s component_index {index!r} is not an int")
-        # _input_gains never returns 0.0
-        if type(scale) is not float or not math.isfinite(scale) or scale == 0.0:
-            raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite nonzero float")
     updates = header["updates"]
     if type(updates) is not int or updates < 0:
         raise ParseError(f"updates {updates!r} is not a non-negative integer")
     weight = header["weight"]
     if type(weight) is not float or not math.isfinite(weight) or weight < 0.0:
         raise ParseError(f"weight {weight!r} is not a finite float >= 0")
-    # an update commits all four together, so a file holds all or none
-    for what, present in (
-        ("a positive weight", weight > 0.0),
-        ("the standardizer", "out_mean" in arrays),
-        ("the warm-start factors", "mode1" in arrays),
-        ("a stored record", bool(records)),
-    ):
+    scales = header["b_scales"]
+    for i, scale in enumerate(scales):
+        # _input_gains never returns 0.0
+        if type(scale) is not float or not math.isfinite(scale) or scale == 0.0:
+            raise ParseError(f"record {i}'s b_scale {scale!r} is not a finite nonzero float")
+    # an update commits its weight and its records with the rest of the
+    # state, so a file holds both or neither
+    for what, present in (("a positive weight", weight > 0.0), ("a gain", bool(scales))):
         if present != (updates > 0):
             raise ParseError(f"updates={updates}, yet {what} is {'' if present else 'not '}stored")
-    state.updates = updates
-    state.tensor = SystemTensor(arrays["tensor"], weight, state.config.moment)
-    if updates:
-        for name in ("out_std", "in_std"):
-            if not (arrays[name] > 0.0).all():
-                raise ParseError(f"{name} holds a non-positive scale")
-        state.scaler = Standardizer(*(arrays[name] for name in _SCALER_ARRAYS))
-        state.database.last_factors = CPFactors(*(arrays[name] for name in _FACTOR_ARRAYS))
     active_index = header["active_index"]
-    valid = range(len(records)) if records else (-1,)
+    valid = range(len(scales)) if scales else (-1,)
     if type(active_index) is not int or active_index not in valid:
         raise ParseError(f"active_index {active_index!r} names no stored record")
-    state.database.active_index = active_index
-    loaded = _state_arrays(state)
-    if [name for name, _, _ in loaded] != [name for name, _ in specs]:
-        raise ParseError("header's array list does not match the state it describes")
-    for name, array, expected in loaded:
-        if array.shape != expected:
-            raise ParseError(
-                f"{name} has shape {list(array.shape)}, the config implies {list(expected)}"
-            )
-    if records:
-        stored = [entry["component_index"] for entry in records]
-
-        def stored_gains(indices, _):
-            if indices != stored:
-                raise ParseError(
-                    f"the warm-start factors realize components {indices}, "
-                    f"the header lists {stored}"
-                )
-            return [entry["b_scale"] for entry in records]
-
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                derived = _realize_records(
-                    state.database.last_factors, state.config.moment, stored_gains
-                )
-        except ParseError:
-            raise
-        except DelayMixError as err:
-            raise ParseError(f"the warm-start factors cannot be realized: {err}") from err
-        try:
-            maps = kalman_forward([record.model for record in derived], state.config.l_c, NOISE)
-        except DelayMixError as err:
-            raise ParseError(f"the re-derived models cannot be filtered: {err}") from err
-        state.database = _database(
-            derived, active_index, state.database.last_factors, maps, state.config.l_c
+    layout = _payload_layout(state.config, updates)
+    sizes = [math.prod(shape) for _, shape in layout]
+    if 8 * sum(sizes) != len(raw) - start:
+        raise ParseError(
+            f"the config and updates={updates} imply {8 * sum(sizes)} array bytes, "
+            f"{len(raw) - start} follow the header"
         )
+    arrays = {}
+    for (name, shape), size in zip(layout, sizes):
+        flat = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
+        arrays[name] = flat.reshape(shape).astype(np.float64)
+        if not np.isfinite(arrays[name]).all():
+            raise ParseError(f"{name} holds non-finite values")
+        start += 8 * size
+    state.updates = updates
+    state.tensor = SystemTensor(arrays["tensor"], weight, state.config.moment)
+    if not updates:
+        return state
+    for name in ("out_std", "in_std"):
+        if not (arrays[name] > 0.0).all():
+            raise ParseError(f"{name} holds a non-positive scale")
+    state.scaler = Standardizer(**{f.name: arrays[f.name] for f in fields(Standardizer)})
+    factors = CPFactors(**{f.name: arrays[f.name] for f in fields(CPFactors)})
+
+    def stored_gains(models):
+        if len(models) != len(scales):
+            raise ParseError(
+                f"the warm-start factors realize {len(models)} records, "
+                f"the header stores {len(scales)} gains"
+            )
+        return scales
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            derived = _realize_records(factors, state.config.moment, stored_gains)
+    except ParseError:
+        raise
+    except DelayMixError as err:
+        raise ParseError(f"the warm-start factors cannot be realized: {err}") from err
+    try:
+        maps = kalman_forward([record.model for record in derived], state.config.l_c, NOISE)
+    except DelayMixError as err:
+        raise ParseError(f"the re-derived models cannot be filtered: {err}") from err
+    state.database = _database(derived, active_index, factors, maps, state.config.l_c)
     return state

@@ -805,6 +805,29 @@ class TestCheckpoint:
                 assert got.shape == (2 * CUT_LC + 3, 1)
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("d, dc", [(2, 1), (1, 2)])
+    def test_restore_then_continue_with_unequal_channel_counts(self, tmp_path, d, dc):
+        # the standardizer's (d,) and (dc,) vectors differ in length here,
+        # so a layout that swapped them would not restore
+        traj = _unequal_channel_traj(d, dc, length=CUT_WINDOWS * CUT_LC + 1)
+        config = default_config(d=d, dc=dc, s=3, rank=2, rho=0.5, l_c=CUT_LC)
+        reference = _feed_windows(engine_init(config), traj, range(CUT_WINDOWS))
+        assert sum(report.adapted for report in reference) >= 6
+        assert len({report.active_regime for report in reference}) == 2
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        for cut in range(2, CUT_WINDOWS, 2):
+            state = engine_init(config)
+            _feed_windows(state, traj, range(cut))
+            save_checkpoint(state, first)
+            restored = load_checkpoint(first)
+            save_checkpoint(restored, second)
+            assert second.read_bytes() == first.read_bytes()
+            assert_same_state(restored, state)
+            resumed = _feed_windows(restored, traj, range(cut, CUT_WINDOWS))
+            for got, want in zip(resumed, reference[cut:]):
+                assert got.adapted == want.adapted
+                assert np.array_equal(got.forecast, want.forecast)
+
     def test_active_map_is_an_owned_copy_of_the_batch_row(self, tmp_path):
         # after each adaptation and after its restore, the cached map owns
         # its memory and is row active_index of a fresh batch of every
@@ -848,6 +871,24 @@ class TestCheckpoint:
         )
         assert r1.forecast.shape == r2.forecast.shape
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        class FailingArray(np.ndarray):
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        state = _adapted_state(rank=1)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        saved = path.read_bytes()
+        # in_std is written after the header, the tensor and three vectors
+        in_std = state.scaler.in_std.view(FailingArray)
+        state.scaler = replace(state.scaler, in_std=in_std)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, path)
+        assert path.read_bytes() == saved
+        assert [entry.name for entry in tmp_path.iterdir()] == ["checkpoint.bin"]
+        assert load_checkpoint(path).updates == 1
+
     def test_config_round_trip(self, tmp_path):
         config = default_config(d=1, dc=1, s=3, l_c=100, l_s=1, seed=5, forgetting=0.9)
         path = tmp_path / "c.bin"
@@ -855,6 +896,21 @@ class TestCheckpoint:
         header, _ = _split_checkpoint(path.read_bytes())
         assert set(header["config"]) == {"moment", "rank", "rho", "l_c", "l_s", "seed"}
         assert load_checkpoint(path).config == config
+
+    def test_header_stores_each_fact_once(self, tmp_path):
+        state = _adapted_state(rank=2)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(state, path)
+        header, payload = _split_checkpoint(path.read_bytes())
+        assert set(header) == {"config", "updates", "weight", "active_index", "b_scales"}
+        assert header["b_scales"] == [record.b_scale for record in state.database.records]
+        # the payload is the tensor, the standardizer and the factors, in
+        # that order, and nothing else
+        scaler, factors = state.scaler, state.database.last_factors
+        parts = [state.tensor.data, scaler.out_mean, scaler.out_std, scaler.in_mean]
+        parts += [scaler.in_std, factors.mode1, factors.mode2, factors.mode3]
+        assert payload == b"".join(part.astype("<f8").tobytes() for part in parts)
+        assert len(payload) == state_footprint_bytes(state)
 
     def test_damaged_file_raises_parse_error(self, tmp_path):
         traj = single_regime_traj(length=300, seed=14)
@@ -870,37 +926,33 @@ class TestCheckpoint:
         def with_header(**changes):
             return _join_checkpoint({**header, **changes}, payload)
 
-        def with_tensor_shape(shape):
-            return with_header(arrays=[["tensor", shape]] + header["arrays"][1:])
-
-        def with_record(**changes):
-            return with_header(records=[{**header["records"][0], **changes}])
+        def with_scale(scale):
+            return with_header(b_scales=[scale])
 
         def with_value(name, value):
             # the named array's first entry set to value
             offset = 0
-            for listed, shape in header["arrays"]:
+            for listed, shape in engine._payload_layout(state.config, state.updates):
                 if listed == name:
                     break
                 offset += 8 * math.prod(shape)
             patch = np.array([value], dtype="<f8").tobytes()
             return _join_checkpoint(header, payload[:offset] + patch + payload[offset + 8 :])
 
-        assert header["arrays"][0] == ["tensor", [6, 6, 6]]
         moment = header["config"]["moment"]
         # cuts inside the version byte, the length prefix, the header and the
-        # array payload, then files of versions 2 to 7 and one trailing byte
+        # array payload, then files of versions 2 to 8 and one trailing byte
         cuts = [0, 1, 5, start - 10, start, start + 4, len(raw) - 8]
         variants = [raw[:cut] for cut in cuts]
-        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5, 6, 7)]
+        variants += [bytes([version]) + raw[1:] for version in (2, 3, 4, 5, 6, 7, 8)]
         variants += [raw + b"\x00"]
         variants += [
-            with_tensor_shape([6, 6, -6]),
-            with_tensor_shape([6, 6, 10**12]),
-            # same byte count, but not the (D, D, D) shape the config implies
-            with_tensor_shape([3, 12, 6]),
-            # the header drops the record whose arrays it still lists
-            with_header(records=[]),
+            # a payload without the warm-start factors, and one that also
+            # holds a 1 x 1 model matrix, as version 7 stored
+            _join_checkpoint(header, payload[: -3 * 8 * 6 * config.rank]),
+            _join_checkpoint(header, payload + bytes(8)),
+            # the header drops the record whose factors it still stores
+            with_header(b_scales=[]),
             with_header(active_index=1),
             # counters of the wrong type, sign or finiteness
             with_header(updates="1"),
@@ -913,25 +965,18 @@ class TestCheckpoint:
             with_header(config={**header["config"], "warm_start": True}),
             # a tensor size that is not an int
             with_header(config={**header["config"], "moment": {**moment, "s": 3.0}}),
-            # records that name no CP component or carry no finite gain
-            with_record(component_index=-7, b_scale="x"),
-            with_record(component_index=3.5, b_scale=None),
-            with_record(component_index=1),
-            with_record(component_index=False),
-            with_record(b_scale=float("nan")),
-            with_record(b_scale=1),
-            with_record(b_scale=0.0),
+            # gains that are no finite nonzero float, or no list of them
+            with_scale("x"),
+            with_scale(None),
+            with_scale(float("nan")),
+            with_scale(1),
+            with_scale(0.0),
+            with_header(b_scales=1.5),
             # non-finite array values and non-positive standardizer scales
             with_value("tensor", float("nan")),
             with_value("mode1", float("inf")),
             with_value("out_std", 0.0),
             with_value("in_std", -1.0),
-            # version 7 stored each record's model; version 8 derives it from
-            # the warm-start factors, so it refuses a listed model array
-            _join_checkpoint(
-                {**header, "arrays": header["arrays"] + [["record0.transition", [1, 1]]]},
-                payload + bytes(8),
-            ),
         ]
         damaged = tmp_path / "damaged.bin"
         for blob in variants:
@@ -939,50 +984,45 @@ class TestCheckpoint:
             with pytest.raises(ParseError, match="damaged checkpoint"):
                 load_checkpoint(damaged)
         # the refusal names the record
-        damaged.write_bytes(with_record(b_scale=0.0))
+        damaged.write_bytes(with_scale(0.0))
         with pytest.raises(ParseError, match="record 0's b_scale 0.0 is not"):
             load_checkpoint(damaged)
         # the intact file still loads
         assert load_checkpoint(path).updates == 1
 
-    def test_version_7_file_refused(self, tmp_path):
-        # a file as version 7 wrote it: each record's model after the summary
+    def test_version_8_file_refused(self, tmp_path):
+        # a file as version 8 wrote it: the header also lists each array's
+        # name and shape and each record's component index
         state = _adapted_state(rank=1)
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
         header, payload = _split_checkpoint(path.read_bytes())
-        model = state.database.records[0].model
-        parts = [
-            (f"record0.{name}", getattr(model, name))
-            for name in ("transition", "input_map", "output_map")
-        ]
-        arrays = header["arrays"] + [[name, list(part.shape)] for name, part in parts]
-        payload += b"".join(part.astype("<f8").tobytes() for _, part in parts)
-        blob = _join_checkpoint({**header, "arrays": arrays}, payload)
-        path.write_bytes(bytes([7]) + blob[1:])
-        with pytest.raises(ParseError, match="damaged checkpoint .*expected 8"):
+        layout = engine._payload_layout(state.config, state.updates)
+        scales = header.pop("b_scales")
+        header["records"] = [{"component_index": 0, "b_scale": scale} for scale in scales]
+        header["arrays"] = [[name, list(shape)] for name, shape in layout]
+        blob = _join_checkpoint(header, payload)
+        path.write_bytes(bytes([8]) + blob[1:])
+        with pytest.raises(ParseError, match="damaged checkpoint .*expected 9"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "records, message",
+        "rank, scales, message",
         [
-            # rank 2 realizes components 0 and 1, in that order
-            ([0, 1, 1], r"realize components \[0, 1\], the header lists \[0, 1, 1\]"),
-            ([1, 0], r"realize components \[0, 1\], the header lists \[1, 0\]"),
-            ([0, 0], r"realize components \[0, 1\], the header lists \[0, 0\]"),
-            ([0, 2], r"realize components \[0, 1\], the header lists \[0, 2\]"),
-            ([0], r"realize components \[0, 1\], the header lists \[0\]"),
+            (2, [1.5, 1.5, 1.5], "realize 2 records, the header stores 3 gains"),
+            (2, [1.5], "realize 2 records, the header stores 1 gains"),
+            (1, [1.5, 1.5], "realize 1 records, the header stores 2 gains"),
         ],
-        ids=["extra", "swapped", "repeated", "unrealized", "missing"],
+        ids=["extra", "missing", "extra-rank-1"],
     )
-    def test_component_indices_match_the_factors(self, tmp_path, records, message):
+    def test_gain_count_matches_the_factors(self, tmp_path, rank, scales, message):
         path = tmp_path / "checkpoint.bin"
-        state = _adapted_state(rank=2)
-        assert [record.component_index for record in state.database.records] == [0, 1]
+        state = _adapted_state(rank=rank)
+        assert len(state.database.records) == rank
         save_checkpoint(state, path)
         header, payload = _split_checkpoint(path.read_bytes())
-        entries = [{"component_index": index, "b_scale": 1.5} for index in records]
-        path.write_bytes(_join_checkpoint({**header, "records": entries}, payload))
+        edited = {**header, "b_scales": scales, "active_index": 0}
+        path.write_bytes(_join_checkpoint(edited, payload))
         with pytest.raises(ParseError, match=f"damaged checkpoint .*{message}"):
             load_checkpoint(path)
 
@@ -1010,38 +1050,27 @@ class TestCheckpoint:
         empty = _split_checkpoint(path.read_bytes())
         save_checkpoint(state, path)
         header, payload = _split_checkpoint(path.read_bytes())
-        scaler = ("out_mean", "out_std", "in_mean", "in_std")
-        factors = ("mode1", "mode2", "mode3")
         variants = [
             # a never-updated state that claims updates
             (dict(empty[0], updates=3), empty[1]),
             # an updated state that claims none, or lacks its weight
             (dict(header, updates=0), payload),
             (dict(header, weight=0.0), payload),
-            # an updated state without its standardizer or warm-start factors
-            _without_arrays(header, payload, scaler),
-            _without_arrays(header, payload, factors),
             # factors but no record
-            (dict(header, records=[], active_index=-1), payload),
+            (dict(header, b_scales=[], active_index=-1), payload),
         ]
         for changed_header, changed_payload in variants:
             path.write_bytes(_join_checkpoint(changed_header, changed_payload))
             with pytest.raises(ParseError, match="damaged checkpoint .*updates="):
                 load_checkpoint(path)
-
-    def test_array_shapes_checked_against_config(self, tmp_path):
-        path = tmp_path / "checkpoint.bin"
-        save_checkpoint(_adapted_state(rank=1), path)
-        header, payload = _split_checkpoint(path.read_bytes())
-        assert dict(header["arrays"])["out_mean"] == [1]
-        # each edit keeps the byte count, so only the shape check can refuse it
-        for changes in (
-            {"out_mean": [2], "out_std": [0]},
-            {"in_mean": [0], "in_std": [2]},
+        # the update count fixes the payload: an updated header over a bare
+        # tensor, and a never-updated one over a full payload
+        for changed_header, changed_payload in (
+            (header, empty[1]),
+            (dict(header, updates=0, weight=0.0, b_scales=[], active_index=-1), payload),
         ):
-            arrays = [[name, changes.get(name, shape)] for name, shape in header["arrays"]]
-            path.write_bytes(_join_checkpoint({**header, "arrays": arrays}, payload))
-            with pytest.raises(ParseError, match="damaged checkpoint .*the config implies"):
+            path.write_bytes(_join_checkpoint(changed_header, changed_payload))
+            with pytest.raises(ParseError, match=r"damaged checkpoint .*updates=\d imply"):
                 load_checkpoint(path)
 
     def test_non_finite_derived_markov_raises_parse_error(self, tmp_path):
@@ -1071,8 +1100,7 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.bin"
         save_checkpoint(state, path)
         header, payload = _split_checkpoint(path.read_bytes())
-        records = [{**header["records"][0], "b_scale": 1e308}]
-        path.write_bytes(_join_checkpoint({**header, "records": records}, payload))
+        path.write_bytes(_join_checkpoint({**header, "b_scales": [1e308]}, payload))
         with pytest.raises(
             ParseError,
             match="damaged checkpoint .*cannot be realized: input_map holds non-finite values",
@@ -1088,7 +1116,7 @@ class TestCheckpoint:
             header, payload = _split_checkpoint(path.read_bytes())
             config = {**header["config"], "rank": claimed_rank}
             path.write_bytes(_join_checkpoint({**header, "config": config}, payload))
-            with pytest.raises(ParseError, match="damaged checkpoint .*mode1 has shape"):
+            with pytest.raises(ParseError, match="damaged checkpoint .*updates=1 imply .* bytes"):
                 load_checkpoint(path)
 
 
@@ -1098,6 +1126,28 @@ def _adapted_state(rank):
     state = engine_init(config)
     engine_update(state, traj.outputs[:100], traj.inputs[:101])
     return state
+
+
+def _unequal_channel_traj(d, dc, length):
+    """A two-regime stream with d outputs and dc inputs, d != dc."""
+    transitions = ([[0.5, 0.1], [0.0, 0.4]], [[0.3, 0.0], [0.2, 0.6]])
+    # each regime's (B, C)
+    if (d, dc) == (2, 1):
+        maps = (([[1.0], [0.5]], [[1.0, 0.0], [0.3, 1.0]]),
+                ([[0.0], [1.0]], [[1.0, 0.5], [0.0, 1.0]]))
+    else:
+        maps = (([[1.0, 0.0], [0.5, 1.0]], [[1.0, 0.3]]),
+                ([[0.0, 1.0], [1.0, 0.5]], [[0.5, 1.0]]))
+    regimes = tuple(
+        TimeDelaySystem(a, b, c, delay=delay)
+        for a, (b, c), delay in zip(transitions, maps, (1, 2))
+    )
+    return generate(
+        ScenarioSpec(
+            regimes=regimes, length=length, schedule=((0, 1), (length // 2, 2)),
+            seed=3, obs_noise_std=0.01,
+        )
+    )
 
 
 def assert_same_state(got, want):
@@ -1126,18 +1176,6 @@ def assert_same_state(got, want):
             assert getattr(got.database, name) is None
         else:
             assert np.array_equal(getattr(got.database, name), getattr(want.database, name))
-
-
-def _without_arrays(header, payload, names):
-    """A checkpoint header and payload with the named arrays taken out."""
-    kept, chunks, start = [], [], 0
-    for name, shape in header["arrays"]:
-        size = 8 * math.prod(shape)
-        if name not in names:
-            kept.append([name, shape])
-            chunks.append(payload[start : start + size])
-        start += size
-    return dict(header, arrays=kept), b"".join(chunks)
 
 
 def _split_checkpoint(raw):
