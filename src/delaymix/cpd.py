@@ -1,7 +1,16 @@
-"""Rank-R CP decomposition of the system tensor by alternating least squares."""
+"""Rank-R CP decomposition of the system tensor by alternating least squares.
+
+Each ALS sweep reads the D x D x D tensor in two contiguous passes (the
+dimension-tree MTTKRP): W = T x3 C serves the mode-1 and mode-2 updates and
+T x1 A the mode-3 update. Inside the sweep loop the factors are held
+component-major, (R, D). The mode-3 unfolding is copied contiguous once per
+`cp_als` call, D^3 floats of transient memory beside the tensor.
+"""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +75,29 @@ def _khatri_rao(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left[:, None, :] * right[None, :, :]).reshape(-1, left.shape[1])
 
 
-def _mttkrp(tensor: np.ndarray, mode: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mode-`mode` MTTKRP (D, R) with the other modes' factors a, b: one GEMM on a view."""
-    dim, rank = a.shape
-    cols = tensor.reshape(dim * dim, dim)  # T[(i, j), k]; its transpose unfolds mode 3
-    if mode == 1:
-        return ((cols @ b).reshape(dim, dim, rank) * a[:, None, :]).sum(axis=0)
-    unfolding = tensor.reshape(dim, dim * dim) if mode == 0 else cols.T
-    return unfolding @ _khatri_rao(a, b)
+def _unfoldings(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mode-1 and mode-3 unfoldings of a C-contiguous tensor, both C-contiguous (D, D^2).
+
+    Row i of the first is T[i, :, :] flattened over (j, k), and row k of the
+    second is T[:, :, k] flattened over (i, j). The first is a view. The
+    second is a copy, D^3 floats, because the same GEMM over the transposed
+    view ran about 3x slower at D = 32.
+    """
+    dim = tensor.shape[0]
+    mode3 = np.ascontiguousarray(tensor.transpose(2, 0, 1))
+    return tensor.reshape(dim, dim * dim), mode3.reshape(dim, dim * dim)
 
 
 def _solve_normal(
     gram: np.ndarray, rhs: np.ndarray, eye: np.ndarray, sweep_start: tuple
 ) -> np.ndarray:
-    """Solve (gram + ridge I) x = rhs for each rhs row, with a rescue ridge.
+    """Solve (gram + ridge I) x = rhs, rhs a component-major (R, D) MTTKRP,
+    with a rescue ridge; x is the mode's new (R, D) factor.
 
     eye is the rank x rank identity, built once per `cp_als` call.
-    sweep_start holds the (mode1, mode2, mode3) arrays the sweep began from;
-    they are the ConvergenceError's factors when the rescue fails too.
+    sweep_start holds the component-major (mode1, mode2, mode3) arrays the
+    sweep began from; transposed to (D, R), they are the ConvergenceError's
+    factors when the rescue fails too.
     """
     trace = gram.trace()
     for eps in (RIDGE_SCALE * trace, 1e-6 * trace + 1e-12):
@@ -93,7 +107,7 @@ def _solve_normal(
             pass
     raise ConvergenceError(
         "normal equations stayed singular beyond ridge rescue",
-        factors=CPFactors(*sweep_start),
+        factors=CPFactors(*(m.T for m in sweep_start)),
     )
 
 
@@ -105,6 +119,11 @@ def _fix_signs(m1: np.ndarray, m2: np.ndarray) -> None:
         if column[peak] < 0.0:
             m1[:, r] = -column
             m2[:, r] = -m2[:, r]
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer; a bool is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def cp_als(
@@ -122,17 +141,26 @@ def cp_als(
     warm-starts the sweep. max_iters = None resolves to COLD_MAX_ITERS or,
     with init, WARM_MAX_ITERS. Returns (factors, iterations used, final
     relative residual ||T - reconstruct(factors)|| / ||T||). Deterministic
-    given seed and init.
+    given seed and init. A rank, seed, max_iters or tol that is not a
+    number of the right kind and range raises ConfigError (RankError for
+    rank).
 
-    Each mode update is one GEMM on a reshape view of the tensor, the
-    unfolding MTTKRP of Kolda & Bader (2009, sec. 3.4); each mode's Gram
-    matrix is formed once per sweep, and the next two solves reuse it.
-    Each sweep then evaluates the residual in the cheap expanded form
-    ||T||^2 - 2<T, rec> + ||rec||^2 from the mode-3 MTTKRP and the three
-    Gram matrices. That form cannot resolve a relative residual below
-    about sqrt(eps), so once it reads below DIRECT_RESIDUAL_BELOW (1e-6) the
-    residual is computed directly from the dense reconstruction, and that
-    value drives both the stopping test and the return value.
+    Each sweep reads the tensor in two contiguous passes, the dimension-tree
+    MTTKRP of Phan, Tichavsky & Cichocki (IEEE TSP 61(19), 2013): W = T x3 C
+    gives the mode-1 and, after the mode-1 update, the mode-2 MTTKRP by
+    batched products over its R slices of D x D, and V = T x1 A gives the
+    mode-3 MTTKRP the same way. Inside the loop the factors are held
+    component-major, (R, D), so both passes are one (R, D) x (D, D^2) GEMM
+    over a C-contiguous unfolding. The mode-3 unfolding is copied contiguous
+    once per call: D^3 floats of transient memory beside the tensor.
+    Each mode's Gram matrix is formed once per sweep, and the next two
+    solves reuse it. Each sweep then evaluates the residual in the cheap
+    expanded form ||T||^2 - 2<T, rec> + ||rec||^2 from the mode-3 MTTKRP
+    and the three Gram matrices. That form cannot resolve a relative
+    residual below about sqrt(eps), so once it reads below
+    DIRECT_RESIDUAL_BELOW (1e-6) the residual is computed directly from the
+    dense reconstruction, and that value drives both the stopping test and
+    the return value.
 
     The sweep stops when the relative change of the residual drops below
     tol, when the residual fails to decrease, when it falls below
@@ -141,13 +169,19 @@ def cp_als(
     RIDGE_SCALE bias or rounding is still acting. That bias also keeps the
     residual of an exact low-rank fit at about 1e-10 relative, not 0.
     """
-    if max_iters is not None and max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    if tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not _is_int(rank):
+        raise RankError(f"rank must be an integer, got {rank!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if max_iters is not None and (not _is_int(max_iters) or max_iters < 1):
+        raise ConfigError(f"max_iters must be None or an integer >= 1, got {max_iters!r}")
+    # nan would turn the relative-change stop off, and inf would stop every
+    # fit after its second sweep
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be a positive finite number, got {tol!r}")
     if max_iters is None:
         max_iters = COLD_MAX_ITERS if init is None else WARM_MAX_ITERS
-    tensor = np.ascontiguousarray(tensor, dtype=np.float64)  # the unfoldings are views
+    tensor = np.ascontiguousarray(tensor, dtype=np.float64)  # the mode-1 unfolding is a view
     if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
         raise ShapeError(f"expected a cubical order-3 tensor, got shape {tensor.shape}")
     dim = tensor.shape[0]
@@ -163,36 +197,41 @@ def cp_als(
             raise ShapeError(f"warm-start factors have mode size {init.dim}, tensor has {dim}")
         if init.rank != rank:
             raise RankError(f"warm-start factors have rank {init.rank}, requested {rank}")
-        m1, m2, m3 = init.mode1.copy(), init.mode2.copy(), init.mode3.copy()
+        start = init
     else:
-        cold = _cold_init(dim, rank, seed)
-        m1, m2, m3 = cold.mode1, cold.mode2, cold.mode3
+        start = _cold_init(dim, rank, seed)
+    # component-major (R, D); the first sweep replaces all three
+    a, b, c = start.mode1.T, start.mode2.T, start.mode3.T
 
     norm_sq = float(np.sum(tensor * tensor))
     scale = float(np.sqrt(norm_sq)) if norm_sq > 0.0 else 1.0
+    unfold1, unfold3 = _unfoldings(tensor)
+    slices = (rank, dim, dim)
 
     prev = None
     iters = 0
     final = 0.0
     eye = np.eye(rank)
-    g2, g3 = m2.T @ m2, m3.T @ m3
+    gb, gc = b @ b.T, c @ c.T
     for iteration in range(1, max_iters + 1):
-        current = (m1, m2, m3)
-        m1 = _solve_normal(g2 * g3, _mttkrp(tensor, 0, m2, m3).T, eye, current).T
-        g1 = m1.T @ m1
+        current = (a, b, c)
+        w = (c @ unfold3).reshape(slices)  # w[r, i, j] = sum_k T[i, j, k] c[r, k]
+        a = _solve_normal(gb * gc, (w @ b[:, :, None])[:, :, 0], eye, current)
+        ga = a @ a.T
 
-        m2 = _solve_normal(g1 * g3, _mttkrp(tensor, 1, m1, m3).T, eye, current).T
-        g2 = m2.T @ m2
+        b = _solve_normal(ga * gc, (a[:, None, :] @ w)[:, 0, :], eye, current)
+        gb = b @ b.T
 
-        mttkrp3 = _mttkrp(tensor, 2, m1, m2)
-        m3 = _solve_normal(g1 * g2, mttkrp3.T, eye, current).T
-        g3 = m3.T @ m3
+        v = (a @ unfold1).reshape(slices)  # v[r, j, k] = sum_i a[r, i] T[i, j, k]
+        mttkrp3 = (b[:, None, :] @ v)[:, 0, :]
+        c = _solve_normal(ga * gb, mttkrp3, eye, current)
+        gc = c @ c.T
 
         # ||T - rec||^2 = ||T||^2 - 2 <T, rec> + ||rec||^2 via the mode-3 MTTKRP
-        res_sq = norm_sq - 2.0 * float(np.sum(mttkrp3 * m3)) + float(np.sum(g1 * g2 * g3))
+        res_sq = norm_sq - 2.0 * float(np.vdot(mttkrp3, c)) + float(np.sum(ga * gb * gc))
         rel_res = float(np.sqrt(max(res_sq, 0.0))) / scale
         if rel_res < DIRECT_RESIDUAL_BELOW:
-            rel_res = float(np.linalg.norm(tensor - reconstruct(CPFactors(m1, m2, m3)))) / scale
+            rel_res = float(np.linalg.norm(tensor - reconstruct(CPFactors(a.T, b.T, c.T)))) / scale
         iters = iteration
         final = rel_res
         if prev is not None and (
@@ -203,6 +242,7 @@ def cp_als(
             break
         prev = rel_res
 
+    m1, m2, m3 = a.T, b.T, c.T
     _fix_signs(m1, m2)
     return CPFactors(m1, m2, m3), iters, final
 
@@ -211,4 +251,3 @@ def reconstruct(factors: CPFactors) -> np.ndarray:
     """Dense tensor sum_r q1_r x q2_r x q3_r."""
     product = factors.mode1 @ _khatri_rao(factors.mode2, factors.mode3).T
     return product.reshape((factors.dim,) * 3)
-

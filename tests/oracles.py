@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delaymix.cpd import CPFactors
+from delaymix.cpd import (
+    COLD_MAX_ITERS,
+    DIRECT_RESIDUAL_BELOW,
+    RIDGE_SCALE,
+    WARM_MAX_ITERS,
+    CPFactors,
+)
 from delaymix.datagen import random_stable_system
 from delaymix.errors import ConditioningError, ConfigError, NumericalError, ShapeError
 from delaymix.filtering import filter_window, kalman_forward
@@ -203,6 +209,60 @@ def per_step_checked_forward(model, window, noise):
             filtered_covs[t] = cov
             predictions[t] = c @ mean_pred
     return filtered_means, filtered_covs, predicted_means, predicted_covs, predictions, gains
+
+
+def three_pass_cp_als(tensor, rank, *, seed=0, init=None, max_iters=None, tol=1e-6):
+    """CP-ALS as three passes over the tensor per sweep, one unfolding GEMM
+    per mode (Kolda & Bader 2009, sec. 3.4), with `cp_als`'s cold draw,
+    ridge, expanded-form residual, direct fallback, stopping rule and sign
+    convention. Returns (factors, sweeps, relative residual)."""
+    tensor = np.array(tensor, dtype=np.float64)
+    dim = tensor.shape[0]
+    if max_iters is None:
+        max_iters = COLD_MAX_ITERS if init is None else WARM_MAX_ITERS
+    if init is None:
+        rng = np.random.default_rng(seed)
+        factors = []
+        for _ in range(3):
+            mat = rng.standard_normal((dim, rank))
+            factors.append(mat / np.linalg.norm(mat, axis=0, keepdims=True))
+    else:
+        factors = [init.mode1.copy(), init.mode2.copy(), init.mode3.copy()]
+    # unfolding m: rows index mode m, columns the other two modes in order
+    unfoldings = [np.moveaxis(tensor, m, 0).reshape(dim, dim * dim) for m in range(3)]
+
+    def khatri_rao(left, right):
+        return np.stack([np.kron(left[:, r], right[:, r]) for r in range(rank)], axis=1)
+
+    norm_sq = float(np.sum(tensor**2))
+    scale = math.sqrt(norm_sq) if norm_sq > 0.0 else 1.0
+    prev, sweeps, residual = None, 0, 0.0
+    for sweep in range(1, max_iters + 1):
+        for m in range(3):
+            left, right = [factors[o] for o in range(3) if o != m]
+            mttkrp = unfoldings[m] @ khatri_rao(left, right)
+            gram = (left.T @ left) * (right.T @ right)
+            ridged = gram + RIDGE_SCALE * np.trace(gram) * np.eye(rank)
+            factors[m] = np.linalg.solve(ridged, mttkrp.T).T
+        grams = [f.T @ f for f in factors]
+        res_sq = norm_sq - 2.0 * float(np.sum(mttkrp * factors[2])) + float(
+            np.sum(grams[0] * grams[1] * grams[2])
+        )
+        residual = math.sqrt(max(res_sq, 0.0)) / scale
+        if residual < DIRECT_RESIDUAL_BELOW:
+            rec = np.einsum("ar,br,cr->abc", *factors)
+            residual = float(np.linalg.norm(tensor - rec)) / scale
+        sweeps = sweep
+        if prev is not None and (residual >= prev or prev - residual < tol * max(prev, 1e-300)):
+            break
+        if residual < 1e-14:
+            break
+        prev = residual
+    for r in range(rank):
+        if factors[0][np.argmax(np.abs(factors[0][:, r])), r] < 0.0:
+            factors[0][:, r] *= -1.0
+            factors[1][:, r] *= -1.0
+    return CPFactors(*factors), sweeps, residual
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ from delaymix.cpd import (
     cp_als,
     reconstruct,
 )
-from delaymix.errors import DataError, RankError, ShapeError
-from oracles import align_components
+from delaymix.errors import ConfigError, DataError, RankError, ShapeError
+from oracles import align_components, three_pass_cp_als
 
 
 def rank_one(a, b, c):
@@ -17,6 +17,18 @@ def rank_one(a, b, c):
 def unit(rng, dim):
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def as_layout(tensor, layout):
+    """The same values C-ordered, F-ordered, or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(tensor)
+    if layout == "strided":
+        dim = tensor.shape[0]
+        view = np.zeros((2 * dim, dim, 2 * dim))[::2, :, ::2]
+        view[...] = tensor
+        return view
+    return np.ascontiguousarray(tensor)
 
 
 def rotated_unit(rng, base, angle):
@@ -193,6 +205,48 @@ class TestCpAls:
         assert cp_als(tensor, 2, init=cold, tol=1e-14)[1] == 1
         assert cp_als(tensor, 2, max_iters=3, tol=1e-14)[1] == 3
 
+    # a rank-2 fit of a 2 x 2 x 2 tensor is exact, so rounding at the ridge
+    # floor decides when it stops; every other pair has a residual to fit
+    @pytest.mark.parametrize(
+        "dim, rank",
+        [(2, 1)] + [(dim, rank) for dim in (4, 6, 12, 32) for rank in (1, 2, 3)],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_three_pass_reference(self, dim, rank, warm):
+        # fits of 3 to 200 sweeps; (4, 3) runs into both caps
+        rng = np.random.default_rng(1000 * dim + 10 * rank + warm)
+        truth = CPFactors(*rng.standard_normal((3, dim, rank)))
+        tensor = reconstruct(truth) + 0.1 * rng.standard_normal((dim,) * 3)
+        init = None
+        if warm:
+            init = CPFactors(
+                *(m + 0.1 * rng.standard_normal(m.shape)
+                  for m in (truth.mode1, truth.mode2, truth.mode3))
+            )
+        want, want_sweeps, want_residual = three_pass_cp_als(tensor, rank, seed=3, init=init)
+        largest = max(np.abs(m).max() for m in (want.mode1, want.mode2, want.mode3))
+        for layout in ("C", "F", "strided"):
+            got, sweeps, residual = cp_als(as_layout(tensor, layout), rank, seed=3, init=init)
+            assert sweeps == want_sweeps
+            assert residual == pytest.approx(want_residual, rel=1e-9)
+            for mode in ("mode1", "mode2", "mode3"):
+                assert np.abs(getattr(got, mode) - getattr(want, mode)).max() <= 1e-12 * largest
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("rank", 2.0), ("rank", True), ("rank", "2"), ("max_iters", 2.5),
+         ("max_iters", True), ("seed", 1.5), ("seed", -1), ("tol", float("nan")),
+         ("tol", float("inf"))],
+    )
+    def test_malformed_options_refused(self, option, value):
+        tensor = np.random.default_rng(14).standard_normal((4, 4, 4))
+        options = {"rank": 2, "seed": 0, "max_iters": None, "tol": 1e-6, option: value}
+        rank = options.pop("rank")
+        error = RankError if option == "rank" else ConfigError
+        with pytest.raises(error, match=repr(value).replace(".", r"\.")) as info:
+            cp_als(tensor, rank, **options)
+        assert type(info.value) is error
+
     def test_singular_solve_carries_last_factors(self, monkeypatch):
         from delaymix import cpd
         from delaymix.errors import ConvergenceError
@@ -210,19 +264,33 @@ class TestCpAls:
 
 
 class TestMttkrp:
-    # the unfolding GEMMs against the definition sum_{j,k} T[i,j,k] a[j,r] b[k,r]
+    # cp_als's two passes over the tensor, each one GEMM of a component-major
+    # factor over a contiguous unfolding, and the batched products over
+    # their slices that give the MTTKRPs, against the definition
+    # sum_{j,k} T[i,j,k] a[j,r] b[k,r] and its mode permutations
     DEFINITIONS = ("abc,br,cr->ar", "abc,ar,cr->br", "abc,ar,br->cr")
 
     @pytest.mark.parametrize("dim", [4, 6, 32])
     @pytest.mark.parametrize("rank", [1, 2, 3])
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_matches_einsum_definition(self, dim, rank, mode):
-        from delaymix.cpd import _mttkrp
+        from delaymix.cpd import _unfoldings
 
         rng = np.random.default_rng(100 * dim + 10 * rank + mode)
         tensor = rng.standard_normal((dim, dim, dim))
-        a, b = rng.standard_normal((2, dim, rank))
-        fast = _mttkrp(tensor, mode, a, b)
+        a, b = rng.standard_normal((2, dim, rank))  # the other modes' factors
+        unfold1, unfold3 = _unfoldings(tensor)
+        assert unfold1.flags.c_contiguous and unfold3.flags.c_contiguous
+        w = (b.T @ unfold3).reshape(rank, dim, dim)  # T x3 b
+        v = (a.T @ unfold1).reshape(rank, dim, dim)  # T x1 a
+        for fast, slow in ((w, np.einsum("ijk,kr->rij", tensor, b)),
+                           (v, np.einsum("ijk,ir->rjk", tensor, a))):
+            assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
+        fast = (
+            (w @ a.T[:, :, None])[:, :, 0],
+            (a.T[:, None, :] @ w)[:, 0, :],
+            (b.T[:, None, :] @ v)[:, 0, :],
+        )[mode].T
         slow = np.einsum(self.DEFINITIONS[mode], tensor, a, b)
         assert fast.shape == (dim, rank)
         assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)

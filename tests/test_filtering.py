@@ -518,6 +518,23 @@ class TestWindowError:
             window, filter_alone(model_a, window, noise)
         )
 
+    def test_bitwise_norm_mean(self):
+        # the direct sum of squares is np.linalg.norm's own float path, so
+        # the mean Euclidean error equals the norm-then-mean form bit for bit
+        from delaymix.filtering import FilterTrace
+
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            steps, d = int(rng.integers(1, 121)), int(rng.integers(1, 4))
+            scale = 10.0 ** rng.choice([-150.0, -3.0, 0.0, 3.0, 150.0])
+            outputs, predictions = scale * rng.standard_normal((2, steps, d))
+            predictions[rng.random((steps, d)) < 0.1] = 0.0
+            outputs[rng.random((steps, d)) < 0.1] = rng.choice([0.0, -0.0])
+            window = Trajectory(outputs, np.zeros((steps, 1)))
+            trace = FilterTrace(predictions, np.zeros(1))
+            want = float(np.linalg.norm(outputs - predictions, axis=1).mean())
+            assert window_error(window, trace) == want
+
 
 class TestSelectRegime:
     def test_single_model(self):
